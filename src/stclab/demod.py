@@ -24,6 +24,9 @@ from .stcodes import (
     encode_alamouti,
 )
 
+# Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
+ML_SLICE_ELEMENTS = 2**21
+
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -63,16 +66,11 @@ def eq3_metric(yv, h, x, es):
 def ml_exhaustive(y, h, cb: BlockCodebook, es):
     """Brute-force ML over a block codebook; ties go to the lowest index."""
     yv = _as_y(y)
-    h = _check_h(yv, h)
     if yv.shape[0] != cb.n_uses:
         raise ShapeMismatch(
             f"frame has {yv.shape[0]} uses, codebook words have {cb.n_uses}"
         )
-    pred = np.sqrt(es) * np.einsum("kij,njk->nki", h, cb.codewords)
-    metrics = np.sum(np.abs(yv[None] - pred) ** 2, axis=(1, 2))
-    idx = int(np.argmin(metrics))
-    bits = patterns_to_bits(np.array([idx]), cb.bits_per_codeword)
-    return DecodeResult(bits=bits, metric=float(metrics[idx]), visited=cb.size)
+    return ml_exhaustive_blocks(yv, h, cb, es)
 
 
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
@@ -80,6 +78,15 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
 
     The frame must hold a whole number of codebook words.  Equivalent to
     calling :func:`ml_exhaustive` on each block and concatenating.
+
+    The codebook is scanned in slices so that no temporary holds more than
+    ``ML_SLICE_ELEMENTS`` complex values, whatever the frame length and
+    codebook size.  When H is the same at every use (a quasi-static frame)
+    each candidate's prediction sqrt(Es) H X is computed once per slice and
+    shared by all blocks; otherwise it is computed per block.  Either way
+    the metric is the direct ||Y - sqrt(Es) H X||^2, and ties go to the
+    lowest codeword index, within a slice by argmin and across slices by a
+    strict comparison.
     """
     yv = _as_y(y)
     h = _check_h(yv, h)
@@ -90,14 +97,26 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
         )
     nb = yv.shape[0] // u
     lr = yv.shape[1]
-    yb = yv.reshape(nb, u, lr)
+    yb = yv.reshape(nb, u, lr)[:, None]
     hb = h.reshape(nb, u, lr, h.shape[2])
-    pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb, cb.codewords)
-    metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
-    idx = np.argmin(metrics, axis=1)
+    if np.all(h == h[:1]):
+        hb = hb[:1]
+    step = max(1, ML_SLICE_ELEMENTS // max(nb * u * lr, 1))
+    best = np.full(nb, np.inf)
+    idx = np.zeros(nb, dtype=int)
+    blocks = np.arange(nb)
+    for start in range(0, cb.size, step):
+        pred = np.sqrt(es) * np.einsum(
+            "bkij,njk->bnki", hb, cb.codewords[start : start + step]
+        )
+        metrics = np.sum(np.abs(yb - pred) ** 2, axis=(2, 3))
+        pick = np.argmin(metrics, axis=1)
+        found = metrics[blocks, pick]
+        better = found < best
+        best[better] = found[better]
+        idx[better] = pick[better] + start
     bits = patterns_to_bits(idx, cb.bits_per_codeword)
-    metric = float(metrics[np.arange(nb), idx].sum())
-    return DecodeResult(bits=bits, metric=metric, visited=nb * cb.size)
+    return DecodeResult(bits=bits, metric=float(best.sum()), visited=nb * cb.size)
 
 
 def viterbi_decode(y, h, code: TrellisCode, es):
@@ -355,17 +374,12 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
     d2 = np.abs(z2[:, None] - amp[:, None] * pts[None, :]) ** 2
     idx1 = np.argmin(d1, axis=1)
     idx2 = np.argmin(d2, axis=1)
-    inv_label = {v: k for k, v in c.labeling.items()}
-    pat = np.empty((nb, 2), dtype=int)
-    pat[:, 0] = [inv_label[int(i)] for i in idx1]
-    pat[:, 1] = [inv_label[int(i)] for i in idx2]
+    inv_label = np.empty(c.size, dtype=int)
+    inv_label[list(c.labeling.values())] = list(c.labeling.keys())
+    pat = inv_label[np.stack([idx1, idx2], axis=1)]
     bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
-    x_hat = np.zeros((2, nf), dtype=complex)
-    blocks = [
-        encode_alamouti(pts[int(i1)], pts[int(i2)]) for i1, i2 in zip(idx1, idx2)
-    ]
-    for b, blk in enumerate(blocks):
-        x_hat[:, 2 * b : 2 * b + 2] = blk
+    # (2, 2, nb) stack of block codewords -> (lt, nf) frame
+    x_hat = encode_alamouti(pts[idx1], pts[idx2]).transpose(0, 2, 1).reshape(2, nf)
     metric = eq3_metric(yv, h, x_hat, es)
     degenerate = bool(np.any(gain <= 0.0))
     return DecodeResult(

@@ -84,7 +84,7 @@ class BlockCodebook:
         # + 0 normalizes -0.0 so byte-level uniqueness matches value equality
         rounded = np.round(cw.reshape(cw.shape[0], -1), 12) + (0.0 + 0.0j)
         view = np.ascontiguousarray(rounded).view(np.uint8).reshape(cw.shape[0], -1)
-        if np.unique(view, axis=0).shape[0] != cw.shape[0]:
+        if len(set(map(bytes, view))) != cw.shape[0]:
             raise ValidationError("codebook contains duplicate codewords")
 
     @property
@@ -123,15 +123,37 @@ def alamouti_codebook(c: Constellation = None):
     return BlockCodebook("alamouti", words, 2 * c.bits_per_symbol)
 
 
+def _cmul(ar, ai, br, bi):
+    """Complex product on split parts, rounded like Python's scalar product.
+
+    Numpy's complex-array multiply may fuse the multiply-add, which moves
+    some golden-code entries by one ulp against :func:`encode_golden`.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def golden_codebook(c: Constellation = None):
     c = c if c is not None else CONSTELLATIONS["QPSK"]
     patterns = _enumerate_symbol_tuples(c, 4)
-    words = np.stack(
-        [
-            encode_golden([c.pattern_to_point(int(p)) for p in row])
-            for row in patterns
-        ]
-    )
+    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
+    sr, si = pts.real[patterns], pts.imag[patterns]
+
+    def entry(factor, m, t):
+        # factor * (s_m + s_{m+1} * t), in encode_golden's operation order
+        pr, pi = _cmul(sr[:, m + 1], si[:, m + 1], t, 0.0)
+        return _cmul(factor.real, factor.imag, sr[:, m] + pr, si[:, m] + pi)
+
+    th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
+    a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
+    # row-major entries of [[a(s1 + s2 th), a(s3 + s4 th)],
+    #                       [i ab(s3 + s4 tb), ab(s1 + s2 tb)]]
+    parts = [
+        entry(a, 0, th), entry(a, 2, th), entry(1j * ab, 2, tb), entry(ab, 0, tb)
+    ]
+    words = np.empty((patterns.shape[0], 2, 2), dtype=complex)
+    for n, (re, im) in enumerate(parts):
+        words.real[:, n // 2, n % 2] = GOLDEN_SCALE * re
+        words.imag[:, n // 2, n % 2] = GOLDEN_SCALE * im
     return BlockCodebook("golden", words, 4 * c.bits_per_symbol)
 
 
@@ -426,19 +448,24 @@ def trellis_path_codebook(code: TrellisCode, n_steps):
     """Exhaustive codebook of all length-n_steps data paths (plus tails).
 
     Only usable for small codes and short frames; exists as the brute-force
-    oracle for the Viterbi decoder.
+    oracle for the Viterbi decoder.  Every path is stepped through the
+    trellis at once, with the same table lookups as :func:`encode_trellis`.
     """
     n_words = code.n_inputs**n_steps
     bits_per_word = n_steps * code.bits_per_step
-    words = np.zeros(
-        (n_words, code.lt, n_steps + code.n_term_steps), dtype=complex
-    )
     shifts = np.arange(n_steps - 1, -1, -1) * code.bits_per_step
-    mask = code.n_inputs - 1
-    from .mathcore import patterns_to_bits
-
-    for n in range(n_words):
-        patterns = (n >> shifts) & mask
-        bits = patterns_to_bits(patterns, code.bits_per_step)
-        words[n] = encode_trellis(bits, code)
+    patterns = (np.arange(n_words)[:, None] >> shifts) & (code.n_inputs - 1)
+    n_cols = n_steps + code.n_term_steps
+    cols = np.zeros((n_words, n_cols, code.lt), dtype=int)
+    state = np.zeros(n_words, dtype=int)
+    for k in range(n_cols):
+        if k < n_steps:
+            u = patterns[:, k]
+        else:
+            u = code.term_inputs[state, k - n_steps]
+        cols[:, k] = code.out_idx[state, u]
+        state = code.next_state[state, u]
+    if np.any(state != 0):
+        raise ValidationError("termination tail did not reach state 0")
+    words = code.constellation.points[cols].transpose(0, 2, 1) / np.sqrt(code.lt)
     return BlockCodebook(f"{code.name}_paths", words, bits_per_word)

@@ -2,6 +2,7 @@
 exit-code contract (0 ok, 2 config/usage, 3 numerical failure)."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ class TestMetricsCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert re.search(r"min rank\s*: 2\b", out)
+
+    def test_pair_cap_refuses_golden_sixteen_qam_only(self, capsys):
+        t0 = time.perf_counter()
+        rc = main(["metrics", "--code", "golden", "--constellation", "16QAM"])
+        assert rc == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 5.0
+        assert "2147450880 codeword pairs" in capsys.readouterr().err
+        rc = main(["metrics", "--code", "golden", "--constellation", "QPSK"])
+        assert rc == EXIT_OK
+        assert re.search(r"examined\s*: 32640\b", capsys.readouterr().out)
 
     def test_spatial_multiplex_report(self, capsys):
         rc = main(["metrics", "--code", "spatial_multiplex"])

@@ -2,10 +2,13 @@
 Alamouti combiner.  The exhaustive search is the reference the others must
 match decision-for-decision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stclab import demod
 from stclab.channel import ChannelParams, apply_channel, generate_fading
 from stclab.demod import (
     alamouti_combine,
@@ -34,6 +37,25 @@ RT2 = np.sqrt(2.0)
 
 def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def one_shot_ml_blocks(y, h, cb, es):
+    """The single-einsum exhaustive ML that the sliced kernel replaced.
+
+    It materializes every (block, codeword) prediction at once, so it is
+    kept here only as the bitwise reference for small frames.
+    """
+    yv = np.asarray(getattr(y, "y", y), dtype=complex)
+    u = cb.n_uses
+    nb = yv.shape[0] // u
+    lr = yv.shape[1]
+    yb = yv.reshape(nb, u, lr)
+    hb = np.asarray(h, dtype=complex).reshape(nb, u, lr, h.shape[2])
+    pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb, cb.codewords)
+    metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
+    idx = np.argmin(metrics, axis=1)
+    bits = patterns_to_bits(idx, cb.bits_per_codeword)
+    return bits, float(metrics[np.arange(nb), idx].sum())
 
 
 def transmit(x, lr, es, n0, rng, fdt=0.0):
@@ -110,6 +132,63 @@ class TestMlExhaustive:
         h = np.ones((1, 1, 1), dtype=complex)
         res = ml_exhaustive(y, h, cb, 1.0)
         np.testing.assert_array_equal(res.bits, [0])
+
+
+class TestSlicedKernel:
+    CODEBOOKS = {
+        "alamouti_qpsk": lambda: alamouti_codebook(QPSK),
+        "golden_qpsk": lambda: golden_codebook(QPSK),
+        "spatial_multiplex_16qam": lambda: spatial_multiplex_codebook(QAM16),
+    }
+
+    @pytest.mark.parametrize("slice_elements", [demod.ML_SLICE_ELEMENTS, 40])
+    @pytest.mark.parametrize("fdt", [0.0, 0.02])
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_bitwise_equal_to_one_shot(self, name, fdt, slice_elements, monkeypatch):
+        # a 40-element cap forces one codeword per slice, so the cross-slice
+        # merge decides every block
+        monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", slice_elements)
+        cb = self.CODEBOOKS[name]()
+        for t in range(6):
+            rng = make_rng(7000 + t)
+            idx = rng.integers(0, cb.size, size=12)
+            x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+            es = 10 ** (rng.uniform(-2, 15) / 10)
+            frame, h = transmit(x, 2, es, 1.0, make_rng(8000 + t), fdt=fdt)
+            assert np.all(h == h[0]) == (fdt == 0.0)
+            res = ml_exhaustive_blocks(frame, h, cb, es)
+            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
+            np.testing.assert_array_equal(res.bits, want_bits)
+            assert res.metric == want_metric
+            assert res.visited == 12 * cb.size
+
+    def test_zero_channel_decides_index_zero_across_slices(self, monkeypatch):
+        monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", 64)
+        cb = golden_codebook(QPSK)
+        nb = 10
+        y = make_rng(21).standard_normal((2 * nb, 2)) + 0j
+        h = np.zeros((2 * nb, 2, 2), dtype=complex)
+        # 64 // (10 blocks * 2 uses * 2 antennas) = 1 word per slice
+        res = ml_exhaustive_blocks(y, h, cb, 3.0)
+        np.testing.assert_array_equal(res.bits, np.zeros(8 * nb, dtype=int))
+        per_block = np.sum(np.abs(y.reshape(nb, 2, 2)) ** 2, axis=(1, 2))
+        assert res.metric == float(per_block.sum())
+
+    def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
+        # 150 blocks x 65,536 words: the one-shot einsum needed ~1.5 GB
+        cb = golden_codebook(QAM16)
+        nb = 150
+        idx = make_rng(22).integers(0, cb.size, size=nb)
+        x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+        frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(23))
+        tracemalloc.start()
+        try:
+            res = ml_exhaustive_blocks(frame, h, cb, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+        np.testing.assert_array_equal(res.bits, patterns_to_bits(idx, 16))
 
 
 class TestViterbi:

@@ -107,6 +107,17 @@ class TestGolden:
         assert cb.bits_per_codeword == 8
         assert cb.codewords.shape == (256, 2, 2)
 
+    @pytest.mark.parametrize("c", [QPSK, QAM16], ids=lambda c: c.name)
+    def test_codebook_bitwise_equals_encoder(self, c):
+        cw = golden_codebook(c).codewords
+        want = np.stack(
+            [
+                encode_golden([c.pattern_to_point(p) for p in pats])
+                for pats in np.ndindex(*(c.size,) * 4)
+            ]
+        )
+        np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
+
     def test_mean_energy_per_use(self):
         cw = golden_codebook(QPSK).codewords
         assert_allclose(np.mean(np.sum(np.abs(cw) ** 2, axis=(1, 2)) / 2), 1.0, atol=1e-12)
@@ -297,6 +308,16 @@ class TestTrellisEncoding:
         bits = np.array([1, 0, 0, 1])
         n = int("".join(str(b) for b in bits), 2)
         assert_allclose(cb.codewords[n], encode_trellis(bits, code), atol=1e-15)
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 8])
+    def test_path_codebook_bitwise_equals_encoder(self, n_steps):
+        code = load_packaged_trellis()
+        cw = trellis_path_codebook(code, n_steps).codewords
+        shifts = np.arange(2 * n_steps - 1, -1, -1)
+        want = np.ascontiguousarray(
+            [encode_trellis((n >> shifts) & 1, code) for n in range(cw.shape[0])]
+        )
+        np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
 
     def test_path_codebook_distinct(self):
         code = load_packaged_trellis()
