@@ -19,7 +19,13 @@ import numpy as np
 
 from .channel import ChannelParams, generate_fading
 from .chanest import build_pilot_map, design_wiener
-from .demod import alamouti_combine, ml_exhaustive, sphere_decode, viterbi_decode
+from .demod import (
+    alamouti_combine,
+    ml_exhaustive,
+    ml_exhaustive_blocks,
+    sphere_decode,
+    viterbi_decode,
+)
 from .designmetrics import codebook_report, event_report, trellis_error_events
 from .errors import StclabError
 from .harness import parse_config, run_sweep
@@ -189,6 +195,7 @@ def _selftest_checks():
         cb = golden_codebook(c)
         disp = golden_dispersion(c)
         es = 10.0
+        ys, hs = [], []
         for _ in range(50):
             h = np.broadcast_to(
                 (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
@@ -204,6 +211,14 @@ def _selftest_checks():
             b = sphere_decode(y, h, disp, es)
             if not np.array_equal(a.bits, b.bits):
                 return "decision mismatch"
+            ys.append(y)
+            hs.append(h)
+        # the same words as one multi-block frame, the call a sweep makes
+        y, h = np.concatenate(ys), np.concatenate(hs)
+        a = ml_exhaustive_blocks(y, h, cb, es)
+        b = sphere_decode(y, h, disp, es)
+        if not np.array_equal(a.bits, b.bits):
+            return "frame decision mismatch"
         return None
 
     def viterbi_round_trip():

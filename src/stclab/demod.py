@@ -11,6 +11,7 @@ blocks.  Every decoder reports the decoded bits, the achieved metric, and a
 visited-node count as its search-effort measure.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,10 +84,12 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     ``ML_SLICE_ELEMENTS`` complex values, whatever the frame length and
     codebook size.  When H is the same at every use (a quasi-static frame)
     each candidate's prediction sqrt(Es) H X is computed once per slice and
-    shared by all blocks; otherwise it is computed per block.  Either way
-    the metric is the direct ||Y - sqrt(Es) H X||^2, and ties go to the
-    lowest codeword index, within a slice by argmin and across slices by a
-    strict comparison.
+    shared by all blocks; otherwise it is computed per block.  A codebook
+    that gives its distinct columns has each column predicted once under
+    a quasi-static H, by the same einsum, and the words' predictions
+    gathered from them.  Either way the metric is the direct
+    ||Y - sqrt(Es) H X||^2, and ties go to the lowest codeword index,
+    within a slice by argmin and across slices by a strict comparison.
     """
     yv = _as_y(y)
     h = _check_h(yv, h)
@@ -99,16 +102,26 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     lr = yv.shape[1]
     yb = yv.reshape(nb, u, lr)[:, None]
     hb = h.reshape(nb, u, lr, h.shape[2])
+    col_pred = None
     if np.all(h == h[:1]):
         hb = hb[:1]
+        if cb.columns is not None:
+            # a word's prediction at a use depends only on that use's
+            # column: predict each distinct column once and gather
+            col_pred = np.sqrt(es) * np.einsum(
+                "bkij,njk->bnki", hb[:, :1], cb.columns[:, :, None]
+            )[:, :, 0]
     step = max(1, ML_SLICE_ELEMENTS // max(nb * u * lr, 1))
     best = np.full(nb, np.inf)
     idx = np.zeros(nb, dtype=int)
     blocks = np.arange(nb)
     for start in range(0, cb.size, step):
-        pred = np.sqrt(es) * np.einsum(
-            "bkij,njk->bnki", hb, cb.codewords[start : start + step]
-        )
+        if col_pred is not None:
+            pred = col_pred[:, cb.column_index[start : start + step]]
+        else:
+            pred = np.sqrt(es) * np.einsum(
+                "bkij,njk->bnki", hb, cb.codewords[start : start + step]
+            )
         metrics = np.sum(np.abs(yb - pred) ** 2, axis=(2, 3))
         pick = np.argmin(metrics, axis=1)
         found = metrics[blocks, pick]
@@ -188,9 +201,9 @@ def viterbi_decode(y, h, code: TrellisCode, es):
 def _axis_levels(c: Constellation):
     """Real-axis levels of a product (square QAM style) constellation.
 
-    Returns (levels, pattern_table) where pattern_table[(i_re, i_im)] is the
-    bit pattern of the point at those level indices.  Raises ModelMismatch
-    when the constellation is not a full product of one real level set.
+    Returns (levels, table) where table[i_re, i_im] is the bit pattern of
+    the point at those level indices.  Raises ModelMismatch when the
+    constellation is not a full product of one real level set.
     """
     reals = np.unique(np.round(c.points.real, 12))
     imags = np.unique(np.round(c.points.imag, 12))
@@ -198,84 +211,97 @@ def _axis_levels(c: Constellation):
         raise ModelMismatch("constellation axes differ; no lattice form")
     if reals.size**2 != c.size:
         raise ModelMismatch("constellation is not a per-axis product set")
-    table = {}
-    for pattern in range(c.size):
-        pt = c.pattern_to_point(pattern)
-        i_re = int(np.argmin(np.abs(reals - pt.real)))
-        i_im = int(np.argmin(np.abs(reals - pt.imag)))
-        table[(i_re, i_im)] = pattern
-    if len(table) != c.size:
+    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
+    i_re = np.argmin(np.abs(reals - pts.real[:, None]), axis=1)
+    i_im = np.argmin(np.abs(reals - pts.imag[:, None]), axis=1)
+    table = np.full((reals.size, reals.size), -1)
+    table[i_re, i_im] = np.arange(c.size)
+    if np.any(table < 0):
         raise ModelMismatch("constellation is not a per-axis product set")
     return reals, table
 
 
 def _dispersion_system(yv, h, code: LinearDispersionCode, es):
-    """Real-valued lattice system (y_r, G_r) of a dispersion codeword."""
-    basis = code.basis
-    g = np.sqrt(es) * np.einsum("kij,mjk->kim", h, basis)
-    g = g.reshape(-1, code.n_syms)
-    yc = yv.reshape(-1)
-    gr = np.block([[g.real, -g.imag], [g.imag, g.real]])
-    yr = np.concatenate([yc.real, yc.imag])
+    """Real-valued lattice systems (y_r, G_r), one per codeword block.
+
+    Returns y_r of shape (nb, n) and G_r of shape (nb, n, 2 n_syms) with
+    n = 2 lr n_uses, the real and imaginary parts of y_eff = G s stacked.
+    """
+    u = code.n_uses
+    nb, lr = yv.shape[0] // u, yv.shape[1]
+    hb = h.reshape(nb, u, lr, h.shape[2])
+    g = np.sqrt(es) * np.einsum("bkij,mjk->bkim", hb, code.basis)
+    g = g.reshape(nb, u * lr, code.n_syms)
+    yc = yv.reshape(nb, u * lr)
+    gr = np.concatenate(
+        [
+            np.concatenate([g.real, -g.imag], axis=2),
+            np.concatenate([g.imag, g.real], axis=2),
+        ],
+        axis=1,
+    )
+    yr = np.concatenate([yc.real, yc.imag], axis=1)
     return yr, gr
 
 
-def _sphere_search(yr, gr, levels, d):
-    """Depth-first closest-first enumeration; returns (v, cost, visited)."""
-    q, r = np.linalg.qr(gr)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = signs[:, None] * r
-    z = signs * (q.T @ yr)
-    rows = [r[i] for i in range(d)]
-    rdiag = [float(r[i, i]) for i in range(d)]
-    if min(abs(v) for v in rdiag) < 1e-12 * max(abs(v) for v in rdiag + [1.0]):
-        return None  # degenerate channel; caller falls back to brute force
-    lv = [float(v) for v in levels]
-    best_cost = np.inf
+def _sphere_search(z, r, levels):
+    """Depth-first closest-first search of one triangular system.
+
+    ``z`` and the rows of the upper-triangular ``r`` are lists of Python
+    floats, searched from the last dimension down with the Babai point as
+    the first leaf.  Children are tried closest-first (a stable sort, so
+    equidistant levels keep ascending order) and a child whose cost is not
+    strictly below the best leaf ends its sibling loop.  Returns the
+    closest point as a list and the number of nodes visited.
+
+    Each residual's partial dot accumulates in index order.  Where numpy's
+    dot fuses each multiply-add (FMA hardware) a residual can differ from
+    it in the last bit, which can move a decision or a visit count only
+    at a tie to within that bit.
+    """
+    d = len(z)
+    v = [0.0] * d
+    best_cost = math.inf
     best_v = None
     visited = 0
-    v = np.zeros(d)
-    # stack entries: (dim, candidate list position, accumulated cost above)
-    # expanded iteratively to keep the child ordering closest-first
-    def children(i, partial_v):
-        resid = z[i] - float(rows[i][i + 1 :] @ partial_v[i + 1 :])
-        center = resid / rdiag[i]
-        return sorted(lv, key=lambda s: abs(s - center)), resid
 
-    stack = []
-    order0, resid0 = children(d - 1, v)
-    stack.append((d - 1, order0, 0, 0.0, resid0))
-    while stack:
-        i, order, pos, above, resid = stack.pop()
-        if pos >= len(order):
-            continue
-        stack.append((i, order, pos + 1, above, resid))
-        s = order[pos]
-        visited += 1
-        cost = above + (resid - rdiag[i] * s) ** 2
-        if not cost < best_cost:
-            # children are sorted by distance, so siblings only get worse
-            stack.pop()
-            continue
-        v[i] = s
-        if i == 0:
-            best_cost = cost
-            best_v = v.copy()
-            continue
-        order_c, resid_c = children(i - 1, v)
-        stack.append((i - 1, order_c, 0, cost, resid_c))
-    return best_v, best_cost, visited
+    def expand(i, above):
+        nonlocal best_cost, best_v, visited
+        row = r[i]
+        acc = 0.0
+        for j in range(i + 1, d):
+            acc += row[j] * v[j]
+        resid = z[i] - acc
+        rd = row[i]
+        center = resid / rd
+        for s in sorted(levels, key=lambda s: abs(s - center)):
+            visited += 1
+            cost = above + (resid - rd * s) ** 2
+            if not cost < best_cost:
+                # children are sorted by distance, so siblings only get worse
+                return
+            v[i] = s
+            if i:
+                expand(i - 1, cost)
+            else:
+                best_cost = cost
+                best_v = v.copy()
+
+    expand(d - 1, 0.0)
+    return best_v, visited
 
 
 def sphere_decode(y, h, code: LinearDispersionCode, es):
-    """Exact ML for a linear-dispersion codeword via sphere decoding.
+    """Exact ML for consecutive linear-dispersion codewords via sphere decoding.
 
-    The codeword is vectorized into y_eff = G s + n, expanded to a real
-    lattice and searched depth-first in closest-first child order with the
-    Babai point as the initial radius.  Requires lr >= lt so the lattice has
-    full column rank; degenerate channels fall back to an exhaustive scan of
-    the product set (ties to the lowest codeword index).
+    The frame must hold a whole number of codewords.  Each codeword is
+    vectorized into y_eff = G s + n, expanded to a real lattice and
+    searched depth-first in closest-first child order with the Babai point
+    as the initial radius.  The lattice algebra runs once for the whole
+    frame (one einsum, one stacked QR); only the search runs per block.
+    Requires lr >= lt so the lattice has full column rank; a block with a
+    degenerate channel falls back to an exhaustive scan of the product set
+    (ties to the lowest codeword index) and sets ``degenerate``.
     """
     if not isinstance(code, LinearDispersionCode):
         raise ModelMismatch(
@@ -283,34 +309,47 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
         )
     yv = _as_y(y)
     h = _check_h(yv, h)
-    if yv.shape[0] != code.n_uses:
+    u = code.n_uses
+    if yv.shape[0] % u:
         raise ShapeMismatch(
-            f"frame has {yv.shape[0]} uses, dispersion code spans {code.n_uses}"
+            f"frame length {yv.shape[0]} is not a multiple of the {u}-use"
+            " dispersion codeword"
         )
     c = code.constellation
     levels, table = _axis_levels(c)
     yr, gr = _dispersion_system(yv, h, code, es)
     m = code.n_syms
     d = 2 * m
-    if gr.shape[0] < d:
+    if gr.shape[1] < d:
         raise ModelMismatch(
-            f"underdetermined lattice: {gr.shape[0]} real observations for"
+            f"underdetermined lattice: {gr.shape[1]} real observations for"
             f" {d} real unknowns (need lr * n_uses >= n_syms)"
         )
-    degenerate = False
-    out = _sphere_search(yr, gr, levels, d)
-    if out is not None:
-        v, _, visited = out
-    else:
-        degenerate = True
-        v, visited = _brute_force_lattice(yr, gr, levels, m, table, c)
-    re_idx = [int(np.argmin(np.abs(levels - v[i]))) for i in range(m)]
-    im_idx = [int(np.argmin(np.abs(levels - v[m + i]))) for i in range(m)]
-    patterns = np.array([table[(re_idx[i], im_idx[i])] for i in range(m)])
-    bits = patterns_to_bits(patterns, c.bits_per_symbol)
-    symbols = levels[re_idx] + 1j * levels[im_idx]
-    metric = eq3_metric(yv, h, code.encode(symbols), es)
-    return DecodeResult(bits=bits, metric=metric, visited=visited, degenerate=degenerate)
+    q, r = np.linalg.qr(gr)
+    signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    signs[signs == 0] = 1.0
+    r = signs[:, :, None] * r
+    z = signs * (q.transpose(0, 2, 1) @ yr[:, :, None])[:, :, 0]
+    rdiag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    degenerate = rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0)
+    lv = levels.tolist()
+    v = np.empty((yr.shape[0], d))
+    visited = 0
+    for b, (zb, rb) in enumerate(zip(z.tolist(), r.tolist())):
+        if degenerate[b]:
+            v[b], n = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
+        else:
+            v[b], n = _sphere_search(zb, rb, lv)
+        visited += n
+    idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
+    patterns = table[idx[:, :m], idx[:, m:]]
+    bits = patterns_to_bits(patterns.reshape(-1), c.bits_per_symbol)
+    symbols = levels[idx[:, :m]] + 1j * levels[idx[:, m:]]
+    x = np.einsum("bm,mjk->jbk", symbols, code.basis).reshape(code.lt, -1)
+    metric = eq3_metric(yv, h, x, es)
+    return DecodeResult(
+        bits=bits, metric=metric, visited=visited, degenerate=bool(degenerate.any())
+    )
 
 
 def _brute_force_lattice(yr, gr, levels, m, table, c):
@@ -326,7 +365,7 @@ def _brute_force_lattice(yr, gr, levels, m, table, c):
         for i in range(m):
             i_re = int(np.argmin(np.abs(levels - v[i])))
             i_im = int(np.argmin(np.abs(levels - v[m + i])))
-            idx = idx * c.size + table[(i_re, i_im)]
+            idx = idx * c.size + int(table[i_re, i_im])
         return idx
 
     pick = min(tied, key=lambda n: word_index(cand[n]))

@@ -32,7 +32,6 @@ from .channel import (
     spatial_correlation,
 )
 from .demod import (
-    DecodeResult,
     alamouti_combine,
     ml_exhaustive_blocks,
     sphere_decode,
@@ -373,20 +372,7 @@ def _decode_data(setup, y_data, h_data, es):
             allow_nonstatic=setup.allow_nonstatic,
         )
     if setup.decoder == "sphere":
-        u = setup.dispersion.n_uses
-        nb = y_data.shape[0] // u
-        bits = []
-        metric = 0.0
-        visited = 0
-        for b in range(nb):
-            sl = slice(b * u, (b + 1) * u)
-            res = sphere_decode(y_data[sl], h_data[sl], setup.dispersion, es)
-            bits.append(res.bits)
-            metric += res.metric
-            visited += res.visited
-        return DecodeResult(
-            bits=np.concatenate(bits), metric=metric, visited=visited
-        )
+        return sphere_decode(y_data, h_data, setup.dispersion, es)
     return ml_exhaustive_blocks(y_data, h_data, setup.codebook, es)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, ParseError, ValidationError
+from .errors import InvalidCount, LengthMismatch, ParseError, ValidationError
 from .mathcore import CONSTELLATIONS, Constellation, bits_to_patterns
 
 # Golden-number constants of the [2x2] full-rate construction.
@@ -26,6 +26,11 @@ GOLDEN_ALPHA_BAR = 1.0 + 1j - 1j * GOLDEN_THETA_BAR
 # 1/sqrt(5) from the lattice generator, a further 1/sqrt(2) so the two
 # antennas radiate unit total energy per use instead of unit energy each.
 GOLDEN_SCALE = 1.0 / np.sqrt(10.0)
+
+# Largest block codebook that is enumerated: 2^20 words, about 84 MB of
+# codewords for spatial multiplexing over 5 antennas with 16QAM.  The next
+# size up (6 antennas) would need about 1.6 GB before its duplicate check.
+CODEBOOK_CAP = 2**20
 
 
 def encode_alamouti(s1, s2):
@@ -65,12 +70,18 @@ class BlockCodebook:
     """All codewords of a block code, indexed by the word's bit pattern.
 
     ``codewords[n]`` is the lt x n_uses matrix transmitted for the
-    bits-as-MSB-first-integer n.
+    bits-as-MSB-first-integer n.  A code whose words repeat a few
+    distinct columns may also give them: ``columns`` (n_columns, lt) and
+    ``column_index`` (size, n_uses) with codewords[n, :, k] equal to
+    columns[column_index[n, k]], which lets exhaustive ML predict each
+    column once instead of each word.
     """
 
     name: str
     codewords: np.ndarray
     bits_per_codeword: int
+    columns: np.ndarray = None
+    column_index: np.ndarray = None
 
     def __post_init__(self):
         cw = np.ascontiguousarray(np.asarray(self.codewords, dtype=complex))
@@ -81,6 +92,10 @@ class BlockCodebook:
             raise ValidationError(
                 f"codebook size {cw.shape[0]} != 2^{self.bits_per_codeword}"
             )
+        if self.columns is not None and not np.array_equal(
+            self.columns[self.column_index].transpose(0, 2, 1), cw
+        ):
+            raise ValidationError("columns and column_index do not give the codewords")
         # + 0 normalizes -0.0 so byte-level uniqueness matches value equality
         rounded = np.round(cw.reshape(cw.shape[0], -1), 12) + (0.0 + 0.0j)
         view = np.ascontiguousarray(rounded).view(np.uint8).reshape(cw.shape[0], -1)
@@ -101,9 +116,18 @@ class BlockCodebook:
 
 
 def _enumerate_symbol_tuples(c: Constellation, n_syms):
-    """All pattern tuples in codeword-index order (first symbol is MSB)."""
+    """All pattern tuples in codeword-index order (first symbol is MSB).
+
+    Raises InvalidCount, before allocating anything, when there are more
+    than ``CODEBOOK_CAP`` tuples.
+    """
     size = c.size
     n = size**n_syms
+    if n > CODEBOOK_CAP:
+        raise InvalidCount(
+            f"a codebook of {n_syms} {c.name} symbols has {n} codewords,"
+            f" more than the {CODEBOOK_CAP} a block codebook enumerates"
+        )
     patterns = np.zeros((n, n_syms), dtype=int)
     for m in range(n_syms):
         period = size ** (n_syms - 1 - m)
@@ -161,14 +185,9 @@ def spatial_multiplex_codebook(c: Constellation = None, lt=2, n_uses=1):
     c = c if c is not None else CONSTELLATIONS["QPSK"]
     n_syms = lt * n_uses
     patterns = _enumerate_symbol_tuples(c, n_syms)
-    words = np.stack(
-        [
-            encode_spatial_multiplex(
-                np.array([c.pattern_to_point(int(p)) for p in row]), lt
-            )
-            for row in patterns
-        ]
-    )
+    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
+    # encode_spatial_multiplex on every word at once, bitwise the same
+    words = pts[patterns].reshape(-1, n_uses, lt).transpose(0, 2, 1) / np.sqrt(lt)
     return BlockCodebook("spatial_multiplex", words, n_syms * c.bits_per_symbol)
 
 
@@ -467,5 +486,12 @@ def trellis_path_codebook(code: TrellisCode, n_steps):
         state = code.next_state[state, u]
     if np.any(state != 0):
         raise ValidationError("termination tail did not reach state 0")
-    words = code.constellation.points[cols].transpose(0, 2, 1) / np.sqrt(code.lt)
-    return BlockCodebook(f"{code.name}_paths", words, bits_per_word)
+    # every column is one of the M^lt point tuples, numbered MSB first
+    m = code.constellation.size
+    tuples = _enumerate_symbol_tuples(code.constellation, code.lt)
+    columns = code.constellation.points[tuples] / np.sqrt(code.lt)
+    column_index = cols @ (m ** np.arange(code.lt - 1, -1, -1))
+    words = columns[column_index].transpose(0, 2, 1)
+    return BlockCodebook(
+        f"{code.name}_paths", words, bits_per_word, columns, column_index
+    )

@@ -75,6 +75,20 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(p)])
         assert rc == EXIT_CONFIG
 
+    def test_codebook_cap_refuses_six_sixteen_qam_antennas(self, tmp_path, capsys):
+        p = tmp_path / "big.cfg"
+        p.write_text(
+            SWEEP_CONFIG.replace("code = alamouti", "code = spatial_multiplex")
+            .replace("QPSK", "16QAM")
+            .replace("lt = 2", "lt = 6")
+            .replace("lr = 1", "lr = 6")
+        )
+        t0 = time.perf_counter()
+        rc = main(["sweep", "--config", str(p)])
+        assert rc == EXIT_CONFIG
+        assert time.perf_counter() - t0 < 5.0
+        assert "16777216 codewords" in capsys.readouterr().err
+
     def test_inconsistent_config(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(SWEEP_CONFIG.replace("lt = 2", "lt = 3"))

@@ -58,6 +58,91 @@ def one_shot_ml_blocks(y, h, cb, es):
     return bits, float(metrics[np.arange(nb), idx].sum())
 
 
+def per_block_sphere_decode(y, h, code, es):
+    """The one-block-per-call sphere decoder that the frame kernel replaced.
+
+    It redoes the lattice algebra (levels, real system, QR, sign fix) for
+    every block and searches with numpy rows.  Kept here only as the
+    reference the frame kernel must match in bits, visits and degeneracy;
+    returns (bits, visited, degenerate) summed over the frame's blocks.
+    """
+    u = code.n_uses
+    c = code.constellation
+    reals = np.unique(np.round(c.points.real, 12))
+    table = {}
+    for pattern in range(c.size):
+        pt = c.pattern_to_point(pattern)
+        i_re = int(np.argmin(np.abs(reals - pt.real)))
+        i_im = int(np.argmin(np.abs(reals - pt.imag)))
+        table[(i_re, i_im)] = pattern
+    m = code.n_syms
+    d = 2 * m
+    bits, visited, degenerate = [], 0, False
+    for b in range(y.shape[0] // u):
+        yb, hb = y[b * u : (b + 1) * u], h[b * u : (b + 1) * u]
+        g = np.sqrt(es) * np.einsum("kij,mjk->kim", hb, code.basis)
+        g = g.reshape(-1, m)
+        yc = yb.reshape(-1)
+        gr = np.block([[g.real, -g.imag], [g.imag, g.real]])
+        yr = np.concatenate([yc.real, yc.imag])
+        out = _per_block_search(yr, gr, reals, d)
+        if out is None:
+            degenerate = True
+            v, n = demod._brute_force_lattice(yr, gr, reals, m, table, c)
+        else:
+            v, n = out
+        visited += n
+        re_idx = [int(np.argmin(np.abs(reals - v[i]))) for i in range(m)]
+        im_idx = [int(np.argmin(np.abs(reals - v[m + i]))) for i in range(m)]
+        patterns = np.array([table[(re_idx[i], im_idx[i])] for i in range(m)])
+        bits.append(patterns_to_bits(patterns, c.bits_per_symbol))
+    return np.concatenate(bits), visited, degenerate
+
+
+def _per_block_search(yr, gr, levels, d):
+    q, r = np.linalg.qr(gr)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    r = signs[:, None] * r
+    z = signs * (q.T @ yr)
+    rows = [r[i] for i in range(d)]
+    rdiag = [float(r[i, i]) for i in range(d)]
+    if min(abs(v) for v in rdiag) < 1e-12 * max(abs(v) for v in rdiag + [1.0]):
+        return None
+    lv = [float(v) for v in levels]
+    best_cost = np.inf
+    best_v = None
+    visited = 0
+    v = np.zeros(d)
+
+    def children(i, partial_v):
+        resid = z[i] - float(rows[i][i + 1 :] @ partial_v[i + 1 :])
+        center = resid / rdiag[i]
+        return sorted(lv, key=lambda s: abs(s - center)), resid
+
+    order0, resid0 = children(d - 1, v)
+    stack = [(d - 1, order0, 0, 0.0, resid0)]
+    while stack:
+        i, order, pos, above, resid = stack.pop()
+        if pos >= len(order):
+            continue
+        stack.append((i, order, pos + 1, above, resid))
+        s = order[pos]
+        visited += 1
+        cost = above + (resid - rdiag[i] * s) ** 2
+        if not cost < best_cost:
+            stack.pop()
+            continue
+        v[i] = s
+        if i == 0:
+            best_cost = cost
+            best_v = v.copy()
+            continue
+        order_c, resid_c = children(i - 1, v)
+        stack.append((i - 1, order_c, 0, cost, resid_c))
+    return best_v, visited
+
+
 def transmit(x, lr, es, n0, rng, fdt=0.0):
     lt = x.shape[0]
     mode = "quasi_static" if fdt == 0.0 else "clarke_varying"
@@ -139,6 +224,8 @@ class TestSlicedKernel:
         "alamouti_qpsk": lambda: alamouti_codebook(QPSK),
         "golden_qpsk": lambda: golden_codebook(QPSK),
         "spatial_multiplex_16qam": lambda: spatial_multiplex_codebook(QAM16),
+        # given per-column, so a static H takes the column-prediction path
+        "trellis_paths_4": lambda: trellis_path_codebook(load_packaged_trellis(), 4),
     }
 
     @pytest.mark.parametrize("slice_elements", [demod.ML_SLICE_ELEMENTS, 40])
@@ -324,6 +411,69 @@ class TestSphere:
         frame, h = transmit(cb.codewords[0], 2, 1.0, 1.0, make_rng(12))
         with pytest.raises(ModelMismatch):
             sphere_decode(frame, h, cb, 1.0)
+
+
+    CODES = {
+        "golden_qpsk": lambda: (golden_dispersion(QPSK), golden_codebook(QPSK)),
+        "golden_16qam": lambda: (golden_dispersion(QAM16), golden_codebook(QAM16)),
+        "spatial_multiplex_16qam": lambda: (
+            spatial_multiplex_dispersion(QAM16, lt=2, n_uses=1),
+            spatial_multiplex_codebook(QAM16, lt=2, n_uses=1),
+        ),
+    }
+
+    @pytest.mark.parametrize("n0", [1.0, 1e-20], ids=["low_snr", "noise_free"])
+    @pytest.mark.parametrize("fdt", [0.0, 0.02], ids=["quasi_static", "clarke"])
+    @pytest.mark.parametrize("name", sorted(CODES))
+    def test_frame_kernel_matches_per_block_decoder(self, name, fdt, n0):
+        ld, cb = self.CODES[name]()
+        es = 10 ** (2.0 / 10) if n0 == 1.0 else 4.0
+        for t in range(3):
+            rng = make_rng(31000 + t)
+            idx = rng.integers(0, cb.size, size=24 // ld.n_uses)
+            x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+            frame, h = transmit(x, 2, es, n0, make_rng(32000 + t), fdt=fdt)
+            res = sphere_decode(frame, h, ld, es)
+            bits, visited, degenerate = per_block_sphere_decode(frame.y, h, ld, es)
+            np.testing.assert_array_equal(res.bits, bits)
+            assert res.visited == visited
+            assert res.degenerate == degenerate
+            if n0 < 1.0:
+                want = patterns_to_bits(idx, cb.bits_per_codeword)
+                np.testing.assert_array_equal(res.bits, want)
+
+    def test_degenerate_block_inside_frame(self):
+        ld = golden_dispersion(QPSK)
+        cb = golden_codebook(QPSK)
+        idx = make_rng(33).integers(0, cb.size, size=5)
+        x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+        frame, h = transmit(x, 2, 3.0, 1.0, make_rng(34), fdt=0.02)
+        h[4:6] = 0.0  # block 2 of 5 sees no channel at all
+        res = sphere_decode(frame, h, ld, 3.0)
+        assert res.degenerate
+        blocks = res.bits.reshape(5, 8)
+        np.testing.assert_array_equal(blocks[2], np.zeros(8, dtype=int))
+        visited = 0
+        for b in range(5):
+            one = sphere_decode(frame.y[2 * b : 2 * b + 2], h[2 * b : 2 * b + 2], ld, 3.0)
+            np.testing.assert_array_equal(blocks[b], one.bits)
+            assert one.degenerate == (b == 2)
+            visited += one.visited
+        assert res.visited == visited
+
+    def test_frame_length_must_hold_whole_words(self):
+        ld = golden_dispersion(QPSK)
+        frame, h = transmit(np.ones((2, 3), dtype=complex), 2, 1.0, 1.0, make_rng(35))
+        with pytest.raises(ShapeMismatch):
+            sphere_decode(frame, h, ld, 1.0)
+
+    def test_rejects_underdetermined_frame(self):
+        ld = golden_dispersion(QPSK)
+        cb = golden_codebook(QPSK)
+        x = np.concatenate([cb.codewords[n] for n in (0, 1, 2)], axis=1)
+        frame, h = transmit(x, 1, 1.0, 1.0, make_rng(36))
+        with pytest.raises(ModelMismatch):
+            sphere_decode(frame, h, ld, 1.0)
 
 
 class TestAlamoutiCombiner:

@@ -10,6 +10,7 @@ from stclab.harness import (
     CSV_COLUMNS,
     SuperframeLayout,
     SweepConfig,
+    _decode_data,
     assemble_superframe,
     build_setup,
     config_with_seed,
@@ -267,6 +268,19 @@ class TestBuildSetup:
         cfg = SweepConfig(code="golden", ebn0_db=(10.0,), lt=2, lr=1, decoder="sphere")
         with pytest.raises(ConfigError):
             build_setup(cfg)
+
+    def test_sphere_decode_keeps_degenerate_flag(self):
+        cfg = SweepConfig(
+            code="golden", ebn0_db=(10.0,), lt=2, lr=2, frame_uses=10, decoder="sphere"
+        )
+        setup = build_setup(cfg)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+        h = rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2))
+        h[4:6] = 0.0
+        res = _decode_data(setup, y, h, 2.0)
+        assert res.degenerate
+        np.testing.assert_array_equal(res.bits[16:24], np.zeros(8, dtype=int))
 
     def test_odd_data_span_rejected(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=61)

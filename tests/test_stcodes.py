@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from stclab.errors import ParseError, ValidationError
+from stclab.errors import InvalidCount, ParseError, ValidationError
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, map_bits
 from stclab.stcodes import (
+    CODEBOOK_CAP,
     GOLDEN_ALPHA,
     GOLDEN_ALPHA_BAR,
     GOLDEN_THETA,
     GOLDEN_THETA_BAR,
+    BlockCodebook,
     alamouti_codebook,
     encode_alamouti,
     encode_golden,
@@ -25,6 +27,7 @@ from stclab.stcodes import (
     load_trellis,
     spatial_multiplex_codebook,
     spatial_multiplex_dispersion,
+    _enumerate_symbol_tuples,
     trellis_path_codebook,
 )
 
@@ -176,6 +179,26 @@ class TestSpatialMultiplex:
         assert x.shape == (3, 2)
         assert_allclose(x[:, 0], s[:3] / np.sqrt(3.0))
 
+    @pytest.mark.parametrize(
+        "c, lt, n_uses", [(QPSK, 2, 1), (QPSK, 3, 2), (QPSK, 1, 3), (QAM16, 2, 1), (QAM16, 3, 1)]
+    )
+    def test_codebook_bitwise_equals_encoder(self, c, lt, n_uses):
+        cb = spatial_multiplex_codebook(c, lt=lt, n_uses=n_uses)
+        assert cb.codewords.shape == (c.size ** (lt * n_uses), lt, n_uses)
+        for n, word in enumerate(cb.codewords):
+            syms = [(n // c.size ** (lt * n_uses - 1 - m)) % c.size for m in range(lt * n_uses)]
+            want = encode_spatial_multiplex(np.array([c.pattern_to_point(p) for p in syms]), lt)
+            assert word.tobytes() == want.tobytes()
+
+    def test_codebook_cap_sits_at_five_sixteen_qam_antennas(self):
+        # 16^5 = 2^20 words is the largest codebook that is enumerated
+        assert _enumerate_symbol_tuples(QAM16, 5).shape == (CODEBOOK_CAP, 5)
+        assert _enumerate_symbol_tuples(QPSK, 10).shape == (CODEBOOK_CAP, 10)
+        with pytest.raises(InvalidCount, match="16777216 codewords"):
+            spatial_multiplex_codebook(QAM16, lt=6, n_uses=1)
+        with pytest.raises(InvalidCount, match="4194304 codewords"):
+            spatial_multiplex_codebook(QPSK, lt=11, n_uses=1)
+
 
 DELAY_DIVERSITY_TEXT = """\
 # two-antenna delay diversity: antenna 1 sends the current QPSK point,
@@ -323,6 +346,14 @@ class TestTrellisEncoding:
         code = load_packaged_trellis()
         cb = trellis_path_codebook(code, n_steps=3)
         assert cb.size == 64
+
+    def test_path_codebook_columns_must_give_the_words(self):
+        cb = trellis_path_codebook(load_packaged_trellis(), n_steps=3)
+        assert cb.columns.shape == (16, 2)
+        wrong = cb.column_index.copy()
+        wrong[5, 1] = (wrong[5, 1] + 1) % 16
+        with pytest.raises(ValidationError):
+            BlockCodebook("paths", cb.codewords, 6, cb.columns, wrong)
 
 
 class TestSixteenQamTrellis:
