@@ -26,7 +26,12 @@ from .demod import (
     sphere_decode,
     viterbi_decode,
 )
-from .designmetrics import codebook_report, event_report, trellis_error_events
+from .designmetrics import (
+    codebook_report,
+    event_report,
+    pair_metrics,
+    trellis_error_events,
+)
 from .errors import StclabError
 from .harness import parse_config, run_sweep
 from .mathcore import CONSTELLATIONS, bessel_j0
@@ -125,8 +130,6 @@ def _cmd_metrics(args):
             (rep.worst_pair_rank_product, "rank_product"),
             (rep.worst_pair_euclidean, "euclidean"),
         ):
-            from .designmetrics import pair_metrics
-
             pm = pair_metrics(cb.codewords[pair[0]], cb.codewords[pair[1]])
             rows_for_csv.append(
                 (kind, pair[0], pair[1], pm.rank, pm.product_measure, pm.euclidean)
@@ -181,14 +184,28 @@ def _selftest_checks():
         want = np.array([0, 1, 1, 0])
         return None if np.array_equal(res.bits, want) else "bits mismatch"
 
-    def golden_det():
-        cb = golden_codebook(CONSTELLATIONS["QPSK"])
-        cw = cb.codewords
+    def golden_min_det():
+        cw = golden_codebook(CONSTELLATIONS["QPSK"]).codewords
         d = cw[:, None] - cw[None, :]
         det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
         iu = np.triu_indices(cw.shape[0], k=1)
-        m = np.abs(det[iu]).min()
+        return np.abs(det[iu]).min()
+
+    def golden_det():
+        m = golden_min_det()
         return None if m > 1e-9 else f"min |det| {m}"
+
+    def design_metrics():
+        # for a full-rank 2x2 pair the product measure is |det| of the difference
+        rep = codebook_report(golden_codebook(CONSTELLATIONS["QPSK"]))
+        m = golden_min_det()
+        if abs(rep.min_product_measure_at_min_rank - m) > 1e-12:
+            return f"min product {rep.min_product_measure_at_min_rank} vs min |det| {m}"
+        events = trellis_error_events(load_packaged_trellis(), max_depth=3)
+        ranks = [pm.rank for _, pm in events]
+        if ranks != [2] * (3 + 9):
+            return f"depth-3 delay-diversity event ranks {ranks}"
+        return None
 
     def sphere_matches_ml():
         c = CONSTELLATIONS["QPSK"]
@@ -255,6 +272,7 @@ def _selftest_checks():
         ("constellation invariants", constellations_ok),
         ("alamouti combiner round trip", alamouti_round_trip),
         ("golden code full diversity", golden_det),
+        ("design metrics", design_metrics),
         ("sphere equals exhaustive ML", sphere_matches_ml),
         ("viterbi round trip", viterbi_round_trip),
         ("clarke autocorrelation", clarke_autocorrelation),

@@ -14,14 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .demod import ML_SLICE_ELEMENTS
 from .errors import DepthTooLarge, InvalidCount, ShapeMismatch
 from .mathcore import RANK_TOL, hermitian_eigenvalues
-from .stcodes import BlockCodebook, TrellisCode
+from .stcodes import BlockCodebook, TrellisCode, rounded_row_bytes
 
 EVENT_CAP = 10**6
-# Largest codeword-pair count codebook_report enumerates: 3-4 min at about
-# 20 us per pair, where golden 16QAM's 2.1e9 pairs would take half a day.
+# Largest codeword-pair count codebook_report enumerates: about 15 s at
+# 1.0-1.6 us per pair (2-core x86 host), where golden 16QAM's 2.1e9 pairs
+# would take 40-60 min.
 PAIR_CAP = 10**7
+# Largest temporary of the pair kernel, in complex elements: the
+# exhaustive-ML cap (32 MB).
+SLICE_ELEMENTS = ML_SLICE_ELEMENTS
+# Step codes of live alternative paths that trellis_error_events extends at
+# once; the frontier never holds more than about max_depth times this.
+FRONTIER_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,16 +56,31 @@ class DesignMetricsReport:
     n_pairs: int
 
 
-def _metrics_from_eigenvalues(eigs, lt, rel_tol):
-    eigs = np.maximum(np.real(eigs), 0.0)
-    top = eigs.max() if eigs.size else 0.0
-    euclidean = float(eigs.sum() / lt)
-    if top <= 0.0:
-        return 0, 0.0, euclidean
-    nonzero = eigs[eigs > rel_tol * top]
-    rank = int(nonzero.size)
-    product = float(np.exp(np.mean(np.log(nonzero))))
+def _eig_metrics(eig, lt, rel_tol):
+    """Rank, product measure and euclidean metric per row of eigenvalues.
+
+    ``eig`` is (n, lt) in ascending order, as eigvalsh gives it.  Values are
+    clipped at 0; those above ``rel_tol`` times the row's largest count
+    toward the rank, and the product measure is their geometric mean.  A row
+    whose largest value is not positive gets rank 0 and product measure 0.
+    """
+    eig = np.maximum(eig, 0.0)
+    top = eig.max(axis=1)
+    euclidean = eig.sum(axis=1) / lt
+    rank = np.count_nonzero(eig > (rel_tol * top)[:, None], axis=1)
+    product = np.zeros(eig.shape[0])
+    for r in np.unique(rank[rank > 0]):
+        rows = rank == r
+        # the counted values are the last r of each row; averaging exactly
+        # those keeps the summation order of a 1-D mean over them
+        product[rows] = np.exp(np.log(eig[rows, lt - r :]).sum(axis=1) / r)
     return rank, product, euclidean
+
+
+def _worst(rank, product, euclidean):
+    """Indices of the first minimal (rank, product) and first minimal euclidean."""
+    at_min_rank = np.flatnonzero(rank == rank.min())
+    return at_min_rank[np.argmin(product[at_min_rank])], np.argmin(euclidean)
 
 
 def pair_metrics(x1, x2, rel_tol=RANK_TOL):
@@ -71,9 +94,9 @@ def pair_metrics(x1, x2, rel_tol=RANK_TOL):
         raise ShapeMismatch(f"codeword shapes differ: {x1.shape} vs {x2.shape}")
     d = x1 - x2
     cs = d @ d.conj().T
-    eigs = hermitian_eigenvalues(cs)
-    rank, product, euclidean = _metrics_from_eigenvalues(eigs, x1.shape[0], rel_tol)
-    return PairMetrics(rank=rank, product_measure=product, euclidean=euclidean)
+    eigs = hermitian_eigenvalues(cs)[::-1]  # ascending, as eigvalsh gives them
+    rank, product, euclidean = _eig_metrics(eigs[None], x1.shape[0], rel_tol)
+    return PairMetrics(int(rank[0]), float(product[0]), float(euclidean[0]))
 
 
 def _batched_pair_eigs(diffs):
@@ -87,49 +110,45 @@ def _batched_pair_eigs(diffs):
 def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
     """Exhaustive worst-case metrics over all unordered codeword pairs.
 
-    Raises InvalidCount, before any pair is examined, when the codebook has
-    more than ``PAIR_CAP`` pairs.
+    Pairs (i, j), i < j, are taken in row-major order, in slices whose
+    temporaries hold at most ``SLICE_ELEMENTS`` complex values; ties go to
+    the first pair.  Raises InvalidCount, before any pair is examined, when
+    the codebook has more than ``PAIR_CAP`` pairs.
     """
     cw = cb.codewords
-    n, lt = cw.shape[0], cw.shape[1]
+    n, lt, n_uses = cw.shape
     total = n * (n - 1) // 2
     if total > PAIR_CAP:
         raise InvalidCount(
             f"{cb.name} codebook has {total} codeword pairs, more than the"
             f" {PAIR_CAP} an exhaustive report enumerates"
         )
-    best_rank_key = None
-    best_rank_pair = None
-    best_euc = None
-    best_euc_pair = None
-    n_pairs = 0
-    for i in range(n - 1):
-        diffs = cw[i + 1 :] - cw[i]
-        eig = _batched_pair_eigs(diffs)
-        eig = np.maximum(eig, 0.0)
-        top = eig.max(axis=1)
-        n_pairs += diffs.shape[0]
-        for off in range(diffs.shape[0]):
-            rank, product, euclidean = _metrics_from_eigenvalues(
-                eig[off], lt, rel_tol
-            )
-            j = i + 1 + off
-            key = (rank, product)
-            if best_rank_key is None or key < best_rank_key:
-                best_rank_key = key
-                best_rank_pair = (i, j)
-            if best_euc is None or euclidean < best_euc:
-                best_euc = euclidean
-                best_euc_pair = (i, j)
-    if best_rank_key is None:
+    if total == 0:
         raise ValueError("codebook_report needs a codebook of size >= 2")
+    # flat index of pair (i, i + 1): row i holds the n - 1 - i pairs after it
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    step = max(1, SLICE_ELEMENTS // (lt * max(lt, n_uses)))
+    best_key = best_euc = None
+    for p0 in range(0, total, step):
+        p = np.arange(p0, min(p0 + step, total))
+        i = np.searchsorted(row_start, p, side="right") - 1
+        j = p - row_start[i] + i + 1
+        rank, product, euclidean = _eig_metrics(
+            _batched_pair_eigs(cw[j] - cw[i]), lt, rel_tol
+        )
+        k, e = _worst(rank, product, euclidean)
+        key = (int(rank[k]), float(product[k]))
+        if best_key is None or key < best_key:
+            best_key, best_pair = key, (int(i[k]), int(j[k]))
+        if best_euc is None or euclidean[e] < best_euc:
+            best_euc, best_euc_pair = float(euclidean[e]), (int(i[e]), int(j[e]))
     return DesignMetricsReport(
-        min_rank=best_rank_key[0],
-        min_product_measure_at_min_rank=best_rank_key[1],
+        min_rank=best_key[0],
+        min_product_measure_at_min_rank=best_key[1],
         min_euclidean=best_euc,
-        worst_pair_rank_product=best_rank_pair,
+        worst_pair_rank_product=best_pair,
         worst_pair_euclidean=best_euc_pair,
-        n_pairs=n_pairs,
+        n_pairs=total,
     )
 
 
@@ -149,81 +168,118 @@ def trellis_error_events(
     is started from every state, for codes without that symmetry.
 
     Returns a list of (difference matrix, PairMetrics), deduplicated on
-    identical difference matrices.  Raises DepthTooLarge when more than
-    ``event_cap`` events are generated before deduplication.
+    identical difference matrices (rounded to 12 digits) with the first
+    occurrence kept.  Events are ordered by start state, then by input
+    sequence, lexicographically descending.  Raises DepthTooLarge when more
+    than ``event_cap`` events are generated before deduplication.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    n_states, n_inputs = code.n_states, code.n_inputs
+    nxt = code.next_state
+    # ref[s0, d]: state of the zero-input reference path from s0 after d steps
+    ref = np.zeros((n_states if all_reference_states else 1, max_depth + 1), int)
+    ref[:, 0] = np.arange(ref.shape[0])
+    for d in range(max_depth):
+        ref[:, d + 1] = nxt[ref[:, d], 0]
+    # A live path is its alternative state and one code per step taken,
+    # (ref_state * n_states + alt_state) * n_inputs + u, so the first step's
+    # code gives the start state.  Chunks of paths go on a last-in-first-out
+    # stack, which holds at most about max_depth * FRONTIER_ELEMENTS codes.
+    # Codes take the narrowest integer type that holds them.
+    per_state = n_states * n_inputs
+    code_type = np.min_scalar_type(ref.shape[0] * per_state)
+    chunk = max(1, FRONTIER_ELEMENTS // (n_inputs * max_depth))
+    s0, u = np.divmod(np.arange(ref.shape[0] * n_inputs), n_inputs)
+    s0, u = s0[u > 0], u[u > 0]
+    stack = []
+
+    def push(alt, steps):
+        for k in range(0, len(alt), chunk):
+            stack.append((alt[k : k + chunk], steps[k : k + chunk]))
+
+    push(nxt[s0, u], ((s0 * n_states + s0) * n_inputs + u).astype(code_type)[:, None])
+    found = [[] for _ in range(max_depth + 1)]
+    n_events = 0
+    while stack:
+        alt, steps = stack.pop()
+        depth = steps.shape[1]
+        ref_state = ref[steps[:, 0] // per_state, depth]
+        merged = alt == ref_state
+        n_events += np.count_nonzero(merged)
+        if n_events > event_cap:
+            raise DepthTooLarge(
+                f"more than {event_cap} error events before depth {max_depth}"
+            )
+        if merged.any():
+            found[depth].append(steps[merged])
+        if depth == max_depth:
+            continue
+        alt, steps, ref_state = alt[~merged], steps[~merged], ref_state[~merged]
+        codes = (ref_state * n_states + alt)[:, None] * n_inputs + np.arange(n_inputs)
+        codes = codes.reshape(-1, 1).astype(code_type)
+        steps = np.hstack([np.repeat(steps, n_inputs, axis=0), codes])
+        push(nxt[alt].ravel(), steps)
+    groups = [(d, np.concatenate(f)) for d, f in enumerate(found) if f]
+    # Order of the depth-first walk that pushes inputs in ascending order:
+    # start state, then input sequence descending.  No event's sequence is a
+    # prefix of another's, so the zero padding of short ones never decides.
+    n_total = sum(len(g) for _, g in groups)
+    key_type = np.min_scalar_type(max(n_states, n_inputs))
+    keys = np.zeros((max_depth + 1, n_total), key_type)
+    offset = 0
+    for d, g in groups:
+        keys[0, offset : offset + len(g)] = g[:, 0] // per_state
+        keys[1 : d + 1, offset : offset + len(g)] = (n_inputs - 1 - g % n_inputs).T
+        offset += len(g)
+    position = np.empty(n_total, dtype=int)
+    position[np.lexsort(keys[::-1])] = np.arange(n_total)
+    del keys
     points = code.constellation.points
     scale = 1.0 / np.sqrt(code.lt)
-    n_inputs = code.n_inputs
-    start_states = range(code.n_states) if all_reference_states else (0,)
-    raw = {}
-    n_events = 0
-    for s0 in start_states:
-        # reference path: zero input from s0 at every step
-        ref_states = [s0]
-        for _ in range(max_depth):
-            ref_states.append(int(code.next_state[ref_states[-1], 0]))
-        # stack holds (depth, alt_state, diff columns so far)
-        stack = []
-        for u in range(1, n_inputs):
-            ref_out = points[code.out_idx[s0, 0]]
-            alt_out = points[code.out_idx[s0, u]]
-            col = (ref_out - alt_out) * scale
-            stack.append((1, int(code.next_state[s0, u]), [col]))
-        while stack:
-            depth, alt_state, cols = stack.pop()
-            if alt_state == ref_states[depth]:
-                n_events += 1
-                if n_events > event_cap:
-                    raise DepthTooLarge(
-                        f"more than {event_cap} error events before depth"
-                        f" {max_depth}"
-                    )
-                diff = np.array(cols).T
-                key = (np.round(diff, 12) + (0.0 + 0.0j)).tobytes()
-                if key not in raw:
-                    raw[key] = diff
-                continue
-            if depth == max_depth:
-                continue
-            ref_state = ref_states[depth]
-            ref_out = points[code.out_idx[ref_state, 0]]
-            for u in range(n_inputs):
-                alt_out = points[code.out_idx[alt_state, u]]
-                col = (ref_out - alt_out) * scale
-                stack.append(
-                    (depth + 1, int(code.next_state[alt_state, u]), cols + [col])
-                )
-    events = []
-    for diff in raw.values():
-        eigs = _batched_pair_eigs(diff[None])[0]
-        rank, product, euclidean = _metrics_from_eigenvalues(
-            eigs, code.lt, rel_tol
+    events = [None] * n_total
+    offset = 0
+    for d, g in groups:
+        at = position[offset : offset + len(g)]
+        offset += len(g)
+        g = g[np.argsort(at)]
+        # columns only for the step codes in use; equal rounded columns get
+        # one class, and equal class rows are equal rounded matrices
+        used, col = np.unique(g, return_inverse=True)
+        r, a = np.divmod(used, per_state)
+        a, u = np.divmod(a, n_inputs)
+        cols = (points[code.out_idx[r, 0]] - points[code.out_idx[a, u]]) * scale
+        _, cls = np.unique(rounded_row_bytes(cols), axis=0, return_inverse=True)
+        col = col.reshape(g.shape)
+        _, first = np.unique(cls.ravel()[col], axis=0, return_index=True)
+        diffs = cols[col[first]].transpose(0, 2, 1)
+        rank, product, euclidean = _eig_metrics(
+            _batched_pair_eigs(diffs), code.lt, rel_tol
         )
-        events.append(
-            (diff, PairMetrics(rank=rank, product_measure=product, euclidean=euclidean))
-        )
-    return events
+        for k, diff, rk, pr, eu in zip(
+            np.sort(at)[first].tolist(),
+            diffs,
+            rank.tolist(),
+            product.tolist(),
+            euclidean.tolist(),
+        ):
+            events[k] = (diff, PairMetrics(rank=rk, product_measure=pr, euclidean=eu))
+    return [event for event in events if event is not None]
 
 
 def event_report(events):
     """Worst-case summary over a trellis error-event list."""
     if not events:
         raise ValueError("no error events to summarize")
-    best_key = None
-    best_euc = None
-    for _, pm in events:
-        key = (pm.rank, pm.product_measure)
-        if best_key is None or key < best_key:
-            best_key = key
-        if best_euc is None or pm.euclidean < best_euc:
-            best_euc = pm.euclidean
+    rank, product, euclidean = (
+        np.array(v)
+        for v in zip(*((pm.rank, pm.product_measure, pm.euclidean) for _, pm in events))
+    )
+    k, e = _worst(rank, product, euclidean)
     return DesignMetricsReport(
-        min_rank=best_key[0],
-        min_product_measure_at_min_rank=best_key[1],
-        min_euclidean=best_euc,
+        min_rank=int(rank[k]),
+        min_product_measure_at_min_rank=float(product[k]),
+        min_euclidean=float(euclidean[e]),
         worst_pair_rank_product=(),
         worst_pair_euclidean=(),
         n_pairs=len(events),

@@ -31,6 +31,9 @@ GOLDEN_SCALE = 1.0 / np.sqrt(10.0)
 # codewords for spatial multiplexing over 5 antennas with 16QAM.  The next
 # size up (6 antennas) would need about 1.6 GB before its duplicate check.
 CODEBOOK_CAP = 2**20
+# Rows of a codebook's duplicate check are rounded and hashed this many
+# complex values at a time (4 MB).
+DUPLICATE_SLICE_ELEMENTS = 2**18
 
 
 def encode_alamouti(s1, s2):
@@ -65,6 +68,41 @@ def encode_spatial_multiplex(symbols, lt):
     return symbols.reshape(-1, lt).T / np.sqrt(lt)
 
 
+def rounded_row_bytes(rows):
+    """Rows rounded to 12 digits as (n, bytes) uint8; + 0 turns -0.0 into 0.0."""
+    rounded = np.ascontiguousarray(np.round(rows, 12) + (0.0 + 0.0j))
+    return rounded.view(np.uint8).reshape(rows.shape[0], -1)
+
+
+def _row_hashes(rows):
+    """A 64-bit hash of each row's rounded bytes; equal rows hash equal."""
+    words = rounded_row_bytes(rows).view(np.uint64)
+    h = np.full(words.shape[0], 0xCBF29CE484222325, dtype=np.uint64)
+    for w in words.T:
+        h = (h ^ w) * np.uint64(0x100000001B3)
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def _has_duplicate_rows(rows):
+    """True when two rows have the same bytes once rounded to 12 digits.
+
+    Rows are hashed slice by slice, and only rows whose hash occurs more
+    than once are compared byte for byte, so the check holds one 8-byte hash
+    per row instead of a rounded copy of every row.
+    """
+    step = max(1, DUPLICATE_SLICE_ELEMENTS // rows.shape[1])
+    hashes = np.concatenate(
+        [_row_hashes(rows[a : a + step]) for a in range(0, rows.shape[0], step)]
+    )
+    ordered = np.sort(hashes)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size == 0:
+        return False
+    suspects = rounded_row_bytes(rows[np.isin(hashes, repeated)])
+    return len(set(map(bytes, suspects))) != suspects.shape[0]
+
+
 @dataclass(frozen=True)
 class BlockCodebook:
     """All codewords of a block code, indexed by the word's bit pattern.
@@ -96,10 +134,7 @@ class BlockCodebook:
             self.columns[self.column_index].transpose(0, 2, 1), cw
         ):
             raise ValidationError("columns and column_index do not give the codewords")
-        # + 0 normalizes -0.0 so byte-level uniqueness matches value equality
-        rounded = np.round(cw.reshape(cw.shape[0], -1), 12) + (0.0 + 0.0j)
-        view = np.ascontiguousarray(rounded).view(np.uint8).reshape(cw.shape[0], -1)
-        if len(set(map(bytes, view))) != cw.shape[0]:
+        if _has_duplicate_rows(cw.reshape(cw.shape[0], -1)):
             raise ValidationError("codebook contains duplicate codewords")
 
     @property

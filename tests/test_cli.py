@@ -1,6 +1,7 @@
 """Tests for the stc-lab command line: sweep, metrics, selftest, and the
 exit-code contract (0 ok, 2 config/usage, 3 numerical failure)."""
 
+import hashlib
 import re
 import time
 
@@ -160,6 +161,45 @@ class TestMetricsCommand:
         assert rc == EXIT_CONFIG
 
 
+# sha256 of (stdout, --csv file) of `stc-lab metrics`, pinned when the pair
+# and event enumerators were plain Python loops; the array kernels must
+# reproduce them byte for byte
+METRICS_OUTPUT_SHA256 = {
+    ("alamouti", "QPSK"): (
+        "d9e1a137973964db242564aa3f3818843b7c75dec38d66d8f24698f04346e278",
+        "f8d7031872a56ed7386816ccb44f342c845d4e03c3057b6b216fc9a308fd5c9b",
+    ),
+    ("alamouti", "16QAM"): (
+        "0d270efb7fc3424aeb0c5c80c5ef6df099763a71d29a33b5de75e8edf74d0423",
+        "6c24ecadc08b069fbdae58d7908dd220925597384980d2bf8c739a6433604b08",
+    ),
+    ("golden", "QPSK"): (
+        "3cf065556ae8b653e77baa8ba05c26b2bb8358ba37d4bb2862bec3760d317470",
+        "7492876de15845eb5ec4c5550e7ebde26a9f6b13268ff15a46543648e115057e",
+    ),
+    ("spatial_multiplex", "QPSK"): (
+        "e3a108a6b5996e994b7b15d733faa2249621a7bb60f16fee96ccc5732d76eeb8",
+        "575bcb59b77e7f7baa8778db894d187bffcb05e61ffccc34a06db129733359d5",
+    ),
+    ("delay_diversity", "QPSK"): (
+        "34c4e15ced4821683ec260e20f2bbb7fde61872203c5b1b1969c83e93c64066b",
+        "8004b2f55e680974a659c1595ff3e96c9366baaf50581de6a436550e95588b54",
+    ),
+}
+
+
+@pytest.mark.parametrize("code, constellation", sorted(METRICS_OUTPUT_SHA256))
+def test_metrics_output_is_byte_identical(code, constellation, tmp_path, capsys):
+    csv = tmp_path / "metrics.csv"
+    argv = ["metrics", "--code", code, "--constellation", constellation, "--csv", str(csv)]
+    if code == "delay_diversity":
+        argv += ["--depth", "10"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    got = (hashlib.sha256(out).hexdigest(), hashlib.sha256(csv.read_bytes()).hexdigest())
+    assert got == METRICS_OUTPUT_SHA256[code, constellation]
+
+
 class TestSelftestCommand:
     def test_passes_and_prints_lines(self, capsys):
         rc = main(["selftest"])
@@ -168,6 +208,7 @@ class TestSelftestCommand:
         lines = [l for l in out.strip().split("\n") if l]
         assert len(lines) >= 5
         assert all(l.startswith("PASS") for l in lines)
+        assert "PASS design metrics" in lines
 
 
 class TestExitCodes:

@@ -1,24 +1,29 @@
 """Tests for rank / product-measure / euclidean pair metrics, codebook
 reports, and trellis error-event enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from stclab import designmetrics
 from stclab.designmetrics import (
+    DesignMetricsReport,
     PairMetrics,
     codebook_report,
     event_report,
     pair_metrics,
     trellis_error_events,
 )
-from stclab.errors import ShapeMismatch
-from stclab.mathcore import QPSK
+from stclab.errors import DepthTooLarge, ShapeMismatch
+from stclab.mathcore import QAM16, QPSK, RANK_TOL
 from stclab.stcodes import (
     BlockCodebook,
     alamouti_codebook,
     golden_codebook,
     load_packaged_trellis,
+    load_trellis,
     spatial_multiplex_codebook,
 )
 
@@ -244,3 +249,226 @@ class TestTrellisErrorEvents:
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             event_report([])
+
+
+# ---------------------------------------------------------------------------
+# The array kernels against copies of the per-pair and per-node loops they
+# replaced: every result must be bit for bit the same, in the same order.
+
+
+def loop_metrics(eigs, lt, rel_tol=RANK_TOL):
+    """Per-pair metric of the replaced loops, on one row of eigenvalues."""
+    eigs = np.maximum(np.real(eigs), 0.0)
+    top = eigs.max() if eigs.size else 0.0
+    euclidean = float(eigs.sum() / lt)
+    if top <= 0.0:
+        return 0, 0.0, euclidean
+    nonzero = eigs[eigs > rel_tol * top]
+    rank = int(nonzero.size)
+    product = float(np.exp(np.mean(np.log(nonzero))))
+    return rank, product, euclidean
+
+
+def loop_codebook_report(cb, rel_tol=RANK_TOL):
+    """Row-by-row pair loop with a strict < merge: first worst pair wins."""
+    cw = cb.codewords
+    n, lt = cw.shape[0], cw.shape[1]
+    best_rank_key = best_rank_pair = best_euc = best_euc_pair = None
+    n_pairs = 0
+    for i in range(n - 1):
+        diffs = cw[i + 1 :] - cw[i]
+        eig = np.maximum(designmetrics._batched_pair_eigs(diffs), 0.0)
+        n_pairs += diffs.shape[0]
+        for off in range(diffs.shape[0]):
+            rank, product, euclidean = loop_metrics(eig[off], lt, rel_tol)
+            j = i + 1 + off
+            if best_rank_key is None or (rank, product) < best_rank_key:
+                best_rank_key, best_rank_pair = (rank, product), (i, j)
+            if best_euc is None or euclidean < best_euc:
+                best_euc, best_euc_pair = euclidean, (i, j)
+    return DesignMetricsReport(
+        min_rank=best_rank_key[0],
+        min_product_measure_at_min_rank=best_rank_key[1],
+        min_euclidean=best_euc,
+        worst_pair_rank_product=best_rank_pair,
+        worst_pair_euclidean=best_euc_pair,
+        n_pairs=n_pairs,
+    )
+
+
+def dfs_error_events(code, max_depth, event_cap=10**6, all_reference_states=False):
+    """Depth-first walk with a column list per node, deduplicated in order.
+
+    Also returns the event count before deduplication.
+    """
+    points = code.constellation.points
+    scale = 1.0 / np.sqrt(code.lt)
+    start_states = range(code.n_states) if all_reference_states else (0,)
+    raw = {}
+    n_events = 0
+    for s0 in start_states:
+        ref_states = [s0]
+        for _ in range(max_depth):
+            ref_states.append(int(code.next_state[ref_states[-1], 0]))
+        stack = []
+        for u in range(1, code.n_inputs):
+            col = (points[code.out_idx[s0, 0]] - points[code.out_idx[s0, u]]) * scale
+            stack.append((1, int(code.next_state[s0, u]), [col]))
+        while stack:
+            depth, alt_state, cols = stack.pop()
+            if alt_state == ref_states[depth]:
+                n_events += 1
+                if n_events > event_cap:
+                    raise DepthTooLarge("event cap")
+                diff = np.array(cols).T
+                key = (np.round(diff, 12) + (0.0 + 0.0j)).tobytes()
+                if key not in raw:
+                    raw[key] = diff
+                continue
+            if depth == max_depth:
+                continue
+            ref_out = points[code.out_idx[ref_states[depth], 0]]
+            for u in range(code.n_inputs):
+                col = (ref_out - points[code.out_idx[alt_state, u]]) * scale
+                stack.append(
+                    (depth + 1, int(code.next_state[alt_state, u]), cols + [col])
+                )
+    events = []
+    for diff in raw.values():
+        eigs = designmetrics._batched_pair_eigs(diff[None])[0]
+        events.append((diff, PairMetrics(*loop_metrics(eigs, code.lt))))
+    return events, n_events
+
+
+def assert_same_events(got, want):
+    assert len(got) == len(want)
+    for (d_got, pm_got), (d_want, pm_want) in zip(got, want):
+        assert d_got.shape == d_want.shape
+        assert d_got.tobytes() == d_want.tobytes()
+        assert pm_got == pm_want
+
+
+def random_trellis(seed, n_states, bits_per_step, lt, constellation, n_points):
+    """A trellis code with random transitions drawing on a few points, so
+    distinct paths often give equal difference matrices."""
+    rng = np.random.default_rng(seed)
+    lines = [f"trellis {n_states} {bits_per_step} {lt} {constellation}"]
+    for s in range(n_states):
+        for u in range(2**bits_per_step):
+            idx = " ".join(str(v) for v in rng.integers(n_points, size=lt))
+            lines.append(f"{s} {u:0{bits_per_step}b} {rng.integers(n_states)} {idx}")
+    return load_trellis("\n".join(lines))
+
+
+def shuffled_alamouti_sixteen_qam():
+    cb = alamouti_codebook(QAM16)
+    perm = np.random.default_rng(16).permutation(cb.size)
+    return BlockCodebook("shuffled", cb.codewords[perm], cb.bits_per_codeword)
+
+
+class TestArrayKernels:
+    CODEBOOKS = {
+        "alamouti_qpsk": lambda: alamouti_codebook(QPSK),
+        "alamouti_16qam": lambda: alamouti_codebook(QAM16),
+        "golden_qpsk": lambda: golden_codebook(QPSK),
+        "spatial_multiplex_qpsk_lt2": lambda: spatial_multiplex_codebook(QPSK, lt=2, n_uses=1),
+        # rank-1 ties everywhere: the first pair must win
+        "spatial_multiplex_qpsk_lt3": lambda: spatial_multiplex_codebook(QPSK, lt=3, n_uses=1),
+        "shuffled_alamouti_16qam": shuffled_alamouti_sixteen_qam,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_codebook_report_equals_pair_loop(self, name):
+        cb = self.CODEBOOKS[name]()
+        assert codebook_report(cb) == loop_codebook_report(cb)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: alamouti_codebook(QPSK),
+            lambda: spatial_multiplex_codebook(QPSK, lt=3, n_uses=1),
+            lambda: BlockCodebook("golden_head", golden_codebook(QPSK).codewords[:64], 6),
+        ],
+    )
+    def test_one_pair_per_slice_merges_to_the_first_worst_pair(self, make, monkeypatch):
+        monkeypatch.setattr(designmetrics, "SLICE_ELEMENTS", 1)
+        cb = make()
+        assert codebook_report(cb) == loop_codebook_report(cb)
+
+    def test_array_metric_equals_per_row_metric(self):
+        # planted ranks 0..lt, including partial ranks whose geometric mean
+        # sums three or more logarithms
+        rng = np.random.default_rng(17)
+        for lt in range(1, 7):
+            rows = []
+            for rank in range(lt + 1):
+                for _ in range(20):
+                    big = rng.uniform(0.1, 10.0, size=rank)
+                    tiny = rng.uniform(-1e-13, 1e-13, size=lt - rank)
+                    rows.append(np.sort(np.concatenate([tiny, big])))
+            eig = np.array(rows)
+            rank, product, euclidean = designmetrics._eig_metrics(eig, lt, RANK_TOL)
+            for k, row in enumerate(eig):
+                assert (int(rank[k]), float(product[k]), float(euclidean[k])) == loop_metrics(
+                    row, lt
+                )
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_delay_diversity_events_equal_depth_first_walk(self, depth):
+        code = load_packaged_trellis()
+        assert_same_events(trellis_error_events(code, max_depth=depth), dfs_error_events(code, depth)[0])
+
+    def test_all_reference_states_equal_depth_first_walk(self):
+        code = load_packaged_trellis()
+        got = trellis_error_events(code, max_depth=4, all_reference_states=True)
+        assert_same_events(got, dfs_error_events(code, 4, all_reference_states=True)[0])
+
+    @pytest.mark.parametrize(
+        "seed, n_states, bits, lt",
+        [(16, 4, 1, 2), (30, 4, 1, 2), (4, 4, 2, 2), (7, 4, 2, 2), (2, 2, 2, 2), (1, 8, 2, 1)],
+    )
+    def test_random_codes_deduplicate_like_depth_first_walk(self, seed, n_states, bits, lt):
+        code = random_trellis(seed, n_states, bits, lt, "QPSK", 2)
+        for all_ref in (False, True):
+            want, n_raw = dfs_error_events(code, 6, all_reference_states=all_ref)
+            assert len(want) < n_raw  # the deduplication is exercised
+            got = trellis_error_events(code, max_depth=6, all_reference_states=all_ref)
+            assert_same_events(got, want)
+
+    def test_event_cap_boundary(self):
+        code = load_packaged_trellis()
+        assert len(trellis_error_events(code, max_depth=10, event_cap=29523)) == 29523
+        with pytest.raises(DepthTooLarge):
+            trellis_error_events(code, max_depth=10, event_cap=29522)
+
+    def test_depth_ten_traced_peak(self):
+        code = load_packaged_trellis()
+        tracemalloc.start()
+        try:
+            events = trellis_error_events(code, max_depth=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 29523
+        assert peak <= 40 * 2**20
+
+    def test_frontier_stays_bounded_when_paths_rarely_remerge(self):
+        # state 0 leaves on input 1 into a 24-state ring that returns to 0
+        # only after 23 steps, and every ring state can branch or idle: the
+        # live paths double at every step while almost none remerge
+        n = 24
+        lines = [f"trellis {n} 1 1 QPSK", "0 0 0 0", "0 1 1 1"]
+        for s in range(1, n):
+            lines += [f"{s} 0 {(s + 1) % n} 0", f"{s} 1 {s} 2"]
+        code = load_trellis("\n".join(lines))
+        assert_same_events(trellis_error_events(code, max_depth=12), dfs_error_events(code, 12)[0])
+        tracemalloc.start()
+        try:
+            # 2^21 live paths at the last step: a whole level of 22-step
+            # codes would take 370 MB
+            events = trellis_error_events(code, max_depth=22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert events == []
+        assert peak <= 32 * 2**20

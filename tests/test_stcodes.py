@@ -1,6 +1,8 @@
 """Tests for the block encoders, codebook enumeration, and the trellis code
 machinery (parser, termination, frame encoding)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from stclab.errors import InvalidCount, ParseError, ValidationError
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, map_bits
+from stclab import stcodes
 from stclab.stcodes import (
     CODEBOOK_CAP,
     GOLDEN_ALPHA,
@@ -198,6 +201,48 @@ class TestSpatialMultiplex:
             spatial_multiplex_codebook(QAM16, lt=6, n_uses=1)
         with pytest.raises(InvalidCount, match="4194304 codewords"):
             spatial_multiplex_codebook(QPSK, lt=11, n_uses=1)
+
+
+
+class TestDuplicateCheck:
+    @staticmethod
+    def planted(delta):
+        # word 9 becomes word 5 with one entry's real part off by delta and
+        # a zero imaginary part given as -0.0
+        cw = alamouti_codebook(QPSK).codewords.copy()
+        cw[9] = cw[5]
+        cw[9, 0, 0] = complex(cw[5, 0, 0].real + delta, 0.0)
+        cw[5, 0, 0] = complex(cw[5, 0, 0].real, -0.0)
+        return cw
+
+    def test_words_equal_to_twelve_digits_are_duplicates(self):
+        with pytest.raises(ValidationError, match="duplicate"):
+            BlockCodebook("planted", self.planted(1e-14), 4)
+
+    def test_words_apart_beyond_twelve_digits_are_distinct(self):
+        assert BlockCodebook("planted", self.planted(1e-10), 4).size == 16
+
+    def test_hash_collisions_are_compared_exactly(self, monkeypatch):
+        # every row hashes alike, so the byte comparison alone decides
+        monkeypatch.setattr(
+            stcodes, "_row_hashes", lambda rows: np.zeros(rows.shape[0], dtype=np.uint64)
+        )
+        monkeypatch.setattr(stcodes, "DUPLICATE_SLICE_ELEMENTS", 12)
+        assert BlockCodebook("golden", golden_codebook(QPSK).codewords, 8).size == 256
+        with pytest.raises(ValidationError, match="duplicate"):
+            BlockCodebook("planted", self.planted(1e-14), 4)
+
+    def test_largest_codebook_checks_in_bounded_memory(self):
+        # spatial multiplexing over 5 antennas with 16QAM: 2^20 words, 80 MB;
+        # a rounded copy plus one bytes object per word took 225 MB
+        cw = spatial_multiplex_codebook(QAM16, lt=5, n_uses=1).codewords
+        tracemalloc.start()
+        try:
+            BlockCodebook("sm5", cw, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 DELAY_DIVERSITY_TEXT = """\
