@@ -10,7 +10,7 @@ Three figures of merit drive the comparisons:
   target when the receive array is large.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,9 +24,6 @@ EVENT_CAP = 10**6
 # 1.0-1.6 us per pair (2-core x86 host), where golden 16QAM's 2.1e9 pairs
 # would take 40-60 min.
 PAIR_CAP = 10**7
-# Largest temporary of the pair kernel, in complex elements: the
-# exhaustive-ML cap (32 MB).
-SLICE_ELEMENTS = ML_SLICE_ELEMENTS
 # Step codes of live alternative paths that trellis_error_events extends at
 # once; the frontier never holds more than about max_depth times this.
 FRONTIER_ELEMENTS = 2**16
@@ -111,9 +108,10 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
     """Exhaustive worst-case metrics over all unordered codeword pairs.
 
     Pairs (i, j), i < j, are taken in row-major order, in slices whose
-    temporaries hold at most ``SLICE_ELEMENTS`` complex values; ties go to
-    the first pair.  Raises InvalidCount, before any pair is examined, when
-    the codebook has more than ``PAIR_CAP`` pairs.
+    temporaries hold at most ``ML_SLICE_ELEMENTS`` complex values (the
+    exhaustive-ML cap); ties go to the first pair.  Raises InvalidCount,
+    before any pair is examined, when the codebook has more than
+    ``PAIR_CAP`` pairs.
     """
     cw = cb.codewords
     n, lt, n_uses = cw.shape
@@ -127,7 +125,7 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
         raise ValueError("codebook_report needs a codebook of size >= 2")
     # flat index of pair (i, i + 1): row i holds the n - 1 - i pairs after it
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    step = max(1, SLICE_ELEMENTS // (lt * max(lt, n_uses)))
+    step = max(1, ML_SLICE_ELEMENTS // (lt * max(lt, n_uses)))
     best_key = best_euc = None
     for p0 in range(0, total, step):
         p = np.arange(p0, min(p0 + step, total))
@@ -176,36 +174,34 @@ def trellis_error_events(
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     n_states, n_inputs = code.n_states, code.n_inputs
-    nxt = code.next_state
+    per_state = n_states * n_inputs
+    flat_next = code.next_state.ravel()
     # ref[s0, d]: state of the zero-input reference path from s0 after d steps
     ref = np.zeros((n_states if all_reference_states else 1, max_depth + 1), int)
     ref[:, 0] = np.arange(ref.shape[0])
     for d in range(max_depth):
-        ref[:, d + 1] = nxt[ref[:, d], 0]
-    # A live path is its alternative state and one code per step taken,
-    # (ref_state * n_states + alt_state) * n_inputs + u, so the first step's
-    # code gives the start state.  Chunks of paths go on a last-in-first-out
-    # stack, which holds at most about max_depth * FRONTIER_ELEMENTS codes.
-    # Codes take the narrowest integer type that holds them.
-    per_state = n_states * n_inputs
-    code_type = np.min_scalar_type(ref.shape[0] * per_state)
+        ref[:, d + 1] = flat_next[ref[:, d] * n_inputs]
+    # A live path is one code per step taken, state * n_inputs + input for
+    # the alternative path's state before the step, so the first code gives
+    # the start state and the last one, through flat_next, the current
+    # alternative state.  Chunks of paths go on a last-in-first-out stack,
+    # which holds at most about max_depth * FRONTIER_ELEMENTS codes.
+    code_type = np.min_scalar_type(per_state - 1)
     chunk = max(1, FRONTIER_ELEMENTS // (n_inputs * max_depth))
-    s0, u = np.divmod(np.arange(ref.shape[0] * n_inputs), n_inputs)
-    s0, u = s0[u > 0], u[u > 0]
     stack = []
 
-    def push(alt, steps):
-        for k in range(0, len(alt), chunk):
-            stack.append((alt[k : k + chunk], steps[k : k + chunk]))
+    def push(steps):
+        stack.extend(steps[k : k + chunk] for k in range(0, len(steps), chunk))
 
-    push(nxt[s0, u], ((s0 * n_states + s0) * n_inputs + u).astype(code_type)[:, None])
+    start = np.arange(ref.shape[0] * n_inputs, dtype=code_type)
+    push(start[start % n_inputs > 0, None])
     found = [[] for _ in range(max_depth + 1)]
     n_events = 0
     while stack:
-        alt, steps = stack.pop()
+        steps = stack.pop()
         depth = steps.shape[1]
-        ref_state = ref[steps[:, 0] // per_state, depth]
-        merged = alt == ref_state
+        alt = flat_next[steps[:, -1]]
+        merged = alt == ref[steps[:, 0] // n_inputs, depth]
         n_events += np.count_nonzero(merged)
         if n_events > event_cap:
             raise DepthTooLarge(
@@ -215,37 +211,32 @@ def trellis_error_events(
             found[depth].append(steps[merged])
         if depth == max_depth:
             continue
-        alt, steps, ref_state = alt[~merged], steps[~merged], ref_state[~merged]
-        codes = (ref_state * n_states + alt)[:, None] * n_inputs + np.arange(n_inputs)
-        codes = codes.reshape(-1, 1).astype(code_type)
-        steps = np.hstack([np.repeat(steps, n_inputs, axis=0), codes])
-        push(nxt[alt].ravel(), steps)
+        alt, steps = alt[~merged], steps[~merged]
+        codes = (alt[:, None] * n_inputs + np.arange(n_inputs)).astype(code_type)
+        push(np.hstack([np.repeat(steps, n_inputs, axis=0), codes.reshape(-1, 1)]))
     groups = [(d, np.concatenate(f)) for d, f in enumerate(found) if f]
+    if not groups:
+        return []
+    steps = np.concatenate([np.pad(g, ((0, 0), (0, max_depth - d))) for d, g in groups])
+    event_depth = np.repeat([d for d, _ in groups], [len(g) for _, g in groups])
     # Order of the depth-first walk that pushes inputs in ascending order:
     # start state, then input sequence descending.  No event's sequence is a
-    # prefix of another's, so the zero padding of short ones never decides.
-    n_total = sum(len(g) for _, g in groups)
-    key_type = np.min_scalar_type(max(n_states, n_inputs))
-    keys = np.zeros((max_depth + 1, n_total), key_type)
-    offset = 0
-    for d, g in groups:
-        keys[0, offset : offset + len(g)] = g[:, 0] // per_state
-        keys[1 : d + 1, offset : offset + len(g)] = (n_inputs - 1 - g % n_inputs).T
-        offset += len(g)
-    position = np.empty(n_total, dtype=int)
-    position[np.lexsort(keys[::-1])] = np.arange(n_total)
-    del keys
+    # prefix of another's, so the padding of short ones never decides.
+    order = np.lexsort(
+        np.vstack([(n_inputs - 1 - steps % n_inputs).T[::-1], steps[:, 0] // n_inputs])
+    )
+    steps, event_depth = steps[order], event_depth[order]
     points = code.constellation.points
     scale = 1.0 / np.sqrt(code.lt)
-    events = [None] * n_total
-    offset = 0
-    for d, g in groups:
-        at = position[offset : offset + len(g)]
-        offset += len(g)
-        g = g[np.argsort(at)]
-        # columns only for the step codes in use; equal rounded columns get
-        # one class, and equal class rows are equal rounded matrices
-        used, col = np.unique(g, return_inverse=True)
+    events = [None] * len(order)
+    for d, _ in groups:
+        at = np.flatnonzero(event_depth == d)
+        g = steps[at, :d]
+        # columns only for the (reference state, step code) pairs in use;
+        # equal rounded columns get one class, and equal class rows are equal
+        # rounded matrices
+        pairs = ref[g[:, :1] // n_inputs, np.arange(d)] * per_state + g
+        used, col = np.unique(pairs, return_inverse=True)
         r, a = np.divmod(used, per_state)
         a, u = np.divmod(a, n_inputs)
         cols = (points[code.out_idx[r, 0]] - points[code.out_idx[a, u]]) * scale
@@ -253,17 +244,10 @@ def trellis_error_events(
         col = col.reshape(g.shape)
         _, first = np.unique(cls.ravel()[col], axis=0, return_index=True)
         diffs = cols[col[first]].transpose(0, 2, 1)
-        rank, product, euclidean = _eig_metrics(
-            _batched_pair_eigs(diffs), code.lt, rel_tol
-        )
-        for k, diff, rk, pr, eu in zip(
-            np.sort(at)[first].tolist(),
-            diffs,
-            rank.tolist(),
-            product.tolist(),
-            euclidean.tolist(),
-        ):
-            events[k] = (diff, PairMetrics(rank=rk, product_measure=pr, euclidean=eu))
+        metrics = _eig_metrics(_batched_pair_eigs(diffs), code.lt, rel_tol)
+        metrics = zip(*(v.tolist() for v in metrics))
+        for k, diff, m in zip(at[first].tolist(), diffs, metrics):
+            events[k] = (diff, PairMetrics(*m))
     return [event for event in events if event is not None]
 
 
@@ -271,10 +255,7 @@ def event_report(events):
     """Worst-case summary over a trellis error-event list."""
     if not events:
         raise ValueError("no error events to summarize")
-    rank, product, euclidean = (
-        np.array(v)
-        for v in zip(*((pm.rank, pm.product_measure, pm.euclidean) for _, pm in events))
-    )
+    rank, product, euclidean = np.array([astuple(pm) for _, pm in events]).T
     k, e = _worst(rank, product, euclidean)
     return DesignMetricsReport(
         min_rank=int(rank[k]),

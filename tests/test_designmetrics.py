@@ -391,7 +391,7 @@ class TestArrayKernels:
         ],
     )
     def test_one_pair_per_slice_merges_to_the_first_worst_pair(self, make, monkeypatch):
-        monkeypatch.setattr(designmetrics, "SLICE_ELEMENTS", 1)
+        monkeypatch.setattr(designmetrics, "ML_SLICE_ELEMENTS", 1)
         cb = make()
         assert codebook_report(cb) == loop_codebook_report(cb)
 
@@ -434,6 +434,22 @@ class TestArrayKernels:
             assert len(want) < n_raw  # the deduplication is exercised
             got = trellis_error_events(code, max_depth=6, all_reference_states=all_ref)
             assert_same_events(got, want)
+
+    @pytest.mark.parametrize("n_states, bits, lt, max_depth", [(16, 2, 2, 6), (64, 3, 1, 4)])
+    def test_reference_path_through_high_states(self, n_states, bits, lt, max_depth):
+        # the zero-input path from state 0 leaves it at once and visits high
+        # states (6 to 12 of 16, 36 and 40 of 64); with 64 states and 8
+        # inputs the step codes run past one byte
+        code = random_trellis(0, n_states, bits, lt, "QPSK", 2)
+        ref_states = [0]
+        for _ in range(max_depth):
+            ref_states.append(int(code.next_state[ref_states[-1], 0]))
+        assert ref_states[1] != 0 and max(ref_states) >= n_states // 2
+        for depth in range(1, max_depth + 1):
+            for all_ref in (False, True):
+                want, _ = dfs_error_events(code, depth, all_reference_states=all_ref)
+                got = trellis_error_events(code, max_depth=depth, all_reference_states=all_ref)
+                assert_same_events(got, want)
 
     def test_event_cap_boundary(self):
         code = load_packaged_trellis()
