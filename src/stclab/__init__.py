@@ -7,7 +7,7 @@ Modules:
     channel        Clarke temporal + Kronecker spatial Rayleigh fading
     chanest        pilot maps and FIR Wiener channel estimation
     demod          ML word demodulators (exhaustive, Viterbi, sphere, combiner)
-    harness        Monte Carlo sweeps, superframes, CSV output
+    harness        Monte Carlo sweeps in frame batches, CSV output
     cli            ``stc-lab`` command line entry point
 """
 
@@ -71,11 +71,8 @@ from .demod import (
     viterbi_decode,
 )
 from .harness import (
-    SuperframeLayout,
     SweepConfig,
     SweepResult,
-    assemble_superframe,
-    estimate_noise,
     parse_config,
     run_sweep,
     wilson_interval,

@@ -113,6 +113,18 @@ def _temporal_factor(nf, fdT):
     return toeplitz_cholesky(bessel_j0(2.0 * np.pi * fdT * lags))
 
 
+@functools.lru_cache(maxsize=16)
+def _spatial_factor(n, data):
+    """Cholesky factor of the n x n correlation matrix with these bytes.
+
+    Keyed on the matrix bytes, so a sweep factors its correlations once
+    instead of once per frame.
+    """
+    f = cholesky_psd(np.frombuffer(data).reshape(n, n))
+    f.flags.writeable = False
+    return f
+
+
 def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
     """One frame of correlated Rayleigh fading, shape (nf, lr, lt).
 
@@ -134,21 +146,24 @@ def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
     static = p.mode == "quasi_static" or p.fdT == 0.0
     n_draws = 1 if static else nf
     w = rng.standard_normal((p.lr, p.lt, n_draws, 2))
-    g = (w[..., 0] + 1j * w[..., 1]) / np.sqrt(2.0)
+    g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
     if not static:
         f = _temporal_factor(nf, p.fdT)
         g = g @ f.T  # (lr, lt, nf), each path now Clarke-correlated
-    a = cholesky_psd(rrx)
-    b = cholesky_psd(rtx)
+    a = _spatial_factor(p.lr, rrx.tobytes())
+    b = _spatial_factor(p.lt, rtx.tobytes())
     h = np.einsum("ri,ijk,tj->rtk", a, g, b)
     if static:
-        h = np.broadcast_to(h, (p.lr, p.lt, nf))
+        return np.repeat(h[None, :, :, 0], nf, axis=0)
     return np.ascontiguousarray(h.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
 class ReceivedFrame:
-    """Matched-filter outputs Y(k) for one frame, with the es/n0 used."""
+    """Matched-filter outputs Y(k) for one frame, with the es/n0 used.
+
+    ``y`` is (n_uses, lr), or (frames, n_uses, lr) for a batch of frames.
+    """
 
     y: np.ndarray
     es: float
@@ -157,36 +172,48 @@ class ReceivedFrame:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=complex)
         object.__setattr__(self, "y", y)
-        if y.ndim != 2:
-            raise ShapeMismatch("y must be (n_uses, lr)")
+        if y.ndim not in (2, 3):
+            raise ShapeMismatch("y must be (n_uses, lr) or (frames, n_uses, lr)")
 
     @property
     def n_uses(self):
-        return self.y.shape[0]
+        return self.y.shape[-2]
 
     @property
     def lr(self):
-        return self.y.shape[1]
+        return self.y.shape[-1]
 
 
 def apply_channel(x, h, p: ChannelParams, rng):
-    """Y(k) = H(k) sqrt(Es) X(k) + N(k) over one frame.
+    """Y(k) = H(k) sqrt(Es) X(k) + N(k) over one frame or a batch of frames.
 
     ``x`` is the lt x n_uses transmit matrix, ``h`` an (n_uses, lr, lt)
     fading realization.  Noise is circular complex Gaussian, variance N0/2
     per real dimension, drawn with the receive axis leading (see
-    generate_fading).
+    generate_fading).  A batch gives ``x`` (frames, lt, n_uses), ``h``
+    (frames, n_uses, lr, lt) and one generator per frame in ``rng``; each
+    frame draws its noise from its own generator, so its output equals the
+    one-frame call.
     """
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    if x.ndim != 2 or h.ndim != 3:
+    batch = x.ndim == 3
+    xb, hb = (x, h) if batch else (x[None], h[None])
+    if xb.ndim != 3 or hb.ndim != 4 or hb.shape[0] != xb.shape[0]:
         raise ShapeMismatch("x must be (lt, n_uses) and h (n_uses, lr, lt)")
-    lt, nf = x.shape
-    if h.shape[0] != nf or h.shape[2] != lt or h.shape[1] != p.lr or lt != p.lt:
+    lt, nf = xb.shape[1:]
+    if hb.shape[1:] != (nf, p.lr, lt) or lt != p.lt:
         raise ShapeMismatch(
             f"x {x.shape} and h {h.shape} disagree with lt={p.lt}, lr={p.lr}"
         )
-    w = rng.standard_normal((p.lr, nf, 2))
-    noise = np.sqrt(p.n0 / 2.0) * (w[..., 0] + 1j * w[..., 1])
-    y = np.einsum("kij,jk->ki", h, np.sqrt(p.es) * x) + noise.T
-    return ReceivedFrame(y=y, es=p.es, n0=p.n0)
+    rngs = rng if batch else [rng]
+    w = np.empty((len(rngs), p.lr, nf, 2))
+    for g, wf in zip(rngs, w):
+        g.standard_normal(out=wf)
+    noise = np.sqrt(p.n0 / 2.0) * w.view(complex)[..., 0]  # w[..., 0] + 1j w[..., 1]
+    # use axis before antenna axis: the einsum's inner loop runs over the
+    # contiguous transmit axis, with the same products and sums as the
+    # per-frame "kij,jk->ki"
+    xt = np.ascontiguousarray((np.sqrt(p.es) * xb).transpose(0, 2, 1))
+    y = np.einsum("bkij,bkj->bki", hb, xt) + noise.transpose(0, 2, 1)
+    return ReceivedFrame(y=y if batch else y[0], es=p.es, n0=p.n0)

@@ -56,7 +56,6 @@ _CONFIG_ERRORS = (
     "InvalidCount",
     "LengthMismatch",
     "ShapeMismatch",
-    "SlotMismatch",
     "ModelMismatch",
 )
 _NUMERIC_ERRORS = (

@@ -9,6 +9,10 @@ full-frame Viterbi pass for trellis codes, depth-first sphere decoding for
 linear-dispersion codes, and the orthogonal fast combiner for Alamouti
 blocks.  Every decoder reports the decoded bits, the achieved metric, and a
 visited-node count as its search-effort measure.
+
+Every decoder also takes a batch of frames, ``y`` (frames, n_uses, lr) and
+``h`` (frames, n_uses, lr, lt), and then returns a list of one DecodeResult
+per frame, each equal to the result of decoding that frame alone.
 """
 
 import math
@@ -40,45 +44,57 @@ class DecodeResult:
         object.__setattr__(self, "bits", np.asarray(self.bits, dtype=int))
 
 
-def _as_y(y):
+def _frames(y, h):
+    """A frame or a batch of frames as (frames, n_uses, lr) received and
+    (frames, n_uses, lr, lt) fading arrays, and whether a batch was given."""
     yv = np.asarray(getattr(y, "y", y), dtype=complex)
-    if yv.ndim != 2:
-        raise ShapeMismatch("received frame must be a (n_uses, lr) array")
-    return yv
-
-
-def _check_h(yv, h):
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 3 or h.shape[0] != yv.shape[0] or h.shape[1] != yv.shape[1]:
-        raise ShapeMismatch(
-            f"fading shape {h.shape} does not match frame {yv.shape}"
-        )
-    return h
+    batch = yv.ndim == 3
+    if not batch:
+        yv, h = yv[None], h[None]
+    if yv.ndim != 3:
+        raise ShapeMismatch("received frame must be a (n_uses, lr) array")
+    if h.ndim != 4 or h.shape[:3] != yv.shape:
+        raise ShapeMismatch(f"fading shape {h.shape} does not match frame {yv.shape}")
+    return yv, h, batch
+
+
+def _result(batch, bits, metric, visited, degenerate):
+    """One DecodeResult per frame from per-frame arrays; a list for a batch."""
+    per_frame = zip(bits, metric.tolist(), visited.tolist(), degenerate.tolist())
+    results = [DecodeResult(*values) for values in per_frame]
+    return results if batch else results[0]
+
+
+def _word_metrics(yv, h, xt, es):
+    """Eq.-(3) metric per frame of words given use by use, ``xt`` of shape
+    (frames, n_uses, lt)."""
+    pred = np.sqrt(es) * np.einsum("fkij,fkj->fki", h, xt)
+    return np.sum(np.abs(yv - pred) ** 2, axis=(1, 2))
 
 
 def eq3_metric(yv, h, x, es):
     """The word metric of Eq.-(3) form for one candidate codeword."""
-    yv = _as_y(yv)
-    h = _check_h(yv, h)
-    pred = np.sqrt(es) * np.einsum("kij,jk->ki", h, np.asarray(x, dtype=complex))
-    return float(np.sum(np.abs(yv - pred) ** 2))
+    yv, h, _ = _frames(yv, h)
+    return float(_word_metrics(yv, h, np.asarray(x, dtype=complex).T[None], es)[0])
 
 
 def ml_exhaustive(y, h, cb: BlockCodebook, es):
     """Brute-force ML over a block codebook; ties go to the lowest index."""
-    yv = _as_y(y)
-    if yv.shape[0] != cb.n_uses:
-        raise ShapeMismatch(
-            f"frame has {yv.shape[0]} uses, codebook words have {cb.n_uses}"
-        )
-    return ml_exhaustive_blocks(yv, h, cb, es)
+    n_uses = _frames(y, h)[0].shape[1]
+    if n_uses != cb.n_uses:
+        raise ShapeMismatch(f"frame has {n_uses} uses, codebook words have {cb.n_uses}")
+    return ml_exhaustive_blocks(y, h, cb, es)
 
 
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     """Vectorized per-block ML over a frame of consecutive codewords.
 
     The frame must hold a whole number of codebook words.  Equivalent to
-    calling :func:`ml_exhaustive` on each block and concatenating.
+    calling :func:`ml_exhaustive` on each block and concatenating.  A batch
+    of frames is decoded frame by frame: a frame's work already grows with
+    the codebook, while a slice across frames would multiply the
+    temporaries by the number of frames.
 
     The codebook is scanned in slices so that no temporary holds more than
     ``ML_SLICE_ELEMENTS`` complex values, whatever the frame length and
@@ -91,13 +107,17 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     ||Y - sqrt(Es) H X||^2, and ties go to the lowest codeword index,
     within a slice by argmin and across slices by a strict comparison.
     """
-    yv = _as_y(y)
-    h = _check_h(yv, h)
-    u = cb.n_uses
-    if yv.shape[0] % u:
+    yv, h, batch = _frames(y, h)
+    if yv.shape[1] % cb.n_uses:
         raise ShapeMismatch(
-            f"frame length {yv.shape[0]} is not a multiple of {u}"
+            f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
         )
+    results = [_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)]
+    return results if batch else results[0]
+
+
+def _ml_frame(yv, h, cb, es):
+    u = cb.n_uses
     nb = yv.shape[0] // u
     lr = yv.shape[1]
     yb = yv.reshape(nb, u, lr)[:, None]
@@ -136,11 +156,11 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     """Exact ML over all state-0-terminated trellis paths.
 
     Branch ties prefer the smaller (state, input) pair, so results are
-    deterministic and reproducible against the exhaustive oracle.
+    deterministic and reproducible against the exhaustive oracle.  A batch
+    of frames runs one add-compare-select pass over all of them.
     """
-    yv = _as_y(y)
-    h = _check_h(yv, h)
-    nf = yv.shape[0]
+    yv, h, batch = _frames(y, h)
+    n_frames, nf, lr = yv.shape
     n_term = code.n_term_steps
     data_steps = nf - n_term
     if data_steps < 0:
@@ -149,53 +169,57 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         )
     s_count, u_count = code.n_states, code.n_inputs
     cand = code.constellation.points[code.out_idx] / np.sqrt(code.lt)
-    pred = np.sqrt(es) * np.einsum("kij,suj->ksui", h, cand)
-    bm = np.sum(np.abs(yv[:, None, None, :] - pred) ** 2, axis=3)
+    # branch metrics frame by frame, so temporaries stay one frame's size
+    bm = np.empty((n_frames, nf, s_count, u_count))
+    for f in range(n_frames):
+        pred = np.sqrt(es) * np.einsum("kij,suj->ksui", h[f], cand)
+        bm[f] = np.sum(np.abs(yv[f, :, None, None, :] - pred) ** 2, axis=3)
 
     # incoming transitions per state, each row sorted by (state, input) so
     # argmin's first-hit rule implements the documented tie-break
     flat_next = code.next_state.reshape(-1)
-    order = np.arange(s_count * u_count)
-    incoming = [order[flat_next == ns] for ns in range(s_count)]
-    max_deg = max((len(v) for v in incoming), default=0)
-    gather = np.zeros((s_count, max_deg), dtype=int)
-    dead = np.zeros((s_count, max_deg), dtype=bool)
-    for ns, src in enumerate(incoming):
-        gather[ns, : len(src)] = src
-        dead[ns, len(src) :] = True
+    incoming = [np.flatnonzero(flat_next == ns) for ns in range(s_count)]
+    degree = np.array([len(v) for v in incoming])
+    gather = np.array([np.pad(v, (0, degree.max() - len(v))) for v in incoming])
+    dead = np.arange(degree.max()) >= degree[:, None]
 
-    costs = np.full(s_count, np.inf)
-    costs[0] = 0.0
-    back = np.zeros((data_steps, s_count), dtype=int)
+    frames = np.arange(n_frames)
+    costs = np.full((n_frames, s_count), np.inf)
+    costs[:, 0] = 0.0
+    back = np.zeros((data_steps, n_frames, s_count), dtype=int)
     for k in range(data_steps):
-        cand_costs = (costs[:, None] + bm[k]).reshape(-1)[gather]
-        cand_costs[dead] = np.inf
-        pick = np.argmin(cand_costs, axis=1)
+        cand_costs = (costs[:, :, None] + bm[:, k]).reshape(n_frames, -1)[:, gather]
+        cand_costs[:, dead] = np.inf
+        pick = np.argmin(cand_costs, axis=2)
         back[k] = gather[np.arange(s_count), pick]
-        costs = cand_costs[np.arange(s_count), pick]
+        costs = np.take_along_axis(cand_costs, pick[:, :, None], axis=2)[:, :, 0]
 
-    # deterministic termination tail per surviving end-of-data state
+    # deterministic termination tail per end-of-data state (an unreachable
+    # state's cost stays infinite)
     total = costs.copy()
     for s in range(s_count):
-        if not np.isfinite(total[s]):
-            continue
         cur = s
         for t in range(n_term):
             u = int(code.term_inputs[s, t])
-            total[s] += bm[data_steps + t, cur, u]
+            total[:, s] += bm[:, data_steps + t, cur, u]
             cur = int(code.next_state[cur, u])
 
-    best = int(np.argmin(total))
-    patterns = np.zeros(data_steps, dtype=int)
+    best = np.argmin(total, axis=1)
+    patterns = np.zeros((n_frames, data_steps), dtype=int)
     state = best
     for k in range(data_steps - 1, -1, -1):
-        src = back[k, state]
-        patterns[k] = src % u_count
+        src = back[k, frames, state]
+        patterns[:, k] = src % u_count
         state = src // u_count
-    bits = patterns_to_bits(patterns, code.bits_per_step)
+    bits = patterns_to_bits(patterns.reshape(-1), code.bits_per_step)
     visited = data_steps * s_count * u_count + s_count * n_term
-    metric = float(total[best])
-    return DecodeResult(bits=bits, metric=metric, visited=visited)
+    return _result(
+        batch,
+        bits.reshape(n_frames, -1),
+        total[frames, best],
+        np.full(n_frames, visited),
+        np.zeros(n_frames, dtype=bool),
+    )
 
 
 def _axis_levels(c: Constellation):
@@ -298,26 +322,31 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     vectorized into y_eff = G s + n, expanded to a real lattice and
     searched depth-first in closest-first child order with the Babai point
     as the initial radius.  The lattice algebra runs once for the whole
-    frame (one einsum, one stacked QR); only the search runs per block.
-    Requires lr >= lt so the lattice has full column rank; a block with a
-    degenerate channel falls back to an exhaustive scan of the product set
-    (ties to the lowest codeword index) and sets ``degenerate``.
+    frame, or batch of frames (one einsum, one stacked QR); only the
+    search runs per block.  Requires lr >= lt so the lattice has full
+    column rank; a block with a degenerate channel falls back to an
+    exhaustive scan of the product set (ties to the lowest codeword index)
+    and sets its frame's ``degenerate``.
     """
     if not isinstance(code, LinearDispersionCode):
         raise ModelMismatch(
             f"{type(code).__name__} has no linear-dispersion form"
         )
-    yv = _as_y(y)
-    h = _check_h(yv, h)
+    yv, h, batch = _frames(y, h)
+    n_frames, n, lr = yv.shape
     u = code.n_uses
-    if yv.shape[0] % u:
+    if n % u:
         raise ShapeMismatch(
-            f"frame length {yv.shape[0]} is not a multiple of the {u}-use"
+            f"frame length {n} is not a multiple of the {u}-use"
             " dispersion codeword"
         )
     c = code.constellation
     levels, table = _axis_levels(c)
-    yr, gr = _dispersion_system(yv, h, code, es)
+    # whole codewords never straddle two frames, so the blocks of all
+    # frames form one long frame
+    yr, gr = _dispersion_system(
+        yv.reshape(-1, lr), h.reshape(-1, lr, h.shape[3]), code, es
+    )
     m = code.n_syms
     d = 2 * m
     if gr.shape[1] < d:
@@ -334,21 +363,23 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     degenerate = rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0)
     lv = levels.tolist()
     v = np.empty((yr.shape[0], d))
-    visited = 0
-    for b, (zb, rb) in enumerate(zip(z.tolist(), r.tolist())):
+    visited = np.empty(yr.shape[0], dtype=int)
+    for b in range(yr.shape[0]):
         if degenerate[b]:
-            v[b], n = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
+            v[b], visited[b] = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
         else:
-            v[b], n = _sphere_search(zb, rb, lv)
-        visited += n
+            v[b], visited[b] = _sphere_search(z[b].tolist(), r[b].tolist(), lv)
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
     patterns = table[idx[:, :m], idx[:, m:]]
     bits = patterns_to_bits(patterns.reshape(-1), c.bits_per_symbol)
-    symbols = levels[idx[:, :m]] + 1j * levels[idx[:, m:]]
-    x = np.einsum("bm,mjk->jbk", symbols, code.basis).reshape(code.lt, -1)
-    metric = eq3_metric(yv, h, x, es)
-    return DecodeResult(
-        bits=bits, metric=metric, visited=visited, degenerate=bool(degenerate.any())
+    symbols = (levels[idx[:, :m]] + 1j * levels[idx[:, m:]]).reshape(n_frames, -1, m)
+    xt = np.einsum("fbm,mjk->fbkj", symbols, code.basis).reshape(n_frames, n, code.lt)
+    return _result(
+        batch,
+        bits.reshape(n_frames, -1),
+        _word_metrics(yv, h, xt, es),
+        visited.reshape(n_frames, -1).sum(axis=1),
+        degenerate.reshape(n_frames, -1).any(axis=1),
     )
 
 
@@ -383,44 +414,47 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
     unless ``allow_nonstatic`` accepts the combiner as an approximation.
     A zero-gain block is flagged degenerate and decides pattern 0.
     """
-    yv = _as_y(y)
-    h = _check_h(yv, h)
-    nf, lr = yv.shape
-    if h.shape[2] != 2:
+    yv, h, batch = _frames(y, h)
+    n_frames, nf, lr = yv.shape
+    if h.shape[3] != 2:
         raise ShapeMismatch("alamouti combining requires lt = 2")
     if nf % 2:
         raise ShapeMismatch("frame length must be even (2-use blocks)")
-    nb = nf // 2
-    yb = yv.reshape(nb, 2, lr)
-    hb = h.reshape(nb, 2, lr, 2)
-    drift = np.linalg.norm(hb[:, 1] - hb[:, 0], axis=(1, 2))
-    scale_h = np.linalg.norm(hb[:, 0], axis=(1, 2))
-    if not allow_nonstatic and np.any(drift > 1e-9 * np.maximum(scale_h, 1e-300)):
-        raise NonStaticBlock(
-            "channel varies within an Alamouti block;"
-            " pass allow_nonstatic=True to combine anyway"
-        )
-    h1 = hb[:, 0, :, 0]
-    h2 = hb[:, 0, :, 1]
-    y1 = yb[:, 0]
-    y2 = yb[:, 1]
-    z1 = np.sum(np.conj(h1) * y1, axis=1) + np.sum(np.conj(y2) * h2, axis=1)
-    z2 = np.sum(np.conj(h2) * y1, axis=1) - np.sum(h1 * np.conj(y2), axis=1)
-    gain = np.sum(np.abs(h1) ** 2 + np.abs(h2) ** 2, axis=1)
-    amp = np.sqrt(es / 2.0) * gain
-    pts = c.points
-    d1 = np.abs(z1[:, None] - amp[:, None] * pts[None, :]) ** 2
-    d2 = np.abs(z2[:, None] - amp[:, None] * pts[None, :]) ** 2
-    idx1 = np.argmin(d1, axis=1)
-    idx2 = np.argmin(d2, axis=1)
+    yb = yv.reshape(n_frames, nf // 2, 2, lr)
+    if np.all(h == h[:, :1]):
+        # quasi-static frames: one channel, gain and scaled point set per
+        # frame, broadcast over its blocks
+        hb = h[:, None, :1]
+    else:
+        hb = h.reshape(n_frames, nf // 2, 2, lr, 2)
+        drift = np.linalg.norm(hb[:, :, 1] - hb[:, :, 0], axis=(2, 3))
+        scale_h = np.linalg.norm(hb[:, :, 0], axis=(2, 3))
+        if not allow_nonstatic and np.any(drift > 1e-9 * np.maximum(scale_h, 1e-300)):
+            raise NonStaticBlock(
+                "channel varies within an Alamouti block;"
+                " pass allow_nonstatic=True to combine anyway"
+            )
+    h1 = hb[:, :, 0, :, 0]
+    h2 = hb[:, :, 0, :, 1]
+    y1 = yb[:, :, 0]
+    y2 = yb[:, :, 1]
+    z1 = np.sum(np.conj(h1) * y1, axis=2) + np.sum(np.conj(y2) * h2, axis=2)
+    z2 = np.sum(np.conj(h2) * y1, axis=2) - np.sum(h1 * np.conj(y2), axis=2)
+    gain = np.sum(np.abs(h1) ** 2 + np.abs(h2) ** 2, axis=2)
+    scaled = (np.sqrt(es / 2.0) * gain)[:, :, None] * c.points
+    idx1 = np.argmin(np.abs(z1[:, :, None] - scaled) ** 2, axis=2)
+    idx2 = np.argmin(np.abs(z2[:, :, None] - scaled) ** 2, axis=2)
     inv_label = np.empty(c.size, dtype=int)
     inv_label[list(c.labeling.values())] = list(c.labeling.keys())
-    pat = inv_label[np.stack([idx1, idx2], axis=1)]
+    pat = inv_label[np.stack([idx1, idx2], axis=2)]
     bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
-    # (2, 2, nb) stack of block codewords -> (lt, nf) frame
-    x_hat = encode_alamouti(pts[idx1], pts[idx2]).transpose(0, 2, 1).reshape(2, nf)
-    metric = eq3_metric(yv, h, x_hat, es)
-    degenerate = bool(np.any(gain <= 0.0))
-    return DecodeResult(
-        bits=bits, metric=metric, visited=nb * 2 * c.size, degenerate=degenerate
+    # (2, 2, frames, blocks) codewords -> (frames, nf, lt), use by use
+    xt = encode_alamouti(c.points[idx1], c.points[idx2]).transpose(2, 3, 1, 0)
+    xt = xt.reshape(n_frames, nf, 2)
+    return _result(
+        batch,
+        bits.reshape(n_frames, -1),
+        _word_metrics(yv, h, xt, es),
+        np.full(n_frames, nf * c.size),
+        np.any(gain <= 0.0, axis=1),
     )

@@ -70,11 +70,3 @@ class DepthTooLarge(StclabError, RuntimeError):
 
 class InvalidCount(StclabError, ValueError):
     """A count argument is out of range or incompatible."""
-
-
-class SlotMismatch(StclabError, ValueError):
-    """Superframe slot contents do not match the declared layout."""
-
-
-class EmptyInput(StclabError, ValueError):
-    """An operation that needs at least one sample received none."""

@@ -5,6 +5,16 @@ A sweep runs frames through encode -> correlated fading -> noise ->
 frame and bit errors until a stopping rule fires.  Results carry Wilson 95%
 confidence intervals and are emitted as CSV.
 
+Frames run in batches through one kernel, :func:`simulate_frames`.  Only
+the random draws, the fading draw and the pilot estimate run per frame;
+encoding, the channel, the decoder and the error count each run once per
+batch on arrays with a leading frame axis.  A batch holds at most the
+channel uses of ``BATCH_MAX`` default-length frames (at least one frame)
+and never more frames than the errors still missing at the grid point: a
+frame adds at most one error, so the stopping rule can fire only on a
+batch's last frame and no frame past the serial stopping frame is ever
+simulated.
+
 Energy accounting: N0 is fixed at 1 and Es = ebn0_linear * info_bits_per
 frame / frame_uses.  Under pilot CSI the frame still spans ``frame_uses``
 uses but carries fewer information bits, so the pilot overhead is charged
@@ -12,12 +22,15 @@ to Es exactly as a fair comparison requires.
 
 Reproducibility: frame (snr_index, frame_index) draws its bit, fading and
 noise generators from SeedSequence(seed, spawn_key=(snr_index,
-frame_index)), so serial and parallel execution produce byte-identical
-output and any frame can be regenerated in isolation.
+frame_index, k)) for k = 0, 1, 2 (the children SeedSequence(seed,
+spawn_key=(snr_index, frame_index)).spawn(3) would give), so the output
+is byte-identical for any batch size and worker count, and
+:func:`simulate_frame` replays any single frame in isolation.
 """
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +40,7 @@ from .channel import (
     ChannelParams,
     GEOMETRY_PRESETS,
     MODES,
+    ReceivedFrame,
     apply_channel,
     generate_fading,
     spatial_correlation,
@@ -37,7 +51,7 @@ from .demod import (
     sphere_decode,
     viterbi_decode,
 )
-from .errors import ConfigError, EmptyInput, SlotMismatch
+from .errors import ConfigError
 from .mathcore import CONSTELLATIONS, bits_to_patterns
 from .stcodes import (
     alamouti_codebook,
@@ -55,9 +69,13 @@ CODES = ("alamouti", "golden", "spatial_multiplex", "trellis")
 CSI_MODES = ("perfect", "pilot")
 DECODERS = ("auto", "ml", "sphere", "combiner", "viterbi")
 
-# nf = 300 symbols per frame slot, 42 slots, ~70 symbols of silence
 DEFAULT_FRAME_USES = 300
 NOISELESS_EBN0_DB = 200.0
+
+# Frames per batch of the frame kernel; frames longer than the default get
+# proportionally fewer, so a batch holds at most BATCH_MAX default frames'
+# worth of channel uses (or one frame).
+BATCH_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -132,18 +150,7 @@ class SweepRow:
     mean_decoder_nodes: float
 
 
-CSV_COLUMNS = (
-    "ebn0_db",
-    "frames",
-    "frame_errors",
-    "fer",
-    "fer_ci_lo",
-    "fer_ci_hi",
-    "bits",
-    "bit_errors",
-    "ber",
-    "mean_decoder_nodes",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -151,24 +158,15 @@ class SweepResult:
     rows: tuple
 
     def to_csv(self):
+        """Header, then one line per row: counts as integers, the other
+        columns as the repr of a float."""
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(float(r.ebn0_db)),
-                        str(int(r.frames)),
-                        str(int(r.frame_errors)),
-                        repr(float(r.fer)),
-                        repr(float(r.fer_ci_lo)),
-                        repr(float(r.fer_ci_hi)),
-                        str(int(r.bits)),
-                        str(int(r.bit_errors)),
-                        repr(float(r.ber)),
-                        repr(float(r.mean_decoder_nodes)),
-                    ]
-                )
-            )
+            cells = []
+            for f in fields(r):
+                v = getattr(r, f.name)
+                cells.append(str(int(v)) if f.type is int else repr(float(v)))
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -188,14 +186,6 @@ def wilson_interval(k, n, z=Z_95):
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
     return lo, hi
-
-
-def estimate_noise(silence):
-    """N0 estimate: mean |sample|^2 of complex silence-period samples."""
-    s = np.asarray(silence, dtype=complex).reshape(-1)
-    if s.size == 0:
-        raise EmptyInput("need at least one silence sample")
-    return float(np.mean(np.abs(s) ** 2))
 
 
 def _parse_geometry(spec_text, key):
@@ -298,21 +288,15 @@ def build_setup(cfg: SweepConfig):
     if setup.decoder == "sphere" and cfg.lr < cfg.lt:
         raise ConfigError("sphere decoding requires lr >= lt", key="decoder")
 
-    for side, key, count in (("tx", "tx_geometry", cfg.lt), ("rx", "rx_geometry", cfg.lr)):
+    for side, count in (("tx", cfg.lt), ("rx", cfg.lr)):
+        key = f"{side}_geometry"
         geom = _parse_geometry(getattr(cfg, key), key)
-        if geom is None:
-            corr = np.eye(count)
-        else:
-            if geom.n_elements < count:
-                raise ConfigError(
-                    f"geometry has {geom.n_elements} elements, need {count}",
-                    key=key,
-                )
-            corr = spatial_correlation(geom.truncate(count))
-        if side == "tx":
-            setup.rtx = corr
-        else:
-            setup.rrx = corr
+        if geom is not None and geom.n_elements < count:
+            raise ConfigError(
+                f"geometry has {geom.n_elements} elements, need {count}", key=key
+            )
+        corr = spatial_correlation(geom.truncate(count)) if geom else np.eye(count)
+        setattr(setup, f"r{side}", corr)
 
     if cfg.csi == "pilot":
         setup.pmap = build_pilot_map(cfg.frame_uses, cfg.lt, cfg.pilot_count)
@@ -353,11 +337,13 @@ def build_setup(cfg: SweepConfig):
 
 
 def _encode_data(setup, bits):
+    """(frames, lt, data_uses) transmit words for (frames, info_bits) bits."""
     if setup.trellis is not None:
         return encode_trellis(bits, setup.trellis)
     cb = setup.codebook
-    idx = bits_to_patterns(bits, cb.bits_per_codeword)
-    return cb.codewords[idx].transpose(1, 0, 2).reshape(cb.lt, -1)
+    idx = bits_to_patterns(bits.reshape(-1), cb.bits_per_codeword)
+    words = cb.codewords[idx.reshape(bits.shape[0], -1)]
+    return words.transpose(0, 2, 1, 3).reshape(bits.shape[0], cb.lt, -1)
 
 
 def _decode_data(setup, y_data, h_data, es):
@@ -376,41 +362,53 @@ def _decode_data(setup, y_data, h_data, es):
     return ml_exhaustive_blocks(y_data, h_data, setup.codebook, es)
 
 
-def simulate_frame(setup, si, fi, es):
-    """Run one frame; returns (frame_error, bit_errors, info_bits, nodes)."""
-    cfg = setup.cfg
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, fi))
-    bits_ss, fade_ss, noise_ss = ss.spawn(3)
-    bits_rng = np.random.Generator(np.random.PCG64(bits_ss))
-    fade_rng = np.random.Generator(np.random.PCG64(fade_ss))
-    noise_rng = np.random.Generator(np.random.PCG64(noise_ss))
+def _frame_generators(seed, si, fi):
+    """The bit, fading and noise generators of frame (si, fi)."""
+    keys = [np.random.SeedSequence(seed, spawn_key=(si, fi, k)) for k in range(3)]
+    return [np.random.Generator(np.random.PCG64(key)) for key in keys]
 
-    bits = bits_rng.integers(0, 2, size=setup.info_bits)
+
+def simulate_frames(setup, si, frame_indices, es):
+    """Run frames ``frame_indices`` of grid point ``si`` as one batch.
+
+    Returns one (frame_error, bit_errors, info_bits, nodes) tuple per frame,
+    each equal to what the frame gives when it runs alone.
+    """
+    cfg = setup.cfg
+    gens = [_frame_generators(cfg.seed, si, fi) for fi in frame_indices]
+    bits = np.array([g[0].integers(0, 2, size=setup.info_bits) for g in gens])
     x_data = _encode_data(setup, bits)
-    nf = cfg.frame_uses
+    nf, pmap = cfg.frame_uses, setup.pmap
     if cfg.csi == "pilot":
-        x = np.zeros((cfg.lt, nf), dtype=complex)
-        x[:, setup.data_positions] = x_data
-        p = setup.pmap.pilot_matrix
-        for start in setup.pmap.block_starts:
-            x[:, start : start + cfg.lt] = p
+        x = np.empty((len(gens), cfg.lt, nf), dtype=complex)
+        x[:, :, pmap.pilot_positions] = np.tile(pmap.pilot_matrix, pmap.n_blocks)
+        x[:, :, setup.data_positions] = x_data
     else:
         x = x_data
     params = ChannelParams(
         lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
     )
-    h = generate_fading(nf, params, setup.rtx, setup.rrx, fade_rng)
-    rx = apply_channel(x, h, params, noise_rng)
+    h = np.empty((len(gens), nf, cfg.lr, cfg.lt), dtype=complex)
+    for hf, g in zip(h, gens):
+        hf[...] = generate_fading(nf, params, setup.rtx, setup.rrx, g[1])
+    y = apply_channel(x, h, params, [g[2] for g in gens]).y
     if cfg.csi == "pilot":
-        h_dec = estimate_channel(rx, setup.pmap, setup.wiener)
-        y_data = rx.y[setup.data_positions]
-        h_data = h_dec[setup.data_positions]
-    else:
-        y_data = rx.y
-        h_data = h
-    res = _decode_data(setup, y_data, h_data, es)
-    bit_errors = int(np.count_nonzero(res.bits != bits))
-    return bit_errors > 0, bit_errors, setup.info_bits, res.visited
+        pos = setup.data_positions
+        h = np.empty((len(gens), pos.size, cfg.lr, cfg.lt), dtype=complex)
+        for hf, yf in zip(h, y):
+            est = estimate_channel(ReceivedFrame(yf, es, 1.0), pmap, setup.wiener)
+            hf[...] = est[pos]
+        y = y[:, pos]
+    outcomes = []
+    for res, sent in zip(_decode_data(setup, y, h, es), bits):
+        bit_errors = int(np.count_nonzero(res.bits != sent))
+        outcomes.append((bit_errors > 0, bit_errors, setup.info_bits, res.visited))
+    return outcomes
+
+
+def simulate_frame(setup, si, fi, es):
+    """Run one frame; returns (frame_error, bit_errors, info_bits, nodes)."""
+    return simulate_frames(setup, si, [fi], es)[0]
 
 
 def _es_for(setup, ebn0_db):
@@ -424,114 +422,53 @@ def run_sweep(cfg: SweepConfig, workers=None):
 
     Frames are scanned in index order at every grid point until
     ``min_frame_errors`` errors or ``max_frames`` frames, whichever first.
-    ``workers`` > 1 evaluates frames in parallel batches whose results are
-    consumed in the same index order, so output is identical to serial.
+    They run in batches of at most the errors still missing, so the
+    stopping rule can only fire on the last frame in flight.  ``workers``
+    > 1 runs that many batches at once in a thread pool; counts are sums
+    over frames, so output is identical to serial.
     """
     setup = build_setup(cfg)
     workers = cfg.workers if workers is None else workers
+    batch_max = max(1, BATCH_MAX * DEFAULT_FRAME_USES // cfg.frame_uses)
     rows = []
-    for si, ebn0 in enumerate(cfg.ebn0_db):
-        es = _es_for(setup, ebn0)
-        frames = errors = bits = bit_errors = nodes = 0
-
-        def consume(outcome):
-            nonlocal frames, errors, bits, bit_errors, nodes
-            fe, be, nb, nv = outcome
-            frames += 1
-            errors += int(fe)
-            bits += nb
-            bit_errors += be
-            nodes += nv
-            return errors >= cfg.min_frame_errors
-
-        if workers <= 1:
-            for fi in range(cfg.max_frames):
-                if consume(simulate_frame(setup, si, fi, es)):
-                    break
-        else:
-            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-                fi = 0
-                stopped = False
-                while not stopped and fi < cfg.max_frames:
-                    batch = range(fi, min(fi + 16 * workers, cfg.max_frames))
-                    results = pool.map(
-                        lambda f: simulate_frame(setup, si, f, es), batch
-                    )
-                    for outcome in results:
-                        if consume(outcome):
-                            stopped = True
-                            break
-                    fi = batch.stop
-        lo, hi = wilson_interval(errors, frames)
-        rows.append(
-            SweepRow(
-                ebn0_db=float(ebn0),
-                frames=frames,
-                frame_errors=errors,
-                fer=errors / frames if frames else 0.0,
-                fer_ci_lo=lo,
-                fer_ci_hi=hi,
-                bits=bits,
-                bit_errors=bit_errors,
-                ber=bit_errors / bits if bits else 0.0,
-                mean_decoder_nodes=nodes / frames if frames else 0.0,
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        run = pool.map if workers > 1 else map
+        for si, ebn0 in enumerate(cfg.ebn0_db):
+            es = _es_for(setup, ebn0)
+            frames = errors = bits = bit_errors = nodes = 0
+            while frames < cfg.max_frames and errors < cfg.min_frame_errors:
+                # every frame adds at most one error, so no frame in flight
+                # lies past the frame the serial scan would stop at
+                missing = min(cfg.max_frames - frames, cfg.min_frame_errors - errors)
+                room = min(missing, batch_max * workers)
+                size = -(-room // workers)
+                batches = [
+                    range(frames + start, frames + min(start + size, room))
+                    for start in range(0, room, size)
+                ]
+                for batch in run(partial(simulate_frames, setup, si, es=es), batches):
+                    for fe, be, nb, nv in batch:
+                        frames += 1
+                        errors += int(fe)
+                        bits += nb
+                        bit_errors += be
+                        nodes += nv
+            lo, hi = wilson_interval(errors, frames)
+            rows.append(
+                SweepRow(
+                    ebn0_db=float(ebn0),
+                    frames=frames,
+                    frame_errors=errors,
+                    fer=errors / frames if frames else 0.0,
+                    fer_ci_lo=lo,
+                    fer_ci_hi=hi,
+                    bits=bits,
+                    bit_errors=bit_errors,
+                    ber=bit_errors / bits if bits else 0.0,
+                    mean_decoder_nodes=nodes / frames if frames else 0.0,
+                )
             )
-        )
     return SweepResult(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class SuperframeLayout:
-    """42 frame slots of 300 symbols with a preamble and a silence tail."""
-
-    preamble_len: int = 100
-    n_slots: int = 42
-    frame_len: int = DEFAULT_FRAME_USES
-    silence_len: int = 70
-
-    def slot_bounds(self, i):
-        if not 0 <= i < self.n_slots:
-            raise SlotMismatch(f"slot {i} out of range 0..{self.n_slots - 1}")
-        start = self.preamble_len + i * self.frame_len
-        return start, start + self.frame_len
-
-    @property
-    def total_len(self):
-        return self.preamble_len + self.n_slots * self.frame_len + self.silence_len
-
-
-def assemble_superframe(frames, layout: SuperframeLayout = None):
-    """Concatenate 42 encoded frames into one transmit stream.
-
-    Returns (stream, slots): stream is lt x total_len with a zero preamble
-    placeholder and a zero silence tail; slots[i] = (start, stop) recovers
-    frame i exactly.
-    """
-    layout = layout if layout is not None else SuperframeLayout()
-    if len(frames) != layout.n_slots:
-        raise SlotMismatch(
-            f"expected {layout.n_slots} frames, got {len(frames)}"
-        )
-    frames = [np.asarray(f, dtype=complex) for f in frames]
-    lt = frames[0].shape[0]
-    for i, f in enumerate(frames):
-        if f.ndim != 2 or f.shape != (lt, layout.frame_len):
-            raise SlotMismatch(
-                f"frame {i} has shape {f.shape}, expected ({lt},"
-                f" {layout.frame_len})"
-            )
-    stream = np.zeros((lt, layout.total_len), dtype=complex)
-    slots = []
-    for i, f in enumerate(frames):
-        start, stop = layout.slot_bounds(i)
-        stream[:, start:stop] = f
-        slots.append((start, stop))
-    return stream, slots
-
-
-def extract_slot(stream, layout: SuperframeLayout, i):
-    start, stop = layout.slot_bounds(i)
-    return stream[:, start:stop]
 
 
 # --- config file parsing -------------------------------------------------
@@ -610,7 +547,3 @@ def parse_config(text):
     for key, value in seen.items():
         kwargs[_KEY_TO_FIELD.get(key, key)] = value
     return SweepConfig(**kwargs)
-
-
-def config_with_seed(cfg: SweepConfig, seed):
-    return replace(cfg, seed=seed)

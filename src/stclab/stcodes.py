@@ -150,24 +150,27 @@ class BlockCodebook:
         return self.codewords.shape[2]
 
 
-def _enumerate_symbol_tuples(c: Constellation, n_syms):
-    """All pattern tuples in codeword-index order (first symbol is MSB).
-
-    Raises InvalidCount, before allocating anything, when there are more
-    than ``CODEBOOK_CAP`` tuples.
-    """
-    size = c.size
-    n = size**n_syms
+def _codebook_size(c: Constellation, n_syms):
+    """Word count of a codebook of n_syms symbols; InvalidCount past the cap."""
+    n = c.size**n_syms
     if n > CODEBOOK_CAP:
         raise InvalidCount(
             f"a codebook of {n_syms} {c.name} symbols has {n} codewords,"
             f" more than the {CODEBOOK_CAP} a block codebook enumerates"
         )
-    patterns = np.zeros((n, n_syms), dtype=int)
-    for m in range(n_syms):
-        period = size ** (n_syms - 1 - m)
-        patterns[:, m] = (np.arange(n) // period) % size
-    return patterns
+    return n
+
+
+def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
+    """Pattern tuples of codewords start..stop - 1 (all by default) in
+    codeword-index order (first symbol is MSB).
+
+    Raises InvalidCount, before allocating anything, when the codebook has
+    more than ``CODEBOOK_CAP`` words.
+    """
+    n = _codebook_size(c, n_syms)
+    index = np.arange(start, n if stop is None else min(stop, n))
+    return (index[:, None] // c.size ** np.arange(n_syms - 1, -1, -1)) % c.size
 
 
 def alamouti_codebook(c: Constellation = None):
@@ -219,10 +222,16 @@ def golden_codebook(c: Constellation = None):
 def spatial_multiplex_codebook(c: Constellation = None, lt=2, n_uses=1):
     c = c if c is not None else CONSTELLATIONS["QPSK"]
     n_syms = lt * n_uses
-    patterns = _enumerate_symbol_tuples(c, n_syms)
-    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
-    # encode_spatial_multiplex on every word at once, bitwise the same
-    words = pts[patterns].reshape(-1, n_uses, lt).transpose(0, 2, 1) / np.sqrt(lt)
+    pts = np.array([c.pattern_to_point(p) for p in range(c.size)]) / np.sqrt(lt)
+    # encode_spatial_multiplex on every word, bitwise the same, written into
+    # the codebook slice by slice so that temporaries stay small
+    words = np.empty((_codebook_size(c, n_syms), lt, n_uses), dtype=complex)
+    step = max(1, DUPLICATE_SLICE_ELEMENTS // n_syms)
+    for start in range(0, words.shape[0], step):
+        patterns = _enumerate_symbol_tuples(c, n_syms, start, start + step)
+        words[start : start + step] = (
+            pts[patterns].reshape(-1, n_uses, lt).transpose(0, 2, 1)
+        )
     return BlockCodebook("spatial_multiplex", words, n_syms * c.bits_per_symbol)
 
 
@@ -469,21 +478,26 @@ def encode_trellis(bits, code: TrellisCode):
     """Encode a bit sequence, append the termination tail, scale 1/sqrt(lt).
 
     Output is lt x (data steps + termination steps); the encoder starts and
-    ends in state 0.
+    ends in state 0.  A (frames, n_bits) array of bit rows encodes every
+    frame at once into (frames, lt, steps).
     """
-    patterns = bits_to_patterns(bits, code.bits_per_step)
-    state = 0
-    cols = np.zeros((len(patterns) + code.n_term_steps, code.lt), dtype=int)
-    for k, u in enumerate(patterns):
-        cols[k] = code.out_idx[state, u]
+    bits = np.asarray(bits)
+    batch = bits.ndim == 2
+    rows = bits if batch else bits[None]
+    patterns = np.stack([bits_to_patterns(r, code.bits_per_step) for r in rows])
+    state = np.zeros(rows.shape[0], dtype=int)
+    cols = []
+    for u in patterns.T:
+        cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
-    for j, u in enumerate(code.term_inputs[state]):
-        cols[len(patterns) + j] = code.out_idx[state, u]
+    for u in code.term_inputs[state].T:  # the tail of each end-of-data state
+        cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
-    if state != 0:
+    if np.any(state != 0):
         raise ValidationError("termination tail did not reach state 0")
-    points = code.constellation.points[cols]
-    return points.T / np.sqrt(code.lt)
+    cols = np.array(cols, dtype=int).reshape(-1, rows.shape[0], code.lt)
+    x = code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
+    return x if batch else x[0]
 
 
 def load_packaged_trellis(name="delay_diversity_4state_qpsk"):

@@ -565,3 +565,45 @@ class TestCrossDecoderConsistency:
         a = ml_exhaustive(frame, h, cb, 1.0)
         b = ml_exhaustive(frame.y, h, cb, 1.0)
         np.testing.assert_array_equal(a.bits, b.bits)
+
+
+class TestFrameBatches:
+    """A batch of frames decodes to one result per frame, each equal, bit
+    for bit and metric for metric, to decoding that frame alone."""
+
+    TRELLIS = load_packaged_trellis()
+    PATHS = trellis_path_codebook(TRELLIS, 3)
+    DECODERS = {
+        "combiner": (2, lambda y, h: alamouti_combine(y, h, 3.0, QAM16, allow_nonstatic=True)),
+        "ml-alamouti": (2, lambda y, h: ml_exhaustive_blocks(y, h, alamouti_codebook(QPSK), 3.0)),
+        "ml-golden": (2, lambda y, h: ml_exhaustive_blocks(y, h, golden_codebook(QPSK), 3.0)),
+        "sphere-golden": (2, lambda y, h: sphere_decode(y, h, golden_dispersion(QPSK), 3.0)),
+        "ml-paths": (2, lambda y, h: ml_exhaustive_blocks(y, h, TestFrameBatches.PATHS, 3.0)),
+        "viterbi": (2, lambda y, h: viterbi_decode(y, h, TestFrameBatches.TRELLIS, 3.0)),
+    }
+
+    @pytest.mark.parametrize("static", [True, False], ids=["static", "varying"])
+    @pytest.mark.parametrize("name", sorted(DECODERS))
+    def test_batch_equals_frame_by_frame(self, name, static):
+        lt, decode = self.DECODERS[name]
+        rng = make_rng(70)
+        n = 4 if name == "ml-paths" else 40
+        shape = (5, 1 if static else n, 2, lt)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = np.broadcast_to(h, (5, n, 2, lt)).copy()
+        h[3] = 0.0  # a degenerate frame among regular ones
+        y = 2.0 * (rng.standard_normal((5, n, 2)) + 1j * rng.standard_normal((5, n, 2)))
+        batch = decode(y, h)
+        assert len(batch) == 5
+        for f, got in enumerate(batch):
+            want = decode(y[f], h[f])
+            np.testing.assert_array_equal(got.bits, want.bits)
+            assert repr(got.metric) == repr(want.metric)
+            assert (got.visited, got.degenerate) == (want.visited, want.degenerate)
+
+    def test_batch_shape_checks(self):
+        y = np.zeros((3, 4, 2), dtype=complex)
+        with pytest.raises(ShapeMismatch):
+            ml_exhaustive_blocks(y, np.zeros((3, 4, 1, 2)), alamouti_codebook(QPSK), 1.0)
+        with pytest.raises(ShapeMismatch):
+            viterbi_decode(y, np.zeros((4, 2, 2)), self.TRELLIS, 1.0)

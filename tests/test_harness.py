@@ -1,25 +1,34 @@
-"""Tests for the Monte Carlo sweep harness: Wilson intervals, noise
-estimation, the superframe container, config parsing, and sweep execution."""
+"""Tests for the Monte Carlo sweep harness: Wilson intervals, config
+parsing, the batched frame kernel, and sweep execution."""
+
+import importlib.resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from stclab.errors import ConfigError, EmptyInput, SlotMismatch
+from stclab import harness
+from stclab.chanest import estimate_channel
+from stclab.channel import ChannelParams, apply_channel, generate_fading
+from stclab.errors import ConfigError
 from stclab.harness import (
+    BATCH_MAX,
     CSV_COLUMNS,
-    SuperframeLayout,
     SweepConfig,
+    SweepResult,
+    SweepRow,
     _decode_data,
-    assemble_superframe,
+    _es_for,
     build_setup,
-    config_with_seed,
-    estimate_noise,
-    extract_slot,
     parse_config,
     run_sweep,
+    simulate_frame,
+    simulate_frames,
     wilson_interval,
 )
+from stclab.mathcore import bits_to_patterns
+from stclab.stcodes import encode_trellis
 
 BASE_CONFIG = """
 # minimal sweep
@@ -72,82 +81,6 @@ class TestWilsonInterval:
         assert w2 < w1
 
 
-class TestEstimateNoise:
-    def test_zeros(self):
-        assert estimate_noise(np.zeros(10, dtype=complex)) == 0.0
-
-    def test_single_sample(self):
-        assert_allclose(estimate_noise(np.array([3.0 + 4.0j])), 25.0)
-
-    def test_matches_n0(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        n0 = 2.0
-        s = np.sqrt(n0 / 2) * (rng.normal(size=20000) + 1j * rng.normal(size=20000))
-        assert_allclose(estimate_noise(s), n0, rtol=0.03)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            estimate_noise(np.array([], dtype=complex))
-
-    def test_accepts_matrix_input(self):
-        s = np.ones((4, 3), dtype=complex)
-        assert_allclose(estimate_noise(s), 1.0)
-
-
-class TestSuperframe:
-    def test_total_length(self):
-        lay = SuperframeLayout()
-        assert lay.preamble_len == 100
-        assert lay.n_slots == 42
-        assert lay.frame_len == 300
-        assert lay.silence_len == 70
-        assert lay.total_len == 100 + 42 * 300 + 70
-
-    def test_assemble_and_extract(self):
-        lay = SuperframeLayout(preamble_len=4, n_slots=3, frame_len=5, silence_len=2)
-        rng = np.random.Generator(np.random.PCG64(1))
-        frames = [rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5)) for _ in range(3)]
-        stream, slots = assemble_superframe(frames, lay)
-        assert stream.shape == (2, lay.total_len)
-        for i in range(3):
-            assert_allclose(extract_slot(stream, lay, i), frames[i], atol=0)
-            lo, hi = lay.slot_bounds(i)
-            assert hi - lo == 5
-        # preamble and silence are quiet
-        assert_allclose(stream[:, :4], 0.0)
-        assert_allclose(stream[:, -2:], 0.0)
-
-    def test_slot_count_mismatch(self):
-        lay = SuperframeLayout(preamble_len=1, n_slots=3, frame_len=4, silence_len=1)
-        frames = [np.zeros((1, 4), dtype=complex)] * 2
-        with pytest.raises(SlotMismatch):
-            assemble_superframe(frames, lay)
-
-    def test_frame_shape_mismatch(self):
-        lay = SuperframeLayout(preamble_len=1, n_slots=2, frame_len=4, silence_len=1)
-        frames = [np.zeros((1, 4), dtype=complex), np.zeros((1, 3), dtype=complex)]
-        with pytest.raises(SlotMismatch):
-            assemble_superframe(frames, lay)
-
-    def test_default_layout_slot_count(self):
-        lay = SuperframeLayout()
-        frames = [np.zeros((2, 300), dtype=complex)] * 41
-        with pytest.raises(SlotMismatch):
-            assemble_superframe(frames, lay)
-
-    def test_silence_supports_noise_estimation(self):
-        lay = SuperframeLayout(preamble_len=10, n_slots=2, frame_len=20, silence_len=5000)
-        frames = [np.ones((1, 20), dtype=complex)] * 2
-        stream, _ = assemble_superframe(frames, lay)
-        rng = np.random.Generator(np.random.PCG64(2))
-        n0 = 0.5
-        noisy = stream + np.sqrt(n0 / 2) * (
-            rng.normal(size=stream.shape) + 1j * rng.normal(size=stream.shape)
-        )
-        silence = noisy[:, -lay.silence_len :]
-        assert_allclose(estimate_noise(silence), n0, rtol=0.05)
-
-
 class TestConfigParsing:
     def test_happy_path(self):
         cfg = parse_config(BASE_CONFIG)
@@ -198,10 +131,6 @@ class TestConfigParsing:
             SweepConfig(code="alamouti", ebn0_db=(1.0,), csi="genie")
         with pytest.raises(ConfigError):
             SweepConfig(code="trellis", ebn0_db=(1.0,))  # needs trellis_file
-
-    def test_config_with_seed(self):
-        cfg = parse_config(BASE_CONFIG)
-        assert config_with_seed(cfg, 99).seed == 99
 
 
 class TestBuildSetup:
@@ -342,7 +271,7 @@ class TestRunSweep:
         )
         a = run_sweep(cfg).to_csv()
         b = run_sweep(cfg, workers=4).to_csv()
-        c = run_sweep(config_with_seed(cfg, 9), workers=2).to_csv()
+        c = run_sweep(replace(cfg, seed=9), workers=2).to_csv()
         assert a == b == c
 
     def test_seed_changes_stream(self):
@@ -357,7 +286,7 @@ class TestRunSweep:
             seed=0,
         )
         a = run_sweep(cfg).to_csv()
-        b = run_sweep(config_with_seed(cfg, 1)).to_csv()
+        b = run_sweep(replace(cfg, seed=1)).to_csv()
         assert a != b
 
     def test_noiseless_sentinel_is_error_free(self):
@@ -463,3 +392,184 @@ class TestRunSweep:
         assert ml.frame_errors == sp.frame_errors
         assert ml.bit_errors == sp.bit_errors
         assert sp.mean_decoder_nodes < ml.mean_decoder_nodes
+
+
+TRELLIS_FILE = str(
+    importlib.resources.files("stclab") / "codes" / "delay_diversity_4state_qpsk.txt"
+)
+
+
+def old_simulate_frame(setup, si, fi, es):
+    """The one-frame pipeline as it ran before frames were batched."""
+    cfg = setup.cfg
+    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, fi))
+    bits_ss, fade_ss, noise_ss = ss.spawn(3)
+    bits_rng = np.random.Generator(np.random.PCG64(bits_ss))
+    fade_rng = np.random.Generator(np.random.PCG64(fade_ss))
+    noise_rng = np.random.Generator(np.random.PCG64(noise_ss))
+
+    bits = bits_rng.integers(0, 2, size=setup.info_bits)
+    if setup.trellis is not None:
+        x_data = encode_trellis(bits, setup.trellis)
+    else:
+        cb = setup.codebook
+        idx = bits_to_patterns(bits, cb.bits_per_codeword)
+        x_data = cb.codewords[idx].transpose(1, 0, 2).reshape(cb.lt, -1)
+    nf = cfg.frame_uses
+    if cfg.csi == "pilot":
+        x = np.zeros((cfg.lt, nf), dtype=complex)
+        x[:, setup.data_positions] = x_data
+        for start in setup.pmap.block_starts:
+            x[:, start : start + cfg.lt] = setup.pmap.pilot_matrix
+    else:
+        x = x_data
+    params = ChannelParams(
+        lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
+    )
+    h = generate_fading(nf, params, setup.rtx, setup.rrx, fade_rng)
+    rx = apply_channel(x, h, params, noise_rng)
+    if cfg.csi == "pilot":
+        h_dec = estimate_channel(rx, setup.pmap, setup.wiener)
+        y_data = rx.y[setup.data_positions]
+        h_data = h_dec[setup.data_positions]
+    else:
+        y_data = rx.y
+        h_data = h
+    res = _decode_data(setup, y_data, h_data, es)
+    bit_errors = int(np.count_nonzero(res.bits != bits))
+    return bit_errors > 0, bit_errors, setup.info_bits, res.visited
+
+
+def serial_sweep(cfg):
+    """The frame-by-frame sweep with its stopping rule, as CSV text."""
+    setup = build_setup(cfg)
+    rows = []
+    for si, ebn0 in enumerate(cfg.ebn0_db):
+        es = _es_for(setup, ebn0)
+        frames = errors = bits = bit_errors = nodes = 0
+        for fi in range(cfg.max_frames):
+            fe, be, nb, nv = old_simulate_frame(setup, si, fi, es)
+            frames += 1
+            errors += int(fe)
+            bits += nb
+            bit_errors += be
+            nodes += nv
+            if errors >= cfg.min_frame_errors:
+                break
+        lo, hi = wilson_interval(errors, frames)
+        rows.append(
+            SweepRow(
+                float(ebn0),
+                frames,
+                errors,
+                errors / frames if frames else 0.0,
+                lo,
+                hi,
+                bits,
+                bit_errors,
+                bit_errors / bits if bits else 0.0,
+                nodes / frames if frames else 0.0,
+            )
+        )
+    return SweepResult(rows=tuple(rows)).to_csv()
+
+
+PAIRS = [
+    ("alamouti", "combiner", 1),
+    ("alamouti", "ml", 2),
+    ("golden", "ml", 2),
+    ("golden", "sphere", 2),
+    ("spatial_multiplex", "ml", 2),
+    ("spatial_multiplex", "sphere", 2),
+    ("trellis", "viterbi", 2),
+]
+CHANNELS = {
+    "perfect-static": dict(),
+    "perfect-clarke": dict(channel_mode="clarke_varying", fdt=0.02),
+    "pilot-static": dict(csi="pilot", pilot_count=8, pilot_taps=4),
+    "pilot-clarke": dict(
+        csi="pilot", pilot_count=8, pilot_taps=4, channel_mode="clarke_varying", fdt=0.02
+    ),
+}
+
+
+def small_config(code, decoder, lr, channel, **extra):
+    kw = dict(
+        code=code,
+        decoder=decoder,
+        lr=lr,
+        ebn0_db=(2.0, 9.0),
+        frame_uses=40,
+        seed=11,
+        trellis_file=TRELLIS_FILE if code == "trellis" else None,
+    )
+    kw.update(CHANNELS[channel])
+    kw.update(extra)
+    return SweepConfig(**kw)
+
+
+class TestFrameBatches:
+    @pytest.mark.parametrize("channel", sorted(CHANNELS))
+    @pytest.mark.parametrize("code, decoder, lr", PAIRS)
+    def test_batch_equals_old_per_frame_pipeline(self, code, decoder, lr, channel):
+        setup = build_setup(small_config(code, decoder, lr, channel))
+        for si, ebn0 in enumerate(setup.cfg.ebn0_db):
+            es = _es_for(setup, ebn0)
+            want = [old_simulate_frame(setup, si, fi, es) for fi in range(9)]
+            got = simulate_frames(setup, si, range(9), es)
+            assert got == want
+            assert simulate_frame(setup, si, 4, es) == want[4]
+            assert simulate_frames(setup, si, [7, 2], es) == [want[7], want[2]]
+
+    @pytest.mark.parametrize("channel", ["perfect-static", "pilot-clarke"])
+    @pytest.mark.parametrize("code, decoder, lr", PAIRS)
+    def test_sweep_stopping_on_errors_matches_serial(self, code, decoder, lr, channel):
+        cfg = small_config(
+            code, decoder, lr, channel, ebn0_db=(0.0, 6.0), min_frame_errors=5,
+            max_frames=400,
+        )
+        want = serial_sweep(cfg)
+        assert run_sweep(cfg).to_csv() == want
+        assert run_sweep(cfg, workers=3).to_csv() == want
+
+    def test_batch_size_not_dividing_max_frames(self, monkeypatch):
+        cfg = small_config(
+            "alamouti", "combiner", 1, "perfect-static", max_frames=2 * BATCH_MAX + 7,
+            min_frame_errors=10**6,
+        )
+        want = serial_sweep(cfg)
+        assert run_sweep(cfg).to_csv() == want
+        monkeypatch.setattr(harness, "BATCH_MAX", 4)
+        assert run_sweep(replace(cfg, max_frames=10)).to_csv() == serial_sweep(
+            replace(cfg, max_frames=10)
+        )
+
+    def test_zero_max_frames_simulates_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            harness, "simulate_frames", lambda *a: calls.append(a) or []
+        )
+        cfg = small_config("golden", "ml", 2, "perfect-static", max_frames=0)
+        rows = run_sweep(cfg, workers=2).rows
+        assert calls == []
+        assert [(r.frames, r.bits, r.fer_ci_lo, r.fer_ci_hi) for r in rows] == [
+            (0, 0, 0.0, 1.0)
+        ] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_no_frame_past_the_stopping_frame(self, monkeypatch, workers):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return generate_fading(*args)
+
+        monkeypatch.setattr(harness, "generate_fading", counting)
+        cfg = small_config(
+            "alamouti", "combiner", 1, "perfect-static", ebn0_db=(0.0, 30.0),
+            min_frame_errors=3, max_frames=500,
+        )
+        rows = run_sweep(cfg, workers=workers).rows
+        assert rows[0].frame_errors == 3 and rows[0].frames < 500
+        assert len(calls) == sum(r.frames for r in rows)
+        assert SweepResult(rows=rows).to_csv() == serial_sweep(cfg)

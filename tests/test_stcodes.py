@@ -1,6 +1,7 @@
 """Tests for the block encoders, codebook enumeration, and the trellis code
 machinery (parser, termination, frame encoding)."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,37 @@ class TestSpatialMultiplex:
         with pytest.raises(InvalidCount, match="4194304 codewords"):
             spatial_multiplex_codebook(QPSK, lt=11, n_uses=1)
 
+    @pytest.mark.parametrize(
+        "c, lt, n_uses, sha",
+        [
+            (QAM16, 5, 1, "4120353dac031f4b513b4451e78e044657f91bedd44c4b588d164b19dd5c1ff7"),
+            (QPSK, 3, 2, "583d3288b700d09822322fa6af7eb04a7f7cf8aef0b95f3fcba0500bf273e409"),
+            (QAM16, 2, 2, "241da27d5d85bd458271ac6b6f4069398238777fcd6911196222cb4944d3b151"),
+        ],
+    )
+    def test_codebook_bytes_are_pinned(self, c, lt, n_uses, sha):
+        # digests of the codewords the one-shot build produced
+        cb = spatial_multiplex_codebook(c, lt=lt, n_uses=n_uses)
+        assert hashlib.sha256(cb.codewords.tobytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize("slice_elements", [1, 7, 100])
+    def test_codebook_slices_join_seamlessly(self, monkeypatch, slice_elements):
+        want = spatial_multiplex_codebook(QPSK, lt=2, n_uses=2).codewords
+        monkeypatch.setattr(stcodes, "DUPLICATE_SLICE_ELEMENTS", slice_elements)
+        got = spatial_multiplex_codebook(QPSK, lt=2, n_uses=2).codewords
+        assert got.tobytes() == want.tobytes()
+
+    def test_largest_codebook_builds_in_bounded_memory(self):
+        # 2^20 words of 5 x 1, 80 MB; the one-shot build peaked at 200 MB
+        tracemalloc.start()
+        try:
+            cb = spatial_multiplex_codebook(QAM16, lt=5, n_uses=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cb.size == CODEBOOK_CAP
+        assert peak <= 130 * 2**20
+
 
 
 class TestDuplicateCheck:
@@ -318,7 +350,38 @@ class TestTrellisParsing:
             load_trellis(text)
 
 
+def sequential_encode(bits, code):
+    """The state-by-state encoder that frame batches replaced: the tail is
+    the end-of-data state's whole termination sequence."""
+    patterns = [int("".join(map(str, g)), 2) for g in np.reshape(bits, (-1, code.bits_per_step))]
+    state, cols = 0, []
+    for u in patterns:
+        cols.append(code.out_idx[state, u])
+        state = code.next_state[state, u]
+    for u in code.term_inputs[state]:
+        cols.append(code.out_idx[state, u])
+        state = code.next_state[state, u]
+    return code.constellation.points[np.array(cols)].T / np.sqrt(code.lt)
+
+
 class TestTrellisEncoding:
+    @pytest.mark.parametrize("seed", [0, 1, 3, 6, 7])
+    def test_batch_equals_sequential_with_multi_step_tails(self, seed):
+        # random 8-state codes whose termination tails take 3 to 6 steps
+        rng = np.random.default_rng(seed)
+        lines = ["trellis 8 1 2 QPSK"]
+        for s in range(8):
+            for u in range(2):
+                lines.append(f"{s} {u} {rng.integers(8)} {rng.integers(4)} {rng.integers(4)}")
+        code = load_trellis("\n".join(lines))
+        assert code.n_term_steps >= 3
+        bits = rng.integers(0, 2, (4, 10))
+        batch = encode_trellis(bits, code)
+        for row, x in zip(bits, batch):
+            want = sequential_encode(row, code)
+            assert x.tobytes() == want.tobytes()
+            assert encode_trellis(row, code).tobytes() == want.tobytes()
+
     def test_termination_table(self):
         code = load_packaged_trellis()
         assert code.n_term_steps == 1
