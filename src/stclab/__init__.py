@@ -20,8 +20,6 @@ from .mathcore import (
     Constellation,
     bessel_j0,
     hermitian_eigenvalues,
-    map_bits,
-    numerical_rank,
     toeplitz_cholesky,
 )
 from .stcodes import (

@@ -107,16 +107,15 @@ class WienerInterpolator:
         return self.weights.shape[0]
 
 
-def _solve_design(r, p):
+def _design_factor(r):
+    """Cholesky factor of a design covariance, with one jitter retry."""
     try:
-        cf = scipy.linalg.cho_factor(r, lower=True)
-        return scipy.linalg.cho_solve(cf, p)
+        return scipy.linalg.cho_factor(r, lower=True)
     except scipy.linalg.LinAlgError:
         pass
     jitter = CHOL_JITTER * np.trace(r) / r.shape[0]
     try:
-        cf = scipy.linalg.cho_factor(r + jitter * np.eye(r.shape[0]), lower=True)
-        return scipy.linalg.cho_solve(cf, p)
+        return scipy.linalg.cho_factor(r + jitter * np.eye(r.shape[0]), lower=True)
     except scipy.linalg.LinAlgError:
         raise SingularCovariance(
             "pilot covariance solve failed after jitter"
@@ -149,21 +148,20 @@ def design_wiener(
     block_idx = np.zeros((pmap.nf, taps), dtype=int)
     weights = np.zeros((pmap.nf, taps))
     mmse = np.zeros(pmap.nf)
-    factor_cache = {}
+    # nearby positions share their tap window: factor each window once
+    factors = {}
     for k in range(pmap.nf):
         order = np.argsort(np.abs(centers - k), kind="stable")
         sel = np.sort(order[:taps])
         key = sel.tobytes()
-        if key not in factor_cache:
+        if key not in factors:
             dc = centers[sel]
             r = bessel_j0(2.0 * np.pi * fdT_design * (dc[:, None] - dc[None, :]))
-            r = np.atleast_2d(r) + noise_var * np.eye(taps)
-            factor_cache[key] = r
-        r = factor_cache[key]
+            factors[key] = _design_factor(np.atleast_2d(r) + noise_var * np.eye(taps))
         p = np.atleast_1d(
             bessel_j0(2.0 * np.pi * fdT_design * (centers[sel] - k))
         )
-        w = _solve_design(r, p)
+        w = scipy.linalg.cho_solve(factors[key], p)
         block_idx[k] = sel
         weights[k] = w
         mmse[k] = 1.0 - float(p @ w)

@@ -108,9 +108,17 @@ def spatial_correlation(g: ArrayGeometry):
 
 @functools.lru_cache(maxsize=16)
 def _temporal_factor(nf, fdT):
-    """Cholesky factor of the nf x nf Clarke Toeplitz correlation matrix."""
+    """Transposed Cholesky factor of the nf x nf Clarke Toeplitz correlation
+    matrix, stored complex and contiguous.
+
+    ``g @ factor`` then multiplies the complex innovations without casting
+    the real factor for every frame, with the same result bits.
+    """
     lags = np.arange(nf)
-    return toeplitz_cholesky(bessel_j0(2.0 * np.pi * fdT * lags))
+    f = toeplitz_cholesky(bessel_j0(2.0 * np.pi * fdT * lags))
+    ft = np.ascontiguousarray(f.T, dtype=complex)
+    ft.flags.writeable = False
+    return ft
 
 
 @functools.lru_cache(maxsize=16)
@@ -148,8 +156,7 @@ def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
     w = rng.standard_normal((p.lr, p.lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
     if not static:
-        f = _temporal_factor(nf, p.fdT)
-        g = g @ f.T  # (lr, lt, nf), each path now Clarke-correlated
+        g = g @ _temporal_factor(nf, p.fdT)  # (lr, lt, nf), Clarke-correlated
     a = _spatial_factor(p.lr, rrx.tobytes())
     b = _spatial_factor(p.lt, rtx.tobytes())
     h = np.einsum("ri,ijk,tj->rtk", a, g, b)

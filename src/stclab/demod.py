@@ -31,6 +31,10 @@ from .stcodes import (
 
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
+# Values per temporary in one chunk of the time-varying metric kernel
+# (six float arrays' worth, 1.5 MB in all), sized by measurement so that
+# its passes run in cache.
+ML_TILE_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,9 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     ``ML_SLICE_ELEMENTS`` complex values, whatever the frame length and
     codebook size.  When H is the same at every use (a quasi-static frame)
     each candidate's prediction sqrt(Es) H X is computed once per slice and
-    shared by all blocks; otherwise it is computed per block.  A codebook
+    shared by all blocks; otherwise it is computed per block, by
+    :func:`_varying_metrics` unless a block has one use and one antenna
+    (then the einsum's output already runs along the words).  A codebook
     that gives its distinct columns has each column predicted once under
     a quasi-static H, by the same einsum, and the words' predictions
     gathered from them.  Either way the metric is the direct
@@ -120,29 +126,32 @@ def _ml_frame(yv, h, cb, es):
     u = cb.n_uses
     nb = yv.shape[0] // u
     lr = yv.shape[1]
-    yb = yv.reshape(nb, u, lr)[:, None]
+    yb = yv.reshape(nb, u, lr)
     hb = h.reshape(nb, u, lr, h.shape[2])
+    static = np.all(h == h[:1])
     col_pred = None
-    if np.all(h == h[:1]):
-        hb = hb[:1]
-        if cb.columns is not None:
-            # a word's prediction at a use depends only on that use's
-            # column: predict each distinct column once and gather
-            col_pred = np.sqrt(es) * np.einsum(
-                "bkij,njk->bnki", hb[:, :1], cb.columns[:, :, None]
-            )[:, :, 0]
+    if static and cb.columns is not None:
+        # a word's prediction at a use depends only on that use's column:
+        # predict each distinct column once and gather
+        col_pred = np.sqrt(es) * np.einsum(
+            "bkij,njk->bnki", hb[:1, :1], cb.columns[:, :, None]
+        )[:, :, 0]
     step = max(1, ML_SLICE_ELEMENTS // max(nb * u * lr, 1))
     best = np.full(nb, np.inf)
     idx = np.zeros(nb, dtype=int)
     blocks = np.arange(nb)
     for start in range(0, cb.size, step):
-        if col_pred is not None:
-            pred = col_pred[:, cb.column_index[start : start + step]]
+        words = cb.codewords[start : start + step]
+        if static or u * lr == 1:
+            if col_pred is not None:
+                pred = col_pred[:, cb.column_index[start : start + step]]
+            else:
+                pred = np.sqrt(es) * np.einsum(
+                    "bkij,njk->bnki", hb[:1] if static else hb, words
+                )
+            metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
         else:
-            pred = np.sqrt(es) * np.einsum(
-                "bkij,njk->bnki", hb, cb.codewords[start : start + step]
-            )
-        metrics = np.sum(np.abs(yb - pred) ** 2, axis=(2, 3))
+            metrics = _varying_metrics(yb, hb, words, es)
         pick = np.argmin(metrics, axis=1)
         found = metrics[blocks, pick]
         better = found < best
@@ -150,6 +159,112 @@ def _ml_frame(yv, h, cb, es):
         idx[better] = pick[better] + start
     bits = patterns_to_bits(idx, cb.bits_per_codeword)
     return DecodeResult(bits=bits, metric=float(best.sum()), visited=nb * cb.size)
+
+
+def _varying_metrics(yb, hb, words, es):
+    """Metric of every word at every block of a time-varying frame.
+
+    ``yb`` is (nb, u, lr), ``hb`` (nb, u, lr, lt) and ``words``
+    (n, lt, u); returns the (nb, n) metrics, bitwise equal to
+
+        np.sum(np.abs(yb[:, None] - np.sqrt(es)
+                      * np.einsum("bkij,njk->bnki", hb, words)) ** 2,
+               axis=(2, 3))
+
+    The prediction is laid out (use, antenna, block, word), or (use,
+    antenna, word, block) when there are more blocks than words, so every
+    pass runs over the longer of the two axes, contiguous, instead of the
+    short inner axes of the einsum's output.  It is computed on split real
+    and imaginary parts as einsum does: one product per transmit antenna
+    j, as (hr xr - hi xi, hr xi + hi xr), summed in j order.  (Numpy's
+    complex multiply does not round like that.)  The scaling and the
+    residual follow, then the complex ``abs`` and the square, and the sum
+    over (use, antenna) runs in np.sum's order (:func:`_pairwise_sum`).
+    The outer axis goes through in chunks of about ``ML_TILE_ELEMENTS``
+    values per temporary, so the passes stay in cache.
+    """
+    nb, u, lr, lt = hb.shape
+    n = words.shape[0]
+    words_inner = n >= nb
+    outer, inner = (nb, n) if words_inner else (n, nb)
+    # A tile is (use, antenna, outer, inner).  An operand's last axis runs
+    # along the blocks or the words; the unit axis goes on the other side.
+    on_outer, on_inner = (Ellipsis, slice(None), None), (Ellipsis, None, slice(None))
+    at_blocks, at_words = (on_outer, on_inner) if words_inner else (on_inner, on_outer)
+
+    def parts(a, at):
+        # contiguous real and imaginary parts, placed in the tile's axes
+        return [np.ascontiguousarray(c)[at] for c in (a.real, a.imag)]
+
+    # per transmit antenna j: fading (use, antenna, blocks), words (use, 1, words)
+    h = [parts(hb[..., j].transpose(1, 2, 0), at_blocks) for j in range(lt)]
+    x = [parts(words[:, j].T[:, None], at_words) for j in range(lt)]
+    y = parts(yb.transpose(1, 2, 0), at_blocks)
+    scale = np.sqrt(es)
+    chunk = max(1, ML_TILE_ELEMENTS // (u * lr * inner))
+    work = np.empty((4, u * lr * min(chunk, outer) * inner))
+    resid_work = np.empty(work.shape[1], dtype=complex)
+    metrics = np.empty((outer, inner))
+    for a0 in range(0, outer, chunk):
+        a1 = min(a0 + chunk, outer)
+
+        def cut(v):
+            # the operands that run along the outer axis take this chunk
+            return v[..., a0:a1, :] if v.shape[-2] > 1 else v
+
+        shape = (u, lr, a1 - a0, inner)
+        size = math.prod(shape)
+        pred_r, pred_i, term, prod = (w[:size].reshape(shape) for w in work)
+        resid = resid_work[:size].reshape(shape)
+        for j in range(lt):
+            hr, hi = map(cut, h[j])
+            xr, xi = map(cut, x[j])
+            # einsum's complex product: (hr xr - hi xi) + i (hr xi + hi xr)
+            for acc, a, b, c, d, combine in (
+                (pred_r, hr, xr, hi, xi, np.subtract),
+                (pred_i, hr, xi, hi, xr, np.add),
+            ):
+                out = term if j else acc
+                np.multiply(a, b, out=out)
+                np.multiply(c, d, out=prod)
+                combine(out, prod, out=out)
+                if j:
+                    np.add(acc, term, out=acc)
+        for acc, y_part, r_part in zip((pred_r, pred_i), y, (resid.real, resid.imag)):
+            np.multiply(acc, scale, out=acc)
+            np.subtract(cut(y_part), acc, out=r_part)
+        sq = np.abs(resid, out=pred_r)
+        np.multiply(sq, sq, out=sq)
+        metrics[a0:a1] = _pairwise_sum(sq.reshape(u * lr, a1 - a0, inner))
+    return metrics if words_inner else metrics.T
+
+
+def _pairwise_sum(terms):
+    """Sum over the leading axis in the order np.sum sums a contiguous axis.
+
+    Below 8 terms they are added in sequence.  From 8 to 128 terms, 8
+    interleaved partial sums are combined as ((0 + 1) + (2 + 3)) +
+    ((4 + 5) + (6 + 7)), and the last n % 8 terms are added in sequence.
+    Above 128 terms, the first half (rounded down to a multiple of 8) and
+    the rest are summed this way and added.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = terms[:8].copy()
+        for i in range(8, whole, 8):
+            r += terms[i : i + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in terms[whole:]:
+            total = total + t
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def viterbi_decode(y, h, code: TrellisCode, es):
@@ -169,11 +284,14 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         )
     s_count, u_count = code.n_states, code.n_inputs
     cand = code.constellation.points[code.out_idx] / np.sqrt(code.lt)
-    # branch metrics frame by frame, so temporaries stay one frame's size
-    bm = np.empty((n_frames, nf, s_count, u_count))
-    for f in range(n_frames):
-        pred = np.sqrt(es) * np.einsum("kij,suj->ksui", h[f], cand)
-        bm[f] = np.sum(np.abs(yv[f, :, None, None, :] - pred) ** 2, axis=3)
+    # branch metrics: every use of every frame is a one-use block, and every
+    # (state, input) branch output a one-use word
+    bm = _varying_metrics(
+        yv.reshape(-1, 1, lr),
+        h.reshape(-1, 1, lr, h.shape[3]),
+        cand.reshape(-1, code.lt, 1),
+        es,
+    ).reshape(n_frames, nf, s_count, u_count)
 
     # incoming transitions per state, each row sorted by (state, input) so
     # argmin's first-hit rule implements the documented tie-break

@@ -1,9 +1,9 @@
 """Numerical kernels shared by the whole simulator.
 
 Hermitian eigenvalue helpers, Toeplitz Cholesky factorization for exact
-Clarke-correlated sample generation, numerical rank, the zeroth-order Bessel
-function, and the two unit-energy constellations (QPSK, 16QAM) with their
-fixed Gray labelings.
+Clarke-correlated sample generation, the zeroth-order Bessel function, and
+the two unit-energy constellations (QPSK, 16QAM) with their fixed Gray
+labelings.
 """
 
 from dataclasses import dataclass, field
@@ -49,20 +49,6 @@ def hermitian_eigenvalues(m, tol=1e-10):
         )
     w = np.linalg.eigvalsh(m)
     return np.real(w)[::-1].copy()
-
-
-def numerical_rank(m, rel_tol=RANK_TOL):
-    """Number of singular values above ``rel_tol`` times the largest one.
-
-    The zero matrix has rank 0.  ``rel_tol`` must lie in (0, 1).
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    m = np.atleast_2d(np.asarray(m))
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def cholesky_psd(m):
@@ -186,10 +172,3 @@ def patterns_to_bits(patterns, bits_per_symbol):
     patterns = np.asarray(patterns, dtype=int)
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
     return ((patterns[:, None] >> shifts) & 1).reshape(-1)
-
-
-def map_bits(bits, c: Constellation):
-    """Map a bit sequence to constellation points per the fixed labeling."""
-    patterns = bits_to_patterns(bits, c.bits_per_symbol)
-    idx = np.array([c.labeling[int(p)] for p in patterns], dtype=int)
-    return c.points[idx]

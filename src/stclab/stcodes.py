@@ -526,11 +526,12 @@ def trellis_path_codebook(code: TrellisCode, n_steps):
     n_cols = n_steps + code.n_term_steps
     cols = np.zeros((n_words, n_cols, code.lt), dtype=int)
     state = np.zeros(n_words, dtype=int)
+    inputs = patterns
     for k in range(n_cols):
-        if k < n_steps:
-            u = patterns[:, k]
-        else:
-            u = code.term_inputs[state, k - n_steps]
+        if k == n_steps:
+            # the tail of each end-of-data state, as encode_trellis takes it
+            inputs = np.concatenate([patterns, code.term_inputs[state]], axis=1)
+        u = inputs[:, k]
         cols[:, k] = code.out_idx[state, u]
         state = code.next_state[state, u]
     if np.any(state != 0):

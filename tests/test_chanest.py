@@ -3,6 +3,7 @@ pilot-based channel estimation."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from stclab.chanest import (
@@ -14,11 +15,35 @@ from stclab.chanest import (
 )
 from stclab.channel import ChannelParams, apply_channel, generate_fading
 from stclab.errors import InvalidCount, ShapeMismatch
-from stclab.mathcore import bessel_j0
+from stclab.mathcore import CHOL_JITTER, bessel_j0
 
 
 def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def per_position_design(pmap, fdt, snr, taps):
+    """The Wiener design that factored R again at every frame position,
+    kept as the bitwise reference for the one that factors each tap window
+    once.  Returns (weights, mmse)."""
+    centers = pmap.block_centers
+    noise_var = 0.0 if np.isinf(snr) else 10.0 ** (-snr / 10.0)
+    weights = np.zeros((pmap.nf, taps))
+    mmse = np.zeros(pmap.nf)
+    for k in range(pmap.nf):
+        sel = np.sort(np.argsort(np.abs(centers - k), kind="stable")[:taps])
+        dc = centers[sel]
+        r = bessel_j0(2.0 * np.pi * fdt * (dc[:, None] - dc[None, :]))
+        r = np.atleast_2d(r) + noise_var * np.eye(taps)
+        p = np.atleast_1d(bessel_j0(2.0 * np.pi * fdt * (centers[sel] - k)))
+        try:
+            cf = scipy.linalg.cho_factor(r, lower=True)
+        except scipy.linalg.LinAlgError:
+            jitter = CHOL_JITTER * np.trace(r) / taps
+            cf = scipy.linalg.cho_factor(r + jitter * np.eye(taps), lower=True)
+        weights[k] = scipy.linalg.cho_solve(cf, p)
+        mmse[k] = 1.0 - float(p @ weights[k])
+    return weights, mmse
 
 
 def pilot_frame(pmap, h, p, rng):
@@ -142,6 +167,38 @@ class TestWienerDesign:
             wk = np.linalg.solve(r, p)
             assert_allclose(w.weights[k], wk, atol=1e-9)
             assert_allclose(w.mmse[k], 1 - p @ wk, atol=1e-9)
+
+    # the default frame; a noise-free static design, whose R is singular
+    # and takes the jitter retry; one tap; a short frame of four blocks
+    @pytest.mark.parametrize(
+        "nf, lt, count, fdt, snr, taps",
+        [
+            (300, 2, 72, 0.01, 30.0, 20),
+            (300, 2, 72, 0.0, np.inf, 8),
+            (300, 1, 40, 0.02, 12.0, 1),
+            (60, 2, 8, 0.02, 15.0, 3),
+        ],
+    )
+    def test_bitwise_equal_to_per_position_factoring(self, nf, lt, count, fdt, snr, taps):
+        pm = build_pilot_map(nf, lt, count)
+        w = design_wiener(pm, fdt, snr, taps)
+        want_weights, want_mmse = per_position_design(pm, fdt, snr, taps)
+        np.testing.assert_array_equal(w.weights.view(np.uint64), want_weights.view(np.uint64))
+        np.testing.assert_array_equal(w.mmse.view(np.uint64), want_mmse.view(np.uint64))
+
+    def test_factors_each_tap_window_once(self, monkeypatch):
+        calls = []
+        factor = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        pm = build_pilot_map(300, 2, 72)
+        w = design_wiener(pm, 0.01, 30.0, 20)
+        windows = {row.tobytes() for row in w.block_idx}
+        assert len(calls) == len(windows) < pm.nf
 
 
 class TestEstimation:

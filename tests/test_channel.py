@@ -15,7 +15,7 @@ from stclab.channel import (
     spatial_correlation,
 )
 from stclab.errors import ShapeMismatch
-from stclab.mathcore import bessel_j0
+from stclab.mathcore import bessel_j0, cholesky_psd, toeplitz_cholesky
 
 
 def make_rng(seed):
@@ -180,6 +180,22 @@ class TestGenerateFading:
             num += (h[0, 0, 0] * np.conj(h[0, 1, 0])).real
             den += abs(h[0, 0, 0]) ** 2
         assert_allclose(num / den, -0.3042, atol=0.03)
+
+    @pytest.mark.parametrize("nf", [60, 300, 301])
+    def test_cached_complex_factor_bitwise_equals_real_factor(self, nf):
+        # the form the cached complex factor replaced: the real Cholesky
+        # factor, cast to complex inside g @ f.T on every frame
+        rtx = spatial_correlation(ArrayGeometry.from_preset("tx_linear_1.0").truncate(2))
+        rrx = spatial_correlation(ArrayGeometry.from_preset("rx_square_0.5").truncate(3))
+        p = ChannelParams(lt=2, lr=3, fdT=0.01, es=1.0, n0=1.0)
+        f = toeplitz_cholesky(bessel_j0(2 * np.pi * 0.01 * np.arange(nf)))
+        for seed in range(3):
+            w = make_rng(nf + seed).standard_normal((3, 2, nf, 2))
+            g = (w.view(complex)[..., 0] / np.sqrt(2.0)) @ f.T
+            a, b = cholesky_psd(rrx), cholesky_psd(rtx)
+            want = np.einsum("ri,ijk,tj->rtk", a, g, b).transpose(2, 0, 1).copy()
+            got = generate_fading(nf, p, rtx, rrx, make_rng(nf + seed))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestApplyChannel:

@@ -19,7 +19,7 @@ from stclab.demod import (
     viterbi_decode,
 )
 from stclab.errors import ModelMismatch, NonStaticBlock, ShapeMismatch
-from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, map_bits, patterns_to_bits
+from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, patterns_to_bits
 from stclab.stcodes import (
     alamouti_codebook,
     encode_alamouti,
@@ -278,6 +278,81 @@ class TestSlicedKernel:
         np.testing.assert_array_equal(res.bits, patterns_to_bits(idx, 16))
 
 
+class TestVaryingKernel:
+    """Exact ML under a time-varying H, with the longer of the word and
+    block axes innermost."""
+
+    CODEBOOKS = {
+        "golden_qpsk": lambda: golden_codebook(QPSK),
+        "spatial_multiplex_qpsk_lt3": lambda: spatial_multiplex_codebook(QPSK, lt=3),
+        "trellis_paths_4": lambda: trellis_path_codebook(load_packaged_trellis(), 4),
+    }
+
+    # u * lr per block: golden 2, 6, 8; spatial multiplexing 1, 3, 4;
+    # trellis paths 5, 15, 20 (np.sum's pairwise order starts at 8 terms)
+    @pytest.mark.parametrize(
+        "tiles", [(demod.ML_SLICE_ELEMENTS, demod.ML_TILE_ELEMENTS), (300, 100)]
+    )
+    @pytest.mark.parametrize("lr", [1, 3, 4])
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_bitwise_equal_to_one_shot(self, name, lr, tiles, monkeypatch):
+        # the small caps give slices of fewer words than blocks (so the
+        # blocks run innermost), each in several chunks
+        monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", tiles[0])
+        monkeypatch.setattr(demod, "ML_TILE_ELEMENTS", tiles[1])
+        cb = self.CODEBOOKS[name]()
+        for t in range(4):
+            rng = make_rng(9000 + t)
+            idx = rng.integers(0, cb.size, size=7)
+            x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+            es = 10 ** (rng.uniform(-2, 15) / 10)
+            frame, h = transmit(x, lr, es, 1.0, make_rng(9100 + t), fdt=0.05)
+            assert not np.all(h == h[0])
+            res = ml_exhaustive_blocks(frame, h, cb, es)
+            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
+            np.testing.assert_array_equal(res.bits, want_bits)
+            assert repr(res.metric) == repr(want_metric)
+            assert res.visited == 7 * cb.size
+
+    @pytest.mark.parametrize("nb, n", [(6, 11), (11, 6)])
+    @pytest.mark.parametrize(
+        "u, lr, lt",
+        [(1, 1, 1), (2, 2, 2), (3, 3, 2), (9, 4, 3), (32, 4, 2), (34, 4, 2), (41, 5, 2)],
+    )
+    def test_metrics_equal_einsum_sum(self, u, lr, lt, nb, n, monkeypatch):
+        # every metric, for 1 to 205 terms per block: above 128, np.sum
+        # splits the terms in two before its 8-way sums.  More words than
+        # blocks puts the words innermost, fewer puts the blocks there.
+        monkeypatch.setattr(demod, "ML_TILE_ELEMENTS", 1000)
+        rng = make_rng(u * 100 + lr)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        yb, hb, words = cn(nb, u, lr), cn(nb, u, lr, lt), cn(n, lt, u)
+        es = 2.7
+        pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb, words)
+        want = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
+        got = demod._varying_metrics(yb, hb, words, es)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
+        # 40 blocks x 65,536 words: one einsum over them needed ~170 MB
+        cb = golden_codebook(QAM16)
+        nb = 40
+        idx = make_rng(24).integers(0, cb.size, size=nb)
+        x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+        frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(25), fdt=0.01)
+        tracemalloc.start()
+        try:
+            res = ml_exhaustive_blocks(frame, h, cb, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+        np.testing.assert_array_equal(res.bits, patterns_to_bits(idx, 16))
+
+
 class TestViterbi:
     def test_noiseless_round_trip(self):
         code = load_packaged_trellis()
@@ -307,6 +382,25 @@ class TestViterbi:
                 mismatch += 1
             assert_allclose(vd.metric, ml.metric, rtol=1e-9)
         assert mismatch == 0
+
+    @pytest.mark.parametrize("lr", [1, 2, 9])
+    def test_branch_metrics_bitwise_equal_per_frame_einsum(self, lr):
+        # the branch metrics as viterbi_decode computes them, one call for
+        # a batch of frames, against the per-frame einsum they replaced
+        code = load_packaged_trellis()
+        cand = code.constellation.points[code.out_idx] / np.sqrt(code.lt)
+        rng = make_rng(40 + lr)
+        y = rng.standard_normal((3, 50, lr)) + 1j * rng.standard_normal((3, 50, lr))
+        h = rng.standard_normal((3, 50, lr, 2)) + 1j * rng.standard_normal((3, 50, lr, 2))
+        es = 1.9
+        want = np.empty((3, 50, code.n_states, code.n_inputs))
+        for f in range(3):
+            pred = np.sqrt(es) * np.einsum("kij,suj->ksui", h[f], cand)
+            want[f] = np.sum(np.abs(y[f, :, None, None, :] - pred) ** 2, axis=3)
+        got = demod._varying_metrics(
+            y.reshape(-1, 1, lr), h.reshape(-1, 1, lr, 2), cand.reshape(-1, 2, 1), es
+        ).reshape(want.shape)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_length_data(self):
         code = load_packaged_trellis()

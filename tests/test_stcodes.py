@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from stclab.errors import InvalidCount, ParseError, ValidationError
-from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, map_bits
+from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, bits_to_patterns
 from stclab import stcodes
 from stclab.stcodes import (
     CODEBOOK_CAP,
@@ -82,7 +82,7 @@ class TestAlamouti:
         # word n carries bits of n MSB-first; symbol 1 owns the high bits
         cb = alamouti_codebook(QPSK)
         n = 0b0111
-        s = map_bits(np.array([0, 1, 1, 1]), QPSK)
+        s = QPSK.points[bits_to_patterns(np.array([0, 1, 1, 1]), 2)]
         assert_allclose(cb.codewords[n], encode_alamouti(s[0], s[1]), atol=1e-15)
 
 
@@ -449,6 +449,34 @@ class TestTrellisEncoding:
             [encode_trellis((n >> shifts) & 1, code) for n in range(cw.shape[0])]
         )
         np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
+
+    def test_path_codebook_takes_each_end_states_tail(self):
+        # random 8-state, 1-bit QPSK codes; each state's two branches give
+        # different outputs, so all path words are distinct.  The 24 codes
+        # that terminate have tails of 2 to 6 steps, and every word, tail
+        # included, must be the encoder's.
+        tails = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            lines = ["trellis 8 1 2 QPSK"]
+            for state in range(8):
+                outs = rng.choice(16, size=2, replace=False)
+                for u in range(2):
+                    nxt = rng.integers(8)
+                    lines.append(f"{state} {u} {nxt} {outs[u] // 4} {outs[u] % 4}")
+            try:
+                code = load_trellis("\n".join(lines))
+            except ValidationError:  # some state cannot reach state 0
+                continue
+            tails.add(code.n_term_steps)
+            n_steps = 3
+            cw = trellis_path_codebook(code, n_steps).codewords
+            shifts = np.arange(n_steps - 1, -1, -1)
+            want = np.ascontiguousarray(
+                [encode_trellis((n >> shifts) & 1, code) for n in range(2**n_steps)]
+            )
+            np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
+        assert {2, 3, 4, 5, 6} <= tails
 
     def test_path_codebook_distinct(self):
         code = load_packaged_trellis()
