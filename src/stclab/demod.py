@@ -32,8 +32,8 @@ from .stcodes import (
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
 # Values per temporary in one chunk of the time-varying metric kernel
-# (six float arrays' worth, 1.5 MB in all), sized by measurement so that
-# its passes run in cache.
+# (one complex and two float buffers), or one row of its outer axis when
+# that is longer.
 ML_TILE_ELEMENTS = 2**15
 
 
@@ -105,8 +105,7 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     codebook size.  When H is the same at every use (a quasi-static frame)
     each candidate's prediction sqrt(Es) H X is computed once per slice and
     shared by all blocks; otherwise it is computed per block, by
-    :func:`_varying_metrics` unless a block has one use and one antenna
-    (then the einsum's output already runs along the words).  A codebook
+    :func:`_varying_metrics`.  A codebook
     that gives its distinct columns has each column predicted once under
     a quasi-static H, by the same einsum, and the words' predictions
     gathered from them.  Either way the metric is the direct
@@ -142,13 +141,11 @@ def _ml_frame(yv, h, cb, es):
     blocks = np.arange(nb)
     for start in range(0, cb.size, step):
         words = cb.codewords[start : start + step]
-        if static or u * lr == 1:
+        if static:
             if col_pred is not None:
                 pred = col_pred[:, cb.column_index[start : start + step]]
             else:
-                pred = np.sqrt(es) * np.einsum(
-                    "bkij,njk->bnki", hb[:1] if static else hb, words
-                )
+                pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb[:1], words)
             metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
         else:
             metrics = _varying_metrics(yb, hb, words, es)
@@ -171,100 +168,44 @@ def _varying_metrics(yb, hb, words, es):
                       * np.einsum("bkij,njk->bnki", hb, words)) ** 2,
                axis=(2, 3))
 
-    The prediction is laid out (use, antenna, block, word), or (use,
-    antenna, word, block) when there are more blocks than words, so every
-    pass runs over the longer of the two axes, contiguous, instead of the
-    short inner axes of the einsum's output.  It is computed on split real
-    and imaginary parts as einsum does: one product per transmit antenna
-    j, as (hr xr - hi xi, hr xi + hi xr), summed in j order.  (Numpy's
-    complex multiply does not round like that.)  The scaling and the
-    residual follow, then the complex ``abs`` and the square, and the sum
-    over (use, antenna) runs in np.sum's order (:func:`_pairwise_sum`).
-    The outer axis goes through in chunks of about ``ML_TILE_ELEMENTS``
-    values per temporary, so the passes stay in cache.
+    by the same numpy operations on another layout.  The prediction is
+    laid out (use, antenna, block, word), or (use, antenna, word, block)
+    when there are more blocks than words, so the einsum and the
+    elementwise passes run along the longer of the two axes, contiguous,
+    instead of the short inner axes of the einsum's output.  Only the sum
+    runs on a (block, word, use x antenna) copy, the layout the expression
+    above sums.  The outer axis goes through in chunks of about
+    ``ML_TILE_ELEMENTS`` values per temporary, and at least one row, and
+    the chunks reuse the same three buffers.
     """
     nb, u, lr, lt = hb.shape
     n = words.shape[0]
+    terms = u * lr
     words_inner = n >= nb
     outer, inner = (nb, n) if words_inner else (n, nb)
-    # A tile is (use, antenna, outer, inner).  An operand's last axis runs
-    # along the blocks or the words; the unit axis goes on the other side.
-    on_outer, on_inner = (Ellipsis, slice(None), None), (Ellipsis, None, slice(None))
-    at_blocks, at_words = (on_outer, on_inner) if words_inner else (on_inner, on_outer)
-
-    def parts(a, at):
-        # contiguous real and imaginary parts, placed in the tile's axes
-        return [np.ascontiguousarray(c)[at] for c in (a.real, a.imag)]
-
-    # per transmit antenna j: fading (use, antenna, blocks), words (use, 1, words)
-    h = [parts(hb[..., j].transpose(1, 2, 0), at_blocks) for j in range(lt)]
-    x = [parts(words[:, j].T[:, None], at_words) for j in range(lt)]
-    y = parts(yb.transpose(1, 2, 0), at_blocks)
+    y = np.ascontiguousarray(yb.transpose(1, 2, 0))
+    if words_inner:
+        spec, chunked, whole = "bkij,kjn->kibn", hb, words.transpose(2, 1, 0).copy()
+    else:
+        spec, chunked, whole = "njk,kijb->kinb", words, hb.transpose(1, 2, 3, 0).copy()
     scale = np.sqrt(es)
-    chunk = max(1, ML_TILE_ELEMENTS // (u * lr * inner))
-    work = np.empty((4, u * lr * min(chunk, outer) * inner))
-    resid_work = np.empty(work.shape[1], dtype=complex)
+    chunk = min(outer, max(1, ML_TILE_ELEMENTS // (terms * inner)))
+    work = np.empty(terms * chunk * inner, dtype=complex)
+    sq_work, col_work = np.empty((2, work.size))
     metrics = np.empty((outer, inner))
     for a0 in range(0, outer, chunk):
         a1 = min(a0 + chunk, outer)
-
-        def cut(v):
-            # the operands that run along the outer axis take this chunk
-            return v[..., a0:a1, :] if v.shape[-2] > 1 else v
-
         shape = (u, lr, a1 - a0, inner)
         size = math.prod(shape)
-        pred_r, pred_i, term, prod = (w[:size].reshape(shape) for w in work)
-        resid = resid_work[:size].reshape(shape)
-        for j in range(lt):
-            hr, hi = map(cut, h[j])
-            xr, xi = map(cut, x[j])
-            # einsum's complex product: (hr xr - hi xi) + i (hr xi + hi xr)
-            for acc, a, b, c, d, combine in (
-                (pred_r, hr, xr, hi, xi, np.subtract),
-                (pred_i, hr, xi, hi, xr, np.add),
-            ):
-                out = term if j else acc
-                np.multiply(a, b, out=out)
-                np.multiply(c, d, out=prod)
-                combine(out, prod, out=out)
-                if j:
-                    np.add(acc, term, out=acc)
-        for acc, y_part, r_part in zip((pred_r, pred_i), y, (resid.real, resid.imag)):
-            np.multiply(acc, scale, out=acc)
-            np.subtract(cut(y_part), acc, out=r_part)
-        sq = np.abs(resid, out=pred_r)
-        np.multiply(sq, sq, out=sq)
-        metrics[a0:a1] = _pairwise_sum(sq.reshape(u * lr, a1 - a0, inner))
+        pred = np.einsum(spec, chunked[a0:a1], whole, out=work[:size].reshape(shape))
+        np.multiply(scale, pred, out=pred)
+        np.subtract(y[:, :, a0:a1, None] if words_inner else y[:, :, None], pred, out=pred)
+        sq = np.abs(pred, out=sq_work[:size].reshape(shape))
+        np.square(sq, out=sq)
+        cols = col_work[:size].reshape(a1 - a0, inner, terms)
+        np.copyto(cols, np.moveaxis(sq.reshape(terms, a1 - a0, inner), 0, -1))
+        np.sum(cols, axis=2, out=metrics[a0:a1])
     return metrics if words_inner else metrics.T
-
-
-def _pairwise_sum(terms):
-    """Sum over the leading axis in the order np.sum sums a contiguous axis.
-
-    Below 8 terms they are added in sequence.  From 8 to 128 terms, 8
-    interleaved partial sums are combined as ((0 + 1) + (2 + 3)) +
-    ((4 + 5) + (6 + 7)), and the last n % 8 terms are added in sequence.
-    Above 128 terms, the first half (rounded down to a multiple of 8) and
-    the rest are summed this way and added.
-    """
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
-    if n <= 128:
-        whole = n - n % 8
-        r = terms[:8].copy()
-        for i in range(8, whole, 8):
-            r += terms[i : i + 8]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in terms[whole:]:
-            total = total + t
-        return total
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def viterbi_decode(y, h, code: TrellisCode, es):
