@@ -36,7 +36,7 @@ err2 = np.zeros(nf)
 for _ in range(n_frames):
     h = generate_fading(nf, p, np.eye(lt), np.eye(lr), rng)
     frame = apply_channel(x, h, p, rng)
-    err2 += np.sum(np.abs(estimate_channel(frame, pm, w) - h) ** 2, axis=(1, 2))
+    err2 += np.sum(np.abs(estimate_channel(frame, p.es, pm, w) - h) ** 2, axis=(1, 2))
 mse = err2 / (n_frames * lt * lr)
 
 print(f"=== {pm.n_blocks} pilot blocks in {nf} uses, fdT={fdt}, {snr_db:.0f} dB ===")

@@ -49,7 +49,6 @@ from .designmetrics import (
 from .channel import (
     ArrayGeometry,
     ChannelParams,
-    ReceivedFrame,
     apply_channel,
     generate_fading,
     spatial_correlation,

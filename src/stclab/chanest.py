@@ -15,7 +15,6 @@ import scipy.linalg
 
 from .errors import InvalidCount, ShapeMismatch, SingularCovariance
 from .mathcore import CHOL_JITTER, bessel_j0
-from .channel import ReceivedFrame
 
 DESIGN_FDT = 0.01
 DESIGN_SNR_DB = 30.0
@@ -175,23 +174,24 @@ def design_wiener(
     )
 
 
-def raw_block_estimates(y: ReceivedFrame, pmap: PilotMap):
-    """Per-block estimates H_hat = Y_b P^H / sqrt(Es), shape (n_blocks, lr, lt)."""
-    yv = y.y
-    if yv.shape[0] != pmap.nf:
+def raw_block_estimates(y, es, pmap: PilotMap):
+    """Per-block estimates H_hat = Y_b P^H / sqrt(Es) from the (nf, lr)
+    received frame ``y``, shape (n_blocks, lr, lt)."""
+    if y.shape[0] != pmap.nf:
         raise ShapeMismatch(
-            f"frame length {yv.shape[0]} does not match pilot map nf={pmap.nf}"
+            f"frame length {y.shape[0]} does not match pilot map nf={pmap.nf}"
         )
     p = pmap.pilot_matrix
     c = float(np.real((p @ p.conj().T)[0, 0]))
-    blocks = yv[pmap.block_starts[:, None] + np.arange(pmap.lt)]
+    blocks = y[pmap.block_starts[:, None] + np.arange(pmap.lt)]
     # blocks: (n_blocks, lt uses, lr) -> Y_b is (lr, lt uses)
     yb = blocks.transpose(0, 2, 1)
-    return yb @ p.conj().T / (c * np.sqrt(y.es))
+    return yb @ p.conj().T / (c * np.sqrt(es))
 
 
-def estimate_channel(y: ReceivedFrame, pmap: PilotMap, w: WienerInterpolator):
-    """PSAD channel estimate at every frame position, shape (nf, lr, lt).
+def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
+    """PSAD channel estimate at every frame position, shape (nf, lr, lt),
+    from the (nf, lr) received frame ``y`` sent at symbol energy ``es``.
 
     Each transmit-receive path is interpolated independently (spatially
     separable processing), so the result for one receive antenna equals the
@@ -199,6 +199,6 @@ def estimate_channel(y: ReceivedFrame, pmap: PilotMap, w: WienerInterpolator):
     """
     if w.nf != pmap.nf:
         raise ShapeMismatch("interpolator was designed for a different map")
-    raw = raw_block_estimates(y, pmap)
+    raw = raw_block_estimates(y, es, pmap)
     gathered = raw[w.block_idx]  # (nf, taps, lr, lt)
     return np.einsum("ka,kaij->kij", w.weights, gathered)

@@ -11,8 +11,8 @@ with d_mn the element separation in wavelengths (isotropic scattering).
 The received frame is Y(k) = H(k) sqrt(Es) X(k) + N(k) with independent
 circular complex Gaussian noise of variance N0/2 per real dimension.
 
-Shape conventions: a fading realization is an (nf, lr, lt) complex array; a
-received frame holds an (nf, lr) array plus the es/n0 that produced it.
+Shape conventions: a fading realization is an (nf, lr, lt) complex array and
+a received frame an (nf, lr) one; the Es that produced it travels beside it.
 """
 
 import functools
@@ -165,42 +165,16 @@ def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
     return np.ascontiguousarray(h.transpose(2, 0, 1))
 
 
-@dataclass(frozen=True)
-class ReceivedFrame:
-    """Matched-filter outputs Y(k) for one frame, with the es/n0 used.
-
-    ``y`` is (n_uses, lr), or (frames, n_uses, lr) for a batch of frames.
-    """
-
-    y: np.ndarray
-    es: float
-    n0: float
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=complex)
-        object.__setattr__(self, "y", y)
-        if y.ndim not in (2, 3):
-            raise ShapeMismatch("y must be (n_uses, lr) or (frames, n_uses, lr)")
-
-    @property
-    def n_uses(self):
-        return self.y.shape[-2]
-
-    @property
-    def lr(self):
-        return self.y.shape[-1]
-
-
 def apply_channel(x, h, p: ChannelParams, rng):
     """Y(k) = H(k) sqrt(Es) X(k) + N(k) over one frame or a batch of frames.
 
     ``x`` is the lt x n_uses transmit matrix, ``h`` an (n_uses, lr, lt)
-    fading realization.  Noise is circular complex Gaussian, variance N0/2
-    per real dimension, drawn with the receive axis leading (see
-    generate_fading).  A batch gives ``x`` (frames, lt, n_uses), ``h``
+    fading realization; returns the (n_uses, lr) received frame.  Noise is
+    circular complex Gaussian, variance N0/2 per real dimension, drawn with
+    the receive axis leading (see generate_fading).  A batch gives ``x`` (frames, lt, n_uses), ``h``
     (frames, n_uses, lr, lt) and one generator per frame in ``rng``; each
-    frame draws its noise from its own generator, so its output equals the
-    one-frame call.
+    frame draws its noise from its own generator, so its (n_uses, lr) slice
+    of the (frames, n_uses, lr) output equals the one-frame call.
     """
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -223,4 +197,4 @@ def apply_channel(x, h, p: ChannelParams, rng):
     # per-frame "kij,jk->ki"
     xt = np.ascontiguousarray((np.sqrt(p.es) * xb).transpose(0, 2, 1))
     y = np.einsum("bkij,bkj->bki", hb, xt) + noise.transpose(0, 2, 1)
-    return ReceivedFrame(y=y if batch else y[0], es=p.es, n0=p.n0)
+    return y if batch else y[0]

@@ -32,7 +32,7 @@ from .designmetrics import (
     pair_metrics,
     trellis_error_events,
 )
-from .errors import StclabError
+from .errors import InputError, NumericError
 from .harness import parse_config, run_sweep
 from .mathcore import CONSTELLATIONS, bessel_j0
 from .stcodes import (
@@ -49,35 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (
-    "ConfigError",
-    "ParseError",
-    "ValidationError",
-    "InvalidCount",
-    "LengthMismatch",
-    "ShapeMismatch",
-    "ModelMismatch",
-)
-_NUMERIC_ERRORS = (
-    "NotPSD",
-    "NotHermitian",
-    "SingularCovariance",
-    "DepthTooLarge",
-    "NonStaticBlock",
-)
-
 BLOCK_PRESETS = ("alamouti", "golden", "spatial_multiplex")
-
-
-def _classify(exc):
-    name = type(exc).__name__
-    if isinstance(exc, (OSError,)) or name in _CONFIG_ERRORS:
-        return EXIT_CONFIG
-    if name in _NUMERIC_ERRORS or isinstance(
-        exc, (np.linalg.LinAlgError, FloatingPointError, OverflowError)
-    ):
-        return EXIT_NUMERIC
-    raise exc
 
 
 def _cmd_sweep(args):
@@ -336,11 +308,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StclabError, OSError, np.linalg.LinAlgError, FloatingPointError,
-            OverflowError) as e:
-        code = _classify(e)
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return code
+        return EXIT_CONFIG
+    except (NumericError, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

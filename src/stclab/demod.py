@@ -16,7 +16,7 @@ per frame, each equal to the result of decoding that frame alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class DecodeResult:
 def _frames(y, h):
     """A frame or a batch of frames as (frames, n_uses, lr) received and
     (frames, n_uses, lr, lt) fading arrays, and whether a batch was given."""
-    yv = np.asarray(getattr(y, "y", y), dtype=complex)
+    yv = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     batch = yv.ndim == 3
     if not batch:
@@ -251,7 +251,7 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         cand_costs[:, dead] = np.inf
         pick = np.argmin(cand_costs, axis=2)
         back[k] = gather[np.arange(s_count), pick]
-        costs = np.take_along_axis(cand_costs, pick[:, :, None], axis=2)[:, :, 0]
+        costs = cand_costs.min(axis=2)
 
     # deterministic termination tail per end-of-data state (an unreachable
     # state's cost stays infinite)
@@ -503,9 +503,8 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
     scaled = (np.sqrt(es / 2.0) * gain)[:, :, None] * c.points
     idx1 = np.argmin(np.abs(z1[:, :, None] - scaled) ** 2, axis=2)
     idx2 = np.argmin(np.abs(z2[:, :, None] - scaled) ** 2, axis=2)
-    inv_label = np.empty(c.size, dtype=int)
-    inv_label[list(c.labeling.values())] = list(c.labeling.keys())
-    pat = inv_label[np.stack([idx1, idx2], axis=2)]
+    # a point's index is its bit pattern
+    pat = np.stack([idx1, idx2], axis=2)
     bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
     # (2, 2, frames, blocks) codewords -> (frames, nf, lt), use by use
     xt = encode_alamouti(c.points[idx1], c.points[idx2]).transpose(2, 3, 1, 0)

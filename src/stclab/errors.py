@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from both :class:`StclabError` and a
-builtin (ValueError or RuntimeError), so callers may catch either.
+builtin (ValueError or RuntimeError), so callers may catch either.  Each is
+an :class:`InputError` (bad input; the command line exits with code 2) or a
+:class:`NumericError` (a numerical failure; exit code 3).
 """
 
 
@@ -9,23 +11,31 @@ class StclabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitian(StclabError, ValueError):
+class InputError(StclabError):
+    """Malformed or inconsistent configuration, code definition or argument."""
+
+
+class NumericError(StclabError):
+    """Numerical failure on well-formed input."""
+
+
+class NotHermitian(NumericError, ValueError):
     """Matrix is not Hermitian within tolerance."""
 
 
-class NotPSD(StclabError, ValueError):
+class NotPSD(NumericError, ValueError):
     """Matrix is not positive semidefinite (factorization failed after jitter)."""
 
 
-class LengthMismatch(StclabError, ValueError):
+class LengthMismatch(InputError, ValueError):
     """Sequence length violates a divisibility or size requirement."""
 
 
-class ShapeMismatch(StclabError, ValueError):
+class ShapeMismatch(InputError, ValueError):
     """Array shapes do not agree."""
 
 
-class ParseError(StclabError, ValueError):
+class ParseError(InputError, ValueError):
     """Malformed code-definition or config text.
 
     Carries the 1-based line number of the offending line when known.
@@ -38,11 +48,11 @@ class ParseError(StclabError, ValueError):
         super().__init__(message)
 
 
-class ValidationError(StclabError, ValueError):
+class ValidationError(InputError, ValueError):
     """Structurally well-formed input violates a semantic invariant."""
 
 
-class ConfigError(StclabError, ValueError):
+class ConfigError(InputError, ValueError):
     """Bad sweep configuration.  Carries the offending key path."""
 
     def __init__(self, message, key=None):
@@ -52,21 +62,21 @@ class ConfigError(StclabError, ValueError):
         super().__init__(message)
 
 
-class ModelMismatch(StclabError, ValueError):
+class ModelMismatch(InputError, ValueError):
     """Code has no representation in the requested decoder's model class."""
 
 
-class NonStaticBlock(StclabError, ValueError):
+class NonStaticBlock(NumericError, ValueError):
     """Channel varies within a block where a static block is required."""
 
 
-class SingularCovariance(StclabError, RuntimeError):
+class SingularCovariance(NumericError, RuntimeError):
     """Covariance solve failed even after diagonal jitter."""
 
 
-class DepthTooLarge(StclabError, RuntimeError):
+class DepthTooLarge(NumericError, RuntimeError):
     """Error-event enumeration exceeded the configured event cap."""
 
 
-class InvalidCount(StclabError, ValueError):
+class InvalidCount(InputError, ValueError):
     """A count argument is out of range or incompatible."""

@@ -29,6 +29,7 @@ is byte-identical for any batch size and worker count, and
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -40,7 +41,6 @@ from .channel import (
     ChannelParams,
     GEOMETRY_PRESETS,
     MODES,
-    ReceivedFrame,
     apply_channel,
     generate_fading,
     spatial_correlation,
@@ -65,9 +65,14 @@ from .stcodes import (
 
 Z_95 = 1.959963984540054
 
-CODES = ("alamouti", "golden", "spatial_multiplex", "trellis")
 CSI_MODES = ("perfect", "pilot")
-DECODERS = ("auto", "ml", "sphere", "combiner", "viterbi")
+# the decoders each code family accepts; the first is what "auto" picks
+FAMILY_DECODERS = {
+    "alamouti": ("combiner", "ml"),
+    "golden": ("ml", "sphere"),
+    "spatial_multiplex": ("ml", "sphere"),
+    "trellis": ("viterbi",),
+}
 
 DEFAULT_FRAME_USES = 300
 NOISELESS_EBN0_DB = 200.0
@@ -103,8 +108,8 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.code not in CODES:
-            raise ConfigError(f"must be one of {CODES}", key="code")
+        if self.code not in FAMILY_DECODERS:
+            raise ConfigError(f"must be one of {tuple(FAMILY_DECODERS)}", key="code")
         if self.code == "trellis" and not self.trellis_file:
             raise ConfigError("required when code = trellis", key="trellis_file")
         if self.constellation not in CONSTELLATIONS:
@@ -124,8 +129,9 @@ class SweepConfig:
             raise ConfigError("must be >= 0", key="fdt")
         if self.csi not in CSI_MODES:
             raise ConfigError(f"must be one of {CSI_MODES}", key="csi")
-        if self.decoder not in DECODERS:
-            raise ConfigError(f"must be one of {DECODERS}", key="decoder")
+        decoders = ("auto", *sorted({d for ds in FAMILY_DECODERS.values() for d in ds}))
+        if self.decoder not in decoders:
+            raise ConfigError(f"must be one of {decoders}", key="decoder")
         if self.min_frame_errors < 1:
             raise ConfigError("must be >= 1", key="min_frame_errors")
         if self.max_frames < 0:
@@ -208,86 +214,107 @@ def _parse_geometry(spec_text, key):
         ) from None
 
 
-@dataclass
-class _Setup:
-    """Resolved per-sweep objects shared by every frame."""
+@dataclass(frozen=True)
+class SweepSetup:
+    """What every frame of a sweep shares.  ``encode(bits)`` maps (frames,
+    info_bits) bits to (frames, lt, data uses) words, ``decode(y, h, es=es)``
+    gives one DecodeResult per frame; no pilots under perfect CSI."""
 
     cfg: SweepConfig
-    constellation: object
-    codebook: object = None
-    dispersion: object = None
-    trellis: object = None
-    decoder: str = "auto"
-    rtx: np.ndarray = None
-    rrx: np.ndarray = None
+    info_bits: int
+    encode: object
+    decode: object
+    rtx: np.ndarray
+    rrx: np.ndarray
     pmap: object = None
     wiener: object = None
-    data_positions: np.ndarray = None
-    data_uses: int = 0
-    info_bits: int = 0
-    allow_nonstatic: bool = False
 
 
-def _resolve_decoder(cfg, kind):
-    if cfg.decoder != "auto":
-        valid = {
-            "alamouti": ("combiner", "ml"),
-            "golden": ("ml", "sphere"),
-            "spatial_multiplex": ("ml", "sphere"),
-            "trellis": ("viterbi",),
-        }[kind]
-        if cfg.decoder not in valid:
-            raise ConfigError(
-                f"decoder {cfg.decoder!r} does not apply to code {kind!r}",
-                key="decoder",
-            )
-        return cfg.decoder
-    return {
-        "alamouti": "combiner",
-        "golden": "ml",
-        "spatial_multiplex": "ml",
-        "trellis": "viterbi",
-    }[kind]
+def _encode_blocks(bits, cb):
+    """(frames, lt, data uses) block-code words for (frames, info_bits) bits."""
+    idx = bits_to_patterns(bits.reshape(-1), cb.bits_per_codeword)
+    words = cb.codewords[idx.reshape(bits.shape[0], -1)]
+    return words.transpose(0, 2, 1, 3).reshape(bits.shape[0], cb.lt, -1)
 
 
 def build_setup(cfg: SweepConfig):
-    """Resolve a SweepConfig into the concrete objects a sweep uses."""
+    """Resolve a SweepConfig into the objects a sweep uses, binding its code
+    family to an encoder and a decoder once."""
     c = CONSTELLATIONS[cfg.constellation]
-    setup = _Setup(cfg=cfg, constellation=c)
-    setup.decoder = _resolve_decoder(cfg, cfg.code)
+    accepted = FAMILY_DECODERS[cfg.code]
+    decoder = accepted[0] if cfg.decoder == "auto" else cfg.decoder
+    if decoder not in accepted:
+        raise ConfigError(
+            f"decoder {cfg.decoder!r} does not apply to code {cfg.code!r}",
+            key="decoder",
+        )
+    if decoder == "sphere" and cfg.lr < cfg.lt:
+        raise ConfigError("sphere decoding requires lr >= lt", key="decoder")
+
+    pmap = wiener = None
+    data_uses = cfg.frame_uses
+    if cfg.csi == "pilot":
+        pmap = build_pilot_map(cfg.frame_uses, cfg.lt, cfg.pilot_count)
+        wiener = design_wiener(
+            pmap,
+            fdT_design=cfg.pilot_design_fdt,
+            snr_design_db=cfg.pilot_design_snr_db,
+            taps=min(cfg.pilot_taps, pmap.n_blocks),
+        )
+        data_uses = int(pmap.data_positions.size)
 
     if cfg.code == "trellis":
         try:
             with open(cfg.trellis_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                code = load_trellis(fh.read(), name=cfg.trellis_file)
         except OSError as e:
             raise ConfigError(str(e), key="trellis_file") from None
-        setup.trellis = load_trellis(text, name=cfg.trellis_file)
-        if setup.trellis.lt != cfg.lt:
+        if code.lt != cfg.lt:
             raise ConfigError(
-                f"trellis file has lt={setup.trellis.lt}, config says {cfg.lt}",
-                key="lt",
+                f"trellis file has lt={code.lt}, config says {cfg.lt}", key="lt"
             )
-        if setup.trellis.constellation.name != c.name:
+        if code.constellation.name != c.name:
             raise ConfigError(
-                "trellis file constellation differs from config",
-                key="constellation",
+                "trellis file constellation differs from config", key="constellation"
             )
-    elif cfg.code == "alamouti":
-        if cfg.lt != 2:
-            raise ConfigError("alamouti requires lt = 2", key="lt")
-        setup.codebook = alamouti_codebook(c)
-    elif cfg.code == "golden":
-        if cfg.lt != 2:
-            raise ConfigError("golden requires lt = 2", key="lt")
-        setup.codebook = golden_codebook(c)
-        setup.dispersion = golden_dispersion(c)
+        steps = data_uses - code.n_term_steps
+        if steps < 1:
+            raise ConfigError(
+                "frame too short for the trellis termination tail",
+                key="frame_uses",
+            )
+        info_bits = steps * code.bits_per_step
+        encode = partial(encode_trellis, code=code)
+        decode = partial(viterbi_decode, code=code)
     else:
-        setup.codebook = spatial_multiplex_codebook(c, lt=cfg.lt, n_uses=1)
-        setup.dispersion = spatial_multiplex_dispersion(c, lt=cfg.lt, n_uses=1)
-    if setup.decoder == "sphere" and cfg.lr < cfg.lt:
-        raise ConfigError("sphere decoding requires lr >= lt", key="decoder")
+        if cfg.code != "spatial_multiplex" and cfg.lt != 2:
+            raise ConfigError(f"{cfg.code} requires lt = 2", key="lt")
+        if cfg.code == "alamouti":
+            cb = alamouti_codebook(c)
+        elif cfg.code == "golden":
+            cb, disp = golden_codebook(c), golden_dispersion(c)
+        else:
+            cb = spatial_multiplex_codebook(c, lt=cfg.lt, n_uses=1)
+            disp = spatial_multiplex_dispersion(c, lt=cfg.lt, n_uses=1)
+        if data_uses % cb.n_uses:
+            raise ConfigError(
+                f"data span {data_uses} is not a multiple of the"
+                f" {cb.n_uses}-use codeword",
+                key="frame_uses",
+            )
+        info_bits = (data_uses // cb.n_uses) * cb.bits_per_codeword
+        encode = partial(_encode_blocks, cb=cb)
+        if decoder == "combiner":
+            allow_nonstatic = (
+                cfg.channel_mode == "clarke_varying" and cfg.fdt > 0
+            ) or cfg.csi == "pilot"
+            decode = partial(alamouti_combine, c=c, allow_nonstatic=allow_nonstatic)
+        elif decoder == "sphere":
+            decode = partial(sphere_decode, code=disp)
+        else:
+            decode = partial(ml_exhaustive_blocks, cb=cb)
 
+    corr = {}
     for side, count in (("tx", cfg.lt), ("rx", cfg.lr)):
         key = f"{side}_geometry"
         geom = _parse_geometry(getattr(cfg, key), key)
@@ -295,71 +322,19 @@ def build_setup(cfg: SweepConfig):
             raise ConfigError(
                 f"geometry has {geom.n_elements} elements, need {count}", key=key
             )
-        corr = spatial_correlation(geom.truncate(count)) if geom else np.eye(count)
-        setattr(setup, f"r{side}", corr)
+        corr[side] = spatial_correlation(geom.truncate(count)) if geom else np.eye(count)
 
-    if cfg.csi == "pilot":
-        setup.pmap = build_pilot_map(cfg.frame_uses, cfg.lt, cfg.pilot_count)
-        setup.wiener = design_wiener(
-            setup.pmap,
-            fdT_design=cfg.pilot_design_fdt,
-            snr_design_db=cfg.pilot_design_snr_db,
-            taps=min(cfg.pilot_taps, setup.pmap.n_blocks),
-        )
-        setup.data_positions = setup.pmap.data_positions
-        setup.data_uses = int(setup.data_positions.size)
-    else:
-        setup.data_positions = None
-        setup.data_uses = cfg.frame_uses
-
-    if setup.trellis is not None:
-        steps = setup.data_uses - setup.trellis.n_term_steps
-        if steps < 1:
-            raise ConfigError(
-                "frame too short for the trellis termination tail",
-                key="frame_uses",
-            )
-        setup.info_bits = steps * setup.trellis.bits_per_step
-    else:
-        u = setup.codebook.n_uses
-        if setup.data_uses % u:
-            raise ConfigError(
-                f"data span {setup.data_uses} is not a multiple of the"
-                f" {u}-use codeword",
-                key="frame_uses",
-            )
-        setup.info_bits = (setup.data_uses // u) * setup.codebook.bits_per_codeword
-
-    setup.allow_nonstatic = (
-        cfg.channel_mode == "clarke_varying" and cfg.fdt > 0
-    ) or cfg.csi == "pilot"
+    setup = SweepSetup(
+        cfg, info_bits, encode, decode, corr["tx"], corr["rx"], pmap, wiener
+    )
+    for ebn0 in cfg.ebn0_db:
+        try:
+            ok = 0.0 < _es_for(setup, ebn0) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{ebn0!r} dB gives no finite Es > 0", key="ebn0_db")
     return setup
-
-
-def _encode_data(setup, bits):
-    """(frames, lt, data_uses) transmit words for (frames, info_bits) bits."""
-    if setup.trellis is not None:
-        return encode_trellis(bits, setup.trellis)
-    cb = setup.codebook
-    idx = bits_to_patterns(bits.reshape(-1), cb.bits_per_codeword)
-    words = cb.codewords[idx.reshape(bits.shape[0], -1)]
-    return words.transpose(0, 2, 1, 3).reshape(bits.shape[0], cb.lt, -1)
-
-
-def _decode_data(setup, y_data, h_data, es):
-    if setup.decoder == "viterbi":
-        return viterbi_decode(y_data, h_data, setup.trellis, es)
-    if setup.decoder == "combiner":
-        return alamouti_combine(
-            y_data,
-            h_data,
-            es,
-            setup.constellation,
-            allow_nonstatic=setup.allow_nonstatic,
-        )
-    if setup.decoder == "sphere":
-        return sphere_decode(y_data, h_data, setup.dispersion, es)
-    return ml_exhaustive_blocks(y_data, h_data, setup.codebook, es)
 
 
 def _frame_generators(seed, si, fi):
@@ -374,33 +349,31 @@ def simulate_frames(setup, si, frame_indices, es):
     Returns one (frame_error, bit_errors, info_bits, nodes) tuple per frame,
     each equal to what the frame gives when it runs alone.
     """
-    cfg = setup.cfg
+    cfg, pmap = setup.cfg, setup.pmap
     gens = [_frame_generators(cfg.seed, si, fi) for fi in frame_indices]
     bits = np.array([g[0].integers(0, 2, size=setup.info_bits) for g in gens])
-    x_data = _encode_data(setup, bits)
-    nf, pmap = cfg.frame_uses, setup.pmap
-    if cfg.csi == "pilot":
+    x = setup.encode(bits)
+    nf = cfg.frame_uses
+    if pmap is not None:
+        x_data = x
         x = np.empty((len(gens), cfg.lt, nf), dtype=complex)
         x[:, :, pmap.pilot_positions] = np.tile(pmap.pilot_matrix, pmap.n_blocks)
-        x[:, :, setup.data_positions] = x_data
-    else:
-        x = x_data
+        x[:, :, pmap.data_positions] = x_data
     params = ChannelParams(
         lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
     )
     h = np.empty((len(gens), nf, cfg.lr, cfg.lt), dtype=complex)
     for hf, g in zip(h, gens):
         hf[...] = generate_fading(nf, params, setup.rtx, setup.rrx, g[1])
-    y = apply_channel(x, h, params, [g[2] for g in gens]).y
-    if cfg.csi == "pilot":
-        pos = setup.data_positions
+    y = apply_channel(x, h, params, [g[2] for g in gens])
+    if pmap is not None:
+        pos = pmap.data_positions
         h = np.empty((len(gens), pos.size, cfg.lr, cfg.lt), dtype=complex)
         for hf, yf in zip(h, y):
-            est = estimate_channel(ReceivedFrame(yf, es, 1.0), pmap, setup.wiener)
-            hf[...] = est[pos]
+            hf[...] = estimate_channel(yf, es, pmap, setup.wiener)[pos]
         y = y[:, pos]
     outcomes = []
-    for res, sent in zip(_decode_data(setup, y, h, es), bits):
+    for res, sent in zip(setup.decode(y, h, es=es), bits):
         bit_errors = int(np.count_nonzero(res.bits != sent))
         outcomes.append((bit_errors > 0, bit_errors, setup.info_bits, res.visited))
     return outcomes
@@ -473,30 +446,6 @@ def run_sweep(cfg: SweepConfig, workers=None):
 
 # --- config file parsing -------------------------------------------------
 
-_CONFIG_KEYS = {
-    "code": str,
-    "trellis_file": str,
-    "constellation": str,
-    "lt": int,
-    "lr": int,
-    "channel": str,
-    "fdt": float,
-    "tx_geometry": str,
-    "rx_geometry": str,
-    "csi": str,
-    "pilot.count": int,
-    "pilot.taps": int,
-    "pilot.design_fdt": float,
-    "pilot.design_snr_db": float,
-    "ebn0_db": str,
-    "min_frame_errors": int,
-    "max_frames": int,
-    "seed": int,
-    "frame_uses": int,
-    "decoder": str,
-    "workers": int,
-}
-
 _KEY_TO_FIELD = {
     "channel": "channel_mode",
     "pilot.count": "pilot_count",
@@ -504,6 +453,11 @@ _KEY_TO_FIELD = {
     "pilot.design_fdt": "pilot_design_fdt",
     "pilot.design_snr_db": "pilot_design_snr_db",
 }
+_FIELD_TO_KEY = {f: k for k, f in _KEY_TO_FIELD.items()}
+# config key -> converter: each field's own type, except that the Eb/N0
+# grid is read as comma-separated text
+_CONFIG_KEYS = {_FIELD_TO_KEY.get(f.name, f.name): f.type for f in fields(SweepConfig)}
+_CONFIG_KEYS["ebn0_db"] = str
 
 
 def parse_config(text):

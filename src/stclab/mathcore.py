@@ -2,11 +2,11 @@
 
 Hermitian eigenvalue helpers, Toeplitz Cholesky factorization for exact
 Clarke-correlated sample generation, the zeroth-order Bessel function, and
-the two unit-energy constellations (QPSK, 16QAM) with their fixed Gray
-labelings.
+the two unit-energy constellations (QPSK, 16QAM), their points listed in
+order of their Gray bit patterns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -88,17 +88,12 @@ def toeplitz_cholesky(first_row):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-average-energy signal set with a fixed bit labeling.
-
-    ``labeling`` maps each bit pattern (as an MSB-first integer) to an index
-    into ``points``.  Both shipped constellations use the identity labeling,
-    so pattern p transmits points[p].
-    """
+    """Unit-average-energy signal set; bit pattern p (an MSB-first integer)
+    transmits ``points[p]``."""
 
     name: str
     points: np.ndarray
     bits_per_symbol: int
-    labeling: dict = field(repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -109,27 +104,23 @@ class Constellation:
         energy = np.mean(np.abs(pts) ** 2)
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"{self.name}: mean energy {energy!r} != 1")
-        if sorted(self.labeling.keys()) != list(range(size)):
-            raise ValueError(f"{self.name}: labeling keys must cover 0..{size - 1}")
-        if sorted(self.labeling.values()) != list(range(size)):
-            raise ValueError(f"{self.name}: labeling must be a bijection")
 
     @property
     def size(self):
         return self.points.shape[0]
 
     def pattern_to_point(self, pattern):
-        return self.points[self.labeling[pattern]]
+        return self.points[pattern]
 
 
 def _make_qpsk():
     # Gray map {00, 01, 11, 10} -> angles {45, 135, -135, -45} degrees.
-    # With the identity labeling the point list is ordered by bit pattern.
+    # The point list is ordered by bit pattern.
     angles = {0b00: 45.0, 0b01: 135.0, 0b11: -135.0, 0b10: -45.0}
     points = np.zeros(4, dtype=complex)
     for pattern, deg in angles.items():
         points[pattern] = np.exp(1j * np.deg2rad(deg))
-    return Constellation("QPSK", points, 2, {p: p for p in range(4)})
+    return Constellation("QPSK", points, 2)
 
 
 def _make_qam16():
@@ -142,7 +133,7 @@ def _make_qam16():
         i_level = gray_level[pattern >> 2]
         q_level = gray_level[pattern & 0b11]
         points[pattern] = (i_level + 1j * q_level) / np.sqrt(10.0)
-    return Constellation("16QAM", points, 4, {p: p for p in range(16)})
+    return Constellation("16QAM", points, 4)
 
 
 QPSK = _make_qpsk()

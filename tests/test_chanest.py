@@ -207,7 +207,7 @@ class TestEstimation:
         p = ChannelParams(lt=2, lr=3, fdT=0.0, es=4.0, n0=1e-20)
         h = generate_fading(20, p, np.eye(2), np.eye(3), make_rng(0))
         frame = pilot_frame(pm, h, p, make_rng(1))
-        raw = raw_block_estimates(frame, pm)
+        raw = raw_block_estimates(frame, p.es, pm)
         assert raw.shape == (pm.n_blocks, 3, 2)
         for b, s in enumerate(pm.block_starts):
             assert_allclose(raw[b], h[s], atol=1e-8)
@@ -218,7 +218,7 @@ class TestEstimation:
         p = ChannelParams(lt=2, lr=2, fdT=0.0, es=1.0, n0=1e-20)
         h = generate_fading(300, p, np.eye(2), np.eye(2), make_rng(2))
         frame = pilot_frame(pm, h, p, make_rng(3))
-        hh = estimate_channel(frame, pm, w)
+        hh = estimate_channel(frame, p.es, pm, w)
         assert hh.shape == (300, 2, 2)
         assert_allclose(hh, h, atol=1e-6)
 
@@ -231,7 +231,7 @@ class TestEstimation:
         for f in range(n):
             h = generate_fading(100, p, np.eye(2), np.eye(1), make_rng(40000 + f))
             frame = pilot_frame(pm, h, p, make_rng(50000 + f))
-            bias += estimate_channel(frame, pm, w) - h
+            bias += estimate_channel(frame, p.es, pm, w) - h
         assert np.abs(bias / n).max() < 0.02
 
     def test_mse_tracks_analytic(self):
@@ -246,7 +246,7 @@ class TestEstimation:
         for f in range(n):
             h = generate_fading(300, p, np.eye(2), np.eye(2), make_rng(60000 + f))
             frame = pilot_frame(pm, h, p, make_rng(70000 + f))
-            err2 += np.sum(np.abs(estimate_channel(frame, pm, w) - h) ** 2, axis=(1, 2))
+            err2 += np.sum(np.abs(estimate_channel(frame, p.es, pm, w) - h) ** 2, axis=(1, 2))
         mse = err2 / (n * 4)
         d = pm.data_positions
         assert mse[d].mean() <= 1.25 * w.mmse[d].mean()
@@ -263,8 +263,8 @@ class TestEstimation:
         h_masked[:, :, 1] = 0.0
         fa = pilot_frame(pm, h, p, make_rng(5))
         fb = pilot_frame(pm, h_masked, p, make_rng(5))
-        ha = estimate_channel(fa, pm, w)
-        hb = estimate_channel(fb, pm, w)
+        ha = estimate_channel(fa, p.es, pm, w)
+        hb = estimate_channel(fb, p.es, pm, w)
         assert_allclose(ha[:, :, 0], hb[:, :, 0], atol=1e-8)
         assert_allclose(hb[:, :, 1], np.zeros((40, 1)), atol=1e-8)
 
@@ -275,6 +275,6 @@ class TestEstimation:
         h = generate_fading(200, p, np.eye(2), np.eye(1), make_rng(6))
         frame = apply_channel(np.zeros((2, 200), dtype=complex), h, p, make_rng(7))
         with pytest.raises(ShapeMismatch):
-            raw_block_estimates(frame, pm)
+            raw_block_estimates(frame, p.es, pm)
         with pytest.raises(ShapeMismatch):
-            estimate_channel(frame, pm, w)
+            estimate_channel(frame, p.es, pm, w)

@@ -8,7 +8,9 @@ import time
 import numpy as np
 import pytest
 
+from stclab import cli, errors
 from stclab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from stclab.errors import InputError, NumericError, StclabError
 
 SWEEP_CONFIG = """
 code = alamouti
@@ -95,6 +97,16 @@ class TestSweepCommand:
         p.write_text(SWEEP_CONFIG.replace("lt = 2", "lt = 3"))
         rc = main(["sweep", "--config", str(p)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-4000", "4000"])
+    def test_grid_without_finite_es_is_a_config_error(self, grid, tmp_path, capsys):
+        p = tmp_path / "grid.cfg"
+        p.write_text(SWEEP_CONFIG.replace("ebn0_db = 8.0", f"ebn0_db = {grid}"))
+        rc = main(["sweep", "--config", str(p)])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ebn0_db: ")
 
 
 class TestMetricsCommand:
@@ -224,3 +236,62 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["tune"])
         assert exc.value.code == 2
+
+
+# the exit code of every package error, as the command line assigned it by
+# class name before the errors were grouped into two families
+ERROR_EXIT_CODES = {
+    "ConfigError": EXIT_CONFIG,
+    "ParseError": EXIT_CONFIG,
+    "ValidationError": EXIT_CONFIG,
+    "InvalidCount": EXIT_CONFIG,
+    "LengthMismatch": EXIT_CONFIG,
+    "ShapeMismatch": EXIT_CONFIG,
+    "ModelMismatch": EXIT_CONFIG,
+    "NotPSD": EXIT_NUMERIC,
+    "NotHermitian": EXIT_NUMERIC,
+    "SingularCovariance": EXIT_NUMERIC,
+    "DepthTooLarge": EXIT_NUMERIC,
+    "NonStaticBlock": EXIT_NUMERIC,
+}
+BUILTIN_EXIT_CODES = {
+    OSError: EXIT_CONFIG,
+    np.linalg.LinAlgError: EXIT_NUMERIC,
+    FloatingPointError: EXIT_NUMERIC,
+    OverflowError: EXIT_NUMERIC,
+}
+
+
+def error_classes(cls=StclabError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+class TestErrorFamilies:
+    def test_every_error_is_in_exactly_one_family(self):
+        families = {InputError: EXIT_CONFIG, NumericError: EXIT_NUMERIC}
+        leaves = [c for c in error_classes() if c not in families]
+        assert sorted(c.__name__ for c in leaves) == sorted(ERROR_EXIT_CODES)
+        for cls in leaves:
+            codes = [code for fam, code in families.items() if issubclass(cls, fam)]
+            assert codes == [ERROR_EXIT_CODES[cls.__name__]], cls
+            assert issubclass(cls, (ValueError, RuntimeError)), cls
+
+    @pytest.mark.parametrize(
+        "cls, code",
+        [(getattr(errors, n), c) for n, c in sorted(ERROR_EXIT_CODES.items())]
+        + list(BUILTIN_EXIT_CODES.items()),
+    )
+    def test_main_exit_code_per_error(self, cls, code, monkeypatch, capsys):
+        def fail(_args):
+            raise cls("injected fault")
+
+        monkeypatch.setattr(cli, "_cmd_selftest", fail)
+        assert main(["selftest"]) == code
+        assert capsys.readouterr().err == "error: injected fault\n"
+
+    def test_depth_too_large_exits_numeric(self, capsys):
+        rc = main(["metrics", "--code", "delay_diversity", "--depth", "14"])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: ")

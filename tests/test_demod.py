@@ -45,7 +45,7 @@ def one_shot_ml_blocks(y, h, cb, es):
     It materializes every (block, codeword) prediction at once, so it is
     kept here only as the bitwise reference for small frames.
     """
-    yv = np.asarray(getattr(y, "y", y), dtype=complex)
+    yv = np.asarray(y, dtype=complex)
     u = cb.n_uses
     nb = yv.shape[0] // u
     lr = yv.shape[1]
@@ -170,13 +170,13 @@ class TestMlExhaustive:
         frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1))
         res = ml_exhaustive(frame, h, cb, 1.0)
         n = int("".join(str(b) for b in res.bits), 2)
-        assert_allclose(res.metric, eq3_metric(frame.y, h, cb.codewords[n], 1.0), rtol=1e-12)
+        assert_allclose(res.metric, eq3_metric(frame, h, cb.codewords[n], 1.0), rtol=1e-12)
 
     def test_metric_is_minimum(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[9], 1, 1.0, 1.0, make_rng(2))
         res = ml_exhaustive(frame, h, cb, 1.0)
-        metrics = [eq3_metric(frame.y, h, w, 1.0) for w in cb.codewords]
+        metrics = [eq3_metric(frame, h, w, 1.0) for w in cb.codewords]
         assert_allclose(res.metric, min(metrics), rtol=1e-12)
 
     def test_single_word_codebook(self):
@@ -198,7 +198,7 @@ class TestMlExhaustive:
         metric = 0.0
         for b in range(5):
             sl = slice(2 * b, 2 * b + 2)
-            sub_y = frame.y[sl]
+            sub_y = frame[sl]
             sub_h = h[sl]
             res = ml_exhaustive(sub_y, sub_h, cb, 2.0)
             bits.append(res.bits)
@@ -528,7 +528,7 @@ class TestSphere:
             x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
             frame, h = transmit(x, 2, es, n0, make_rng(32000 + t), fdt=fdt)
             res = sphere_decode(frame, h, ld, es)
-            bits, visited, degenerate = per_block_sphere_decode(frame.y, h, ld, es)
+            bits, visited, degenerate = per_block_sphere_decode(frame, h, ld, es)
             np.testing.assert_array_equal(res.bits, bits)
             assert res.visited == visited
             assert res.degenerate == degenerate
@@ -549,7 +549,7 @@ class TestSphere:
         np.testing.assert_array_equal(blocks[2], np.zeros(8, dtype=int))
         visited = 0
         for b in range(5):
-            one = sphere_decode(frame.y[2 * b : 2 * b + 2], h[2 * b : 2 * b + 2], ld, 3.0)
+            one = sphere_decode(frame[2 * b : 2 * b + 2], h[2 * b : 2 * b + 2], ld, 3.0)
             np.testing.assert_array_equal(blocks[b], one.bits)
             assert one.degenerate == (b == 2)
             visited += one.visited
@@ -648,8 +648,8 @@ class TestCrossDecoderConsistency:
         # scaling y and sqrt(es) together leaves decisions unchanged
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[17], 2, 1.0, 1.0, make_rng(17))
-        a = ml_exhaustive(frame.y, h, cb, 1.0)
-        b = ml_exhaustive(2.0 * frame.y, h, cb, 4.0)
+        a = ml_exhaustive(frame, h, cb, 1.0)
+        b = ml_exhaustive(2.0 * frame, h, cb, 4.0)
         np.testing.assert_array_equal(a.bits, b.bits)
         assert_allclose(b.metric, 4.0 * a.metric, rtol=1e-12)
 
@@ -657,7 +657,7 @@ class TestCrossDecoderConsistency:
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[3], 2, 1.0, 1.0, make_rng(18))
         a = ml_exhaustive(frame, h, cb, 1.0)
-        b = ml_exhaustive(frame.y, h, cb, 1.0)
+        b = ml_exhaustive(frame, h, cb, 1.0)
         np.testing.assert_array_equal(a.bits, b.bits)
 
 

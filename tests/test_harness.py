@@ -11,6 +11,12 @@ from numpy.testing import assert_allclose
 from stclab import harness
 from stclab.chanest import estimate_channel
 from stclab.channel import ChannelParams, apply_channel, generate_fading
+from stclab.demod import (
+    alamouti_combine,
+    ml_exhaustive_blocks,
+    sphere_decode,
+    viterbi_decode,
+)
 from stclab.errors import ConfigError
 from stclab.harness import (
     BATCH_MAX,
@@ -18,7 +24,6 @@ from stclab.harness import (
     SweepConfig,
     SweepResult,
     SweepRow,
-    _decode_data,
     _es_for,
     build_setup,
     parse_config,
@@ -27,8 +32,16 @@ from stclab.harness import (
     simulate_frames,
     wilson_interval,
 )
-from stclab.mathcore import bits_to_patterns
-from stclab.stcodes import encode_trellis
+from stclab.mathcore import CONSTELLATIONS, bits_to_patterns
+from stclab.stcodes import (
+    alamouti_codebook,
+    encode_trellis,
+    golden_codebook,
+    golden_dispersion,
+    load_trellis,
+    spatial_multiplex_codebook,
+    spatial_multiplex_dispersion,
+)
 
 BASE_CONFIG = """
 # minimal sweep
@@ -98,6 +111,41 @@ class TestConfigParsing:
         assert cfg.pilot_count == 20
         assert cfg.pilot_taps == 4
 
+    def test_every_key_sets_its_field(self):
+        text = """
+        code = golden
+        trellis_file = codes.txt
+        constellation = 16QAM
+        lt = 2
+        lr = 3
+        channel = clarke_varying
+        fdt = 0.02
+        tx_geometry = tx_linear_1.0
+        rx_geometry = 0,0; 0.5,0; 1,0
+        csi = pilot
+        pilot.count = 24
+        pilot.taps = 6
+        pilot.design_fdt = 0.03
+        pilot.design_snr_db = 15.5
+        ebn0_db = -1.5, 4
+        min_frame_errors = 7
+        max_frames = 900
+        seed = 12
+        frame_uses = 120
+        decoder = sphere
+        workers = 2
+        """
+        assert parse_config(text) == SweepConfig(
+            code="golden", trellis_file="codes.txt", constellation="16QAM", lt=2,
+            lr=3, channel_mode="clarke_varying", fdt=0.02,
+            tx_geometry="tx_linear_1.0", rx_geometry="0,0; 0.5,0; 1,0", csi="pilot",
+            pilot_count=24, pilot_taps=6, pilot_design_fdt=0.03,
+            pilot_design_snr_db=15.5, ebn0_db=(-1.5, 4.0), min_frame_errors=7,
+            max_frames=900, seed=12, frame_uses=120, decoder="sphere", workers=2,
+        )
+        with pytest.raises(ConfigError, match=r"^lt: cannot parse '2.5' as int$"):
+            parse_config(text.replace("lt = 2", "lt = 2.5"))
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError) as exc:
             parse_config(BASE_CONFIG + "bandwidth = 20\n")
@@ -145,13 +193,13 @@ class TestBuildSetup:
             frame_uses=300,
         )
         setup = build_setup(cfg)
-        assert setup.data_uses == 228
+        assert setup.pmap.data_positions.size == 228
         assert setup.info_bits == 228 // 2 * 4
 
     def test_perfect_csi_uses_whole_frame(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=300)
         setup = build_setup(cfg)
-        assert setup.data_uses == 300
+        assert setup.pmap is None and setup.wiener is None
         assert setup.info_bits == 600
 
     def test_trellis_termination_charged(self):
@@ -207,7 +255,7 @@ class TestBuildSetup:
         y = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         h = rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2))
         h[4:6] = 0.0
-        res = _decode_data(setup, y, h, 2.0)
+        res = setup.decode(y, h, es=2.0)
         assert res.degenerate
         np.testing.assert_array_equal(res.bits[16:24], np.zeros(8, dtype=int))
 
@@ -215,6 +263,18 @@ class TestBuildSetup:
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=61)
         with pytest.raises(ConfigError):
             build_setup(cfg)
+
+    @pytest.mark.parametrize("ebn0", [np.nan, np.inf, -np.inf, -4000.0, 4000.0])
+    def test_grid_point_without_finite_positive_es_rejected(self, ebn0, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "simulate_frames", lambda *a, **k: calls.append(a))
+        # a valid point beside the bad one: no frame of it may run either
+        grid = (ebn0, 8.0) if ebn0 < 0 else (8.0, ebn0)
+        cfg = SweepConfig(code="alamouti", ebn0_db=grid, lt=2, lr=1, frame_uses=60)
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(cfg)
+        assert exc.value.key == "ebn0_db"
+        assert calls == []
 
 
 class TestRunSweep:
@@ -400,7 +460,12 @@ TRELLIS_FILE = str(
 
 
 def old_simulate_frame(setup, si, fi, es):
-    """The one-frame pipeline as it ran before frames were batched."""
+    """The one-frame pipeline as it ran before frames were batched.
+
+    It builds its own codebook or trellis and calls the decoders itself, so
+    the sweep's bound encoder and decoder are checked against it; only the
+    pilot map and interpolator come from the setup.
+    """
     cfg = setup.cfg
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, fi))
     bits_ss, fade_ss, noise_ss = ss.spawn(3)
@@ -408,17 +473,24 @@ def old_simulate_frame(setup, si, fi, es):
     fade_rng = np.random.Generator(np.random.PCG64(fade_ss))
     noise_rng = np.random.Generator(np.random.PCG64(noise_ss))
 
+    c = CONSTELLATIONS[cfg.constellation]
     bits = bits_rng.integers(0, 2, size=setup.info_bits)
-    if setup.trellis is not None:
-        x_data = encode_trellis(bits, setup.trellis)
+    if cfg.code == "trellis":
+        with open(cfg.trellis_file, encoding="utf-8") as fh:
+            trellis = load_trellis(fh.read())
+        x_data = encode_trellis(bits, trellis)
     else:
-        cb = setup.codebook
+        cb = {
+            "alamouti": alamouti_codebook,
+            "golden": golden_codebook,
+            "spatial_multiplex": spatial_multiplex_codebook,
+        }[cfg.code](c)
         idx = bits_to_patterns(bits, cb.bits_per_codeword)
         x_data = cb.codewords[idx].transpose(1, 0, 2).reshape(cb.lt, -1)
     nf = cfg.frame_uses
     if cfg.csi == "pilot":
         x = np.zeros((cfg.lt, nf), dtype=complex)
-        x[:, setup.data_positions] = x_data
+        x[:, setup.pmap.data_positions] = x_data
         for start in setup.pmap.block_starts:
             x[:, start : start + cfg.lt] = setup.pmap.pilot_matrix
     else:
@@ -427,15 +499,29 @@ def old_simulate_frame(setup, si, fi, es):
         lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
     )
     h = generate_fading(nf, params, setup.rtx, setup.rrx, fade_rng)
-    rx = apply_channel(x, h, params, noise_rng)
+    y = apply_channel(x, h, params, noise_rng)
     if cfg.csi == "pilot":
-        h_dec = estimate_channel(rx, setup.pmap, setup.wiener)
-        y_data = rx.y[setup.data_positions]
-        h_data = h_dec[setup.data_positions]
+        h_dec = estimate_channel(y, es, setup.pmap, setup.wiener)
+        y_data = y[setup.pmap.data_positions]
+        h_data = h_dec[setup.pmap.data_positions]
     else:
-        y_data = rx.y
+        y_data = y
         h_data = h
-    res = _decode_data(setup, y_data, h_data, es)
+    if cfg.decoder == "viterbi":
+        res = viterbi_decode(y_data, h_data, trellis, es)
+    elif cfg.decoder == "combiner":
+        varying = cfg.channel_mode == "clarke_varying" and cfg.fdt > 0
+        allow = varying or cfg.csi == "pilot"
+        res = alamouti_combine(y_data, h_data, es, c, allow_nonstatic=allow)
+    elif cfg.decoder == "sphere":
+        disp = (
+            golden_dispersion(c)
+            if cfg.code == "golden"
+            else spatial_multiplex_dispersion(c)
+        )
+        res = sphere_decode(y_data, h_data, disp, es)
+    else:
+        res = ml_exhaustive_blocks(y_data, h_data, cb, es)
     bit_errors = int(np.count_nonzero(res.bits != bits))
     return bit_errors > 0, bit_errors, setup.info_bits, res.visited
 
@@ -573,3 +659,21 @@ class TestFrameBatches:
         assert rows[0].frame_errors == 3 and rows[0].frames < 500
         assert len(calls) == sum(r.frames for r in rows)
         assert SweepResult(rows=rows).to_csv() == serial_sweep(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_channel_estimate_per_frame(self, monkeypatch, workers):
+        shapes = []
+
+        def counting(*args):
+            est = estimate_channel(*args)
+            shapes.append(est.shape)
+            return est
+
+        monkeypatch.setattr(harness, "estimate_channel", counting)
+        cfg = small_config(
+            "golden", "ml", 2, "pilot-clarke", ebn0_db=(0.0, 30.0),
+            min_frame_errors=3, max_frames=40,
+        )
+        rows = run_sweep(cfg, workers=workers).rows
+        assert len(shapes) == sum(r.frames for r in rows) > 0
+        assert set(shapes) == {(cfg.frame_uses, cfg.lr, cfg.lt)}

@@ -131,10 +131,6 @@ class TestConstellations:
     def test_unit_average_energy(self, c):
         assert_allclose(np.mean(np.abs(c.points) ** 2), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("c", [QPSK, QAM16])
-    def test_labeling_is_bijection(self, c):
-        assert sorted(c.labeling) == list(range(c.size))
-
     def test_qpsk_points(self):
         # index order follows the bit pattern: 00, 01, 10, 11
         s = 1 / np.sqrt(2)
