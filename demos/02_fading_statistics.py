@@ -10,8 +10,6 @@ both statistics by Monte Carlo and prints them against the Bessel targets.
 import numpy as np
 
 from stclab import (
-    ArrayGeometry,
-    ChannelParams,
     bessel_j0,
     generate_fading,
     spatial_correlation,
@@ -27,11 +25,10 @@ nf = 300
 n_batches = 400  # 50 independent paths per batch -> 20 000 trajectories
 lags = np.array([0, 5, 10, 20, 35, 50])
 
-p = ChannelParams(lt=1, lr=50, fdT=fdt, es=1.0, n0=1.0)
 num = np.zeros(lags.size)
 den = 0.0
 for b in range(n_batches):
-    h = generate_fading(nf, p, np.eye(1), np.eye(50), rng_for(b))
+    h = generate_fading(nf, fdt, np.eye(1), np.eye(50), rng_for(b))
     paths = h[:, :, 0]
     for i, m in enumerate(lags):
         num[i] += np.sum((paths[: nf - m] * np.conj(paths[m:])).real) / (nf - m)
@@ -48,12 +45,10 @@ print()
 print("=== spatial correlation vs element spacing ===")
 print(f"{'d (wavelengths)':>16s} {'measured':>10s} {'J0 target':>10s}")
 for d in (0.25, 0.5, 1.0, 2.0):
-    g = ArrayGeometry(np.array([[0.0, 0.0], [d, 0.0]]))
-    rrx = spatial_correlation(g)
-    p2 = ChannelParams(lt=1, lr=2, fdT=0.0, es=1.0, n0=1.0)
+    rrx = spatial_correlation(f"0,0; {d},0", 2)
     num2 = den2 = 0.0
     for f in range(8000):
-        h = generate_fading(1, p2, np.eye(1), rrx, rng_for(100_000 + 10_000 * int(d * 4) + f))
+        h = generate_fading(1, 0.0, np.eye(1), rrx, rng_for(100_000 + 10_000 * int(d * 4) + f))
         num2 += (h[0, 0, 0] * np.conj(h[0, 1, 0])).real
         den2 += (abs(h[0, 0, 0]) ** 2 + abs(h[0, 1, 0]) ** 2) / 2
     print(f"{d:16.2f} {num2 / den2:10.4f} {bessel_j0(2 * np.pi * d):10.4f}")

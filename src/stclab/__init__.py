@@ -47,8 +47,6 @@ from .designmetrics import (
     trellis_error_events,
 )
 from .channel import (
-    ArrayGeometry,
-    ChannelParams,
     apply_channel,
     generate_fading,
     spatial_correlation,
@@ -63,7 +61,6 @@ from .chanest import (
 from .demod import (
     DecodeResult,
     alamouti_combine,
-    ml_exhaustive,
     sphere_decode,
     viterbi_decode,
 )

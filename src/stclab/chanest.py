@@ -16,10 +16,6 @@ import scipy.linalg
 from .errors import InvalidCount, ShapeMismatch, SingularCovariance
 from .mathcore import CHOL_JITTER, bessel_j0
 
-DESIGN_FDT = 0.01
-DESIGN_SNR_DB = 30.0
-DEFAULT_TAPS = 20
-
 
 @dataclass(frozen=True)
 class PilotMap:
@@ -39,10 +35,6 @@ class PilotMap:
     @property
     def n_blocks(self):
         return self.block_starts.shape[0]
-
-    @property
-    def n_pilot(self):
-        return self.pilot_positions.shape[0]
 
     @property
     def block_centers(self):
@@ -94,9 +86,6 @@ class WienerInterpolator:
     residual 1 - p^T R^-1 p of that design.
     """
 
-    taps: int
-    fdT_design: float
-    snr_design_db: float
     block_idx: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     mmse: np.ndarray = field(repr=False)
@@ -121,12 +110,7 @@ def _design_factor(r):
         ) from None
 
 
-def design_wiener(
-    pmap: PilotMap,
-    fdT_design=DESIGN_FDT,
-    snr_design_db=DESIGN_SNR_DB,
-    taps=DEFAULT_TAPS,
-):
+def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     """MMSE interpolation coefficients w = R^-1 p for every frame position.
 
     R is the covariance of the raw estimates at the ``taps`` nearest pilot
@@ -165,9 +149,6 @@ def design_wiener(
         weights[k] = w
         mmse[k] = 1.0 - float(p @ w)
     return WienerInterpolator(
-        taps=taps,
-        fdT_design=fdT_design,
-        snr_design_db=snr_design_db,
         block_idx=block_idx,
         weights=weights,
         mmse=mmse,

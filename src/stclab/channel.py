@@ -8,22 +8,25 @@ correlation matrices, so vec(H) (row-major) has covariance rrx kron rtx.
 Correlation matrices come from array geometry: entry (m, n) is J0(2 pi d_mn)
 with d_mn the element separation in wavelengths (isotropic scattering).
 
+An array is given as text: ``white`` (uncorrelated elements), a name from
+``GEOMETRY_PRESETS``, or element positions ``x,y; x,y; ...`` in
+wavelengths.  An n-antenna side uses the first n elements.
+
 The received frame is Y(k) = H(k) sqrt(Es) X(k) + N(k) with independent
 circular complex Gaussian noise of variance N0/2 per real dimension.
 
 Shape conventions: a fading realization is an (nf, lr, lt) complex array and
-a received frame an (nf, lr) one; the Es that produced it travels beside it.
+a received frame an (nf, lr) one; lt and lr are read from the correlation
+matrices and the fading array, and the Es that produced a frame travels
+beside it.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import LengthMismatch, ShapeMismatch, ValidationError
 from .mathcore import bessel_j0, cholesky_psd, toeplitz_cholesky
-
-MODES = ("clarke_varying", "quasi_static")
 
 GEOMETRY_PRESETS = {
     # 4-element square arrays, listed so the first two elements form an
@@ -35,73 +38,37 @@ GEOMETRY_PRESETS = {
     "tx_linear_1.0": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
 }
 
-
-@dataclass(frozen=True)
-class ChannelParams:
-    lt: int
-    lr: int
-    fdT: float
-    es: float
-    n0: float
-    mode: str = "clarke_varying"
-
-    def __post_init__(self):
-        if self.lt < 1 or self.lr < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if self.fdT < 0:
-            raise ValueError("fdT must be >= 0")
-        if not self.es > 0:
-            raise ValueError("es must be > 0")
-        if not self.n0 > 0:
-            raise ValueError("n0 must be > 0")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+# Longest Clarke-correlated frame: its Toeplitz matrix, Cholesky factor and
+# complex copy take about 32 nf^2 bytes (134 MB here).
+CLARKE_MAX_USES = 2048
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Element positions in wavelengths, one (x, y) row per element."""
+def spatial_correlation(spec, n):
+    """The n x n correlation matrix of the first n elements of array ``spec``.
 
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "positions", pos)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError("positions must be an (n, 2) array with n >= 1")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions must be finite")
-
-    @classmethod
-    def from_preset(cls, name):
-        if name not in GEOMETRY_PRESETS:
-            raise KeyError(
-                f"unknown geometry preset {name!r};"
-                f" available: {sorted(GEOMETRY_PRESETS)}"
-            )
-        return cls(np.array(GEOMETRY_PRESETS[name]))
-
-    @property
-    def n_elements(self):
-        return self.positions.shape[0]
-
-    def truncate(self, n):
-        """First n elements (decoding with fewer antennas keeps spacing)."""
-        if not 1 <= n <= self.n_elements:
-            raise ValueError(f"cannot truncate {self.n_elements} elements to {n}")
-        return ArrayGeometry(self.positions[:n].copy())
-
-
-def spatial_correlation(g: ArrayGeometry):
-    """Correlation matrix J0(2 pi d_mn) of an array under isotropic scattering.
-
-    Unit diagonal, real symmetric, PSD (checked; degenerate geometries that
-    defeat the jitter raise NotPSD).
+    ``white`` gives the identity; a preset or ``x,y; x,y; ...`` positions
+    give J0(2 pi d_mn) under isotropic scattering: unit diagonal, real
+    symmetric, PSD (checked; degenerate geometries that defeat the jitter
+    raise NotPSD).  A malformed spec, or one with fewer than n elements,
+    raises ValidationError.
     """
-    pos = g.positions
+    if spec == "white":
+        return np.eye(n)
+    rows = [chunk.split(",") for chunk in spec.split(";") if chunk.strip()]
+    try:
+        pos = np.atleast_2d(np.array(GEOMETRY_PRESETS.get(spec, rows), dtype=float))
+    except ValueError:  # ragged rows, or a value that is not a number
+        pos = np.empty((0, 0))
+    if pos.shape[1] != 2 or not np.isfinite(pos).all():
+        raise ValidationError(
+            f"expected 'white', a preset {sorted(GEOMETRY_PRESETS)},"
+            " or 'x,y; x,y; ...'"
+        )
+    if pos.shape[0] < n:
+        raise ValidationError(f"geometry has {pos.shape[0]} elements, need {n}")
+    pos = pos[:n]
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     r = bessel_j0(2.0 * np.pi * d)
-    r = np.atleast_2d(r)
     cholesky_psd(r)  # PSD check only; factor recomputed where needed
     return r
 
@@ -133,12 +100,15 @@ def _spatial_factor(n, data):
     return f
 
 
-def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
+def generate_fading(nf, fdt, rtx, rrx, rng):
     """One frame of correlated Rayleigh fading, shape (nf, lr, lt).
 
-    Each path is unit power with temporal autocovariance J0(2 pi fdT m);
-    vec(H(k)) (row-major) has spatial covariance rrx kron rtx.  quasi_static
-    mode (and fdT = 0) draws a single matrix and holds it over the frame.
+    lt and lr are the sizes of the transmit and receive correlation
+    matrices.  Each path is unit power with temporal autocovariance
+    J0(2 pi fdt m); vec(H(k)) (row-major) has spatial covariance rrx kron
+    rtx.  fdt = 0 is quasi-static fading: a single matrix drawn and held
+    over the frame.  A Clarke frame longer than CLARKE_MAX_USES is refused
+    before anything is drawn or allocated.
 
     The white innovations are drawn with the receive-antenna axis leading,
     so truncating a frame to fewer receive antennas reproduces the frame a
@@ -146,26 +116,26 @@ def generate_fading(nf, p: ChannelParams, rtx, rrx, rng):
     """
     rtx = np.asarray(rtx, dtype=float)
     rrx = np.asarray(rrx, dtype=float)
-    if rtx.shape != (p.lt, p.lt) or rrx.shape != (p.lr, p.lr):
-        raise ShapeMismatch(
-            f"correlation shapes {rtx.shape}/{rrx.shape} do not match"
-            f" lt={p.lt}, lr={p.lr}"
-        )
-    static = p.mode == "quasi_static" or p.fdT == 0.0
+    lt, lr = len(rtx), len(rrx)
+    if rtx.shape != (lt, lt) or rrx.shape != (lr, lr):
+        raise ShapeMismatch(f"correlation shapes {rtx.shape}/{rrx.shape} are not square")
+    static = fdt == 0.0
+    if not static and nf > CLARKE_MAX_USES:
+        raise LengthMismatch(f"Clarke frame of {nf} uses exceeds {CLARKE_MAX_USES}")
     n_draws = 1 if static else nf
-    w = rng.standard_normal((p.lr, p.lt, n_draws, 2))
+    w = rng.standard_normal((lr, lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
     if not static:
-        g = g @ _temporal_factor(nf, p.fdT)  # (lr, lt, nf), Clarke-correlated
-    a = _spatial_factor(p.lr, rrx.tobytes())
-    b = _spatial_factor(p.lt, rtx.tobytes())
+        g = g @ _temporal_factor(nf, fdt)  # (lr, lt, nf), Clarke-correlated
+    a = _spatial_factor(lr, rrx.tobytes())
+    b = _spatial_factor(lt, rtx.tobytes())
     h = np.einsum("ri,ijk,tj->rtk", a, g, b)
     if static:
         return np.repeat(h[None, :, :, 0], nf, axis=0)
     return np.ascontiguousarray(h.transpose(2, 0, 1))
 
 
-def apply_channel(x, h, p: ChannelParams, rng):
+def apply_channel(x, h, es, rng, n0=1.0):
     """Y(k) = H(k) sqrt(Es) X(k) + N(k) over one frame or a batch of frames.
 
     ``x`` is the lt x n_uses transmit matrix, ``h`` an (n_uses, lr, lt)
@@ -183,18 +153,17 @@ def apply_channel(x, h, p: ChannelParams, rng):
     if xb.ndim != 3 or hb.ndim != 4 or hb.shape[0] != xb.shape[0]:
         raise ShapeMismatch("x must be (lt, n_uses) and h (n_uses, lr, lt)")
     lt, nf = xb.shape[1:]
-    if hb.shape[1:] != (nf, p.lr, lt) or lt != p.lt:
-        raise ShapeMismatch(
-            f"x {x.shape} and h {h.shape} disagree with lt={p.lt}, lr={p.lr}"
-        )
+    lr = hb.shape[2]
+    if hb.shape[1:] != (nf, lr, lt):
+        raise ShapeMismatch(f"x {x.shape} and h {h.shape} disagree")
     rngs = rng if batch else [rng]
-    w = np.empty((len(rngs), p.lr, nf, 2))
+    w = np.empty((len(rngs), lr, nf, 2))
     for g, wf in zip(rngs, w):
         g.standard_normal(out=wf)
-    noise = np.sqrt(p.n0 / 2.0) * w.view(complex)[..., 0]  # w[..., 0] + 1j w[..., 1]
+    noise = np.sqrt(n0 / 2.0) * w.view(complex)[..., 0]  # w[..., 0] + 1j w[..., 1]
     # use axis before antenna axis: the einsum's inner loop runs over the
     # contiguous transmit axis, with the same products and sums as the
     # per-frame "kij,jk->ki"
-    xt = np.ascontiguousarray((np.sqrt(p.es) * xb).transpose(0, 2, 1))
+    xt = np.ascontiguousarray((np.sqrt(es) * xb).transpose(0, 2, 1))
     y = np.einsum("bkij,bkj->bki", hb, xt) + noise.transpose(0, 2, 1)
     return y if batch else y[0]

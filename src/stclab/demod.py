@@ -77,25 +77,11 @@ def _word_metrics(yv, h, xt, es):
     return np.sum(np.abs(yv - pred) ** 2, axis=(1, 2))
 
 
-def eq3_metric(yv, h, x, es):
-    """The word metric of Eq.-(3) form for one candidate codeword."""
-    yv, h, _ = _frames(yv, h)
-    return float(_word_metrics(yv, h, np.asarray(x, dtype=complex).T[None], es)[0])
-
-
-def ml_exhaustive(y, h, cb: BlockCodebook, es):
-    """Brute-force ML over a block codebook; ties go to the lowest index."""
-    n_uses = _frames(y, h)[0].shape[1]
-    if n_uses != cb.n_uses:
-        raise ShapeMismatch(f"frame has {n_uses} uses, codebook words have {cb.n_uses}")
-    return ml_exhaustive_blocks(y, h, cb, es)
-
-
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     """Vectorized per-block ML over a frame of consecutive codewords.
 
-    The frame must hold a whole number of codebook words.  Equivalent to
-    calling :func:`ml_exhaustive` on each block and concatenating.  A batch
+    The frame must hold a whole number of codebook words; each block is
+    decided alone, ties going to the lowest codeword index.  A batch
     of frames is decoded frame by frame: a frame's work already grows with
     the codebook, while a slice across frames would multiply the
     temporaries by the number of frames.

@@ -3,7 +3,10 @@
 A sweep runs frames through encode -> correlated fading -> noise ->
 (optional pilot estimation) -> decode at each Eb/N0 grid point, counting
 frame and bit errors until a stopping rule fires.  Results carry Wilson 95%
-confidence intervals and are emitted as CSV.
+confidence intervals and are emitted as CSV.  Each code family is declared
+once, in ``FAMILIES``; :func:`build_setup` binds it to an encoder and a
+decoder, and reads both arrays' correlation matrices from
+:func:`stclab.channel.spatial_correlation`, once per sweep.
 
 Frames run in batches through one kernel, :func:`simulate_frames`.  Only
 the random draws, the fading draw and the pilot estimate run per frame;
@@ -37,10 +40,7 @@ import numpy as np
 
 from .chanest import build_pilot_map, design_wiener, estimate_channel
 from .channel import (
-    ArrayGeometry,
-    ChannelParams,
-    GEOMETRY_PRESETS,
-    MODES,
+    CLARKE_MAX_USES,
     apply_channel,
     generate_fading,
     spatial_correlation,
@@ -51,7 +51,7 @@ from .demod import (
     sphere_decode,
     viterbi_decode,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .mathcore import CONSTELLATIONS, bits_to_patterns
 from .stcodes import (
     alamouti_codebook,
@@ -65,17 +65,42 @@ from .stcodes import (
 
 Z_95 = 1.959963984540054
 
+MODES = ("clarke_varying", "quasi_static")
 CSI_MODES = ("perfect", "pilot")
-# the decoders each code family accepts; the first is what "auto" picks
-FAMILY_DECODERS = {
-    "alamouti": ("combiner", "ml"),
-    "golden": ("ml", "sphere"),
-    "spatial_multiplex": ("ml", "sphere"),
-    "trellis": ("viterbi",),
+
+
+@dataclass(frozen=True)
+class Family:
+    """A code family: the decoders it accepts (the first is what "auto"
+    picks), its codebook and lattice-form builders, each called as
+    ``(constellation, lt)``, and the lt it requires (None: any).  A family
+    without a codebook reads a trellis code-definition file.  The builders
+    look their functions up on this module when they run, so a wrapper put
+    on its names (a tracer, a test double) sees every call."""
+
+    decoders: tuple
+    codebook: object = None
+    lattice: object = None
+    lt: int = None
+
+
+FAMILIES = {
+    "alamouti": Family(("combiner", "ml"), lambda c, lt: alamouti_codebook(c), lt=2),
+    "golden": Family(
+        ("ml", "sphere"),
+        lambda c, lt: golden_codebook(c),
+        lambda c, lt: golden_dispersion(c),
+        lt=2,
+    ),
+    "spatial_multiplex": Family(
+        ("ml", "sphere"),
+        lambda c, lt: spatial_multiplex_codebook(c, lt=lt, n_uses=1),
+        lambda c, lt: spatial_multiplex_dispersion(c, lt=lt, n_uses=1),
+    ),
+    "trellis": Family(("viterbi",)),
 }
 
 DEFAULT_FRAME_USES = 300
-NOISELESS_EBN0_DB = 200.0
 
 # Frames per batch of the frame kernel; frames longer than the default get
 # proportionally fewer, so a batch holds at most BATCH_MAX default frames'
@@ -108,9 +133,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.code not in FAMILY_DECODERS:
-            raise ConfigError(f"must be one of {tuple(FAMILY_DECODERS)}", key="code")
-        if self.code == "trellis" and not self.trellis_file:
+        if self.code not in FAMILIES:
+            raise ConfigError(f"must be one of {tuple(FAMILIES)}", key="code")
+        if FAMILIES[self.code].codebook is None and not self.trellis_file:
             raise ConfigError("required when code = trellis", key="trellis_file")
         if self.constellation not in CONSTELLATIONS:
             raise ConfigError(
@@ -121,15 +146,16 @@ class SweepConfig:
         diffs = np.diff(np.asarray(self.ebn0_db, dtype=float))
         if np.any(diffs <= 0):
             raise ConfigError("grid must be strictly increasing", key="ebn0_db")
-        if self.lt < 1 or self.lr < 1:
-            raise ConfigError("antenna counts must be >= 1", key="lt")
+        for key in ("lt", "lr"):
+            if getattr(self, key) < 1:
+                raise ConfigError("antenna counts must be >= 1", key=key)
         if self.channel_mode not in MODES:
             raise ConfigError(f"must be one of {MODES}", key="channel")
         if self.fdt < 0:
             raise ConfigError("must be >= 0", key="fdt")
         if self.csi not in CSI_MODES:
             raise ConfigError(f"must be one of {CSI_MODES}", key="csi")
-        decoders = ("auto", *sorted({d for ds in FAMILY_DECODERS.values() for d in ds}))
+        decoders = ("auto", *sorted({d for f in FAMILIES.values() for d in f.decoders}))
         if self.decoder not in decoders:
             raise ConfigError(f"must be one of {decoders}", key="decoder")
         if self.min_frame_errors < 1:
@@ -138,8 +164,20 @@ class SweepConfig:
             raise ConfigError("must be >= 0", key="max_frames")
         if self.frame_uses < 1:
             raise ConfigError("must be >= 1", key="frame_uses")
+        if self.fading_fdt > 0 and self.frame_uses > CLARKE_MAX_USES:
+            raise ConfigError(
+                f"a Clarke-correlated frame must be <= {CLARKE_MAX_USES} uses",
+                key="frame_uses",
+            )
         if self.workers < 1:
             raise ConfigError("must be >= 1", key="workers")
+        if self.seed < 0:
+            raise ConfigError("must be >= 0", key="seed")
+
+    @property
+    def fading_fdt(self):
+        """The fdT the fading runs at; 0 (quasi-static) unless Clarke."""
+        return self.fdt if self.channel_mode == "clarke_varying" else 0.0
 
 
 @dataclass(frozen=True)
@@ -194,26 +232,6 @@ def wilson_interval(k, n, z=Z_95):
     return lo, hi
 
 
-def _parse_geometry(spec_text, key):
-    if spec_text == "white":
-        return None
-    if spec_text in GEOMETRY_PRESETS:
-        return ArrayGeometry.from_preset(spec_text)
-    try:
-        rows = [
-            [float(v) for v in chunk.split(",")]
-            for chunk in spec_text.split(";")
-            if chunk.strip()
-        ]
-        return ArrayGeometry(np.array(rows))
-    except (ValueError, TypeError):
-        raise ConfigError(
-            f"expected 'white', a preset {sorted(GEOMETRY_PRESETS)},"
-            " or 'x,y; x,y; ...'",
-            key=key,
-        ) from None
-
-
 @dataclass(frozen=True)
 class SweepSetup:
     """What every frame of a sweep shares.  ``encode(bits)`` maps (frames,
@@ -241,9 +259,9 @@ def build_setup(cfg: SweepConfig):
     """Resolve a SweepConfig into the objects a sweep uses, binding its code
     family to an encoder and a decoder once."""
     c = CONSTELLATIONS[cfg.constellation]
-    accepted = FAMILY_DECODERS[cfg.code]
-    decoder = accepted[0] if cfg.decoder == "auto" else cfg.decoder
-    if decoder not in accepted:
+    family = FAMILIES[cfg.code]
+    decoder = family.decoders[0] if cfg.decoder == "auto" else cfg.decoder
+    if decoder not in family.decoders:
         raise ConfigError(
             f"decoder {cfg.decoder!r} does not apply to code {cfg.code!r}",
             key="decoder",
@@ -263,7 +281,7 @@ def build_setup(cfg: SweepConfig):
         )
         data_uses = int(pmap.data_positions.size)
 
-    if cfg.code == "trellis":
+    if family.codebook is None:
         try:
             with open(cfg.trellis_file, "r", encoding="utf-8") as fh:
                 code = load_trellis(fh.read(), name=cfg.trellis_file)
@@ -285,48 +303,35 @@ def build_setup(cfg: SweepConfig):
             )
         info_bits = steps * code.bits_per_step
         encode = partial(encode_trellis, code=code)
-        decode = partial(viterbi_decode, code=code)
     else:
-        if cfg.code != "spatial_multiplex" and cfg.lt != 2:
-            raise ConfigError(f"{cfg.code} requires lt = 2", key="lt")
-        if cfg.code == "alamouti":
-            cb = alamouti_codebook(c)
-        elif cfg.code == "golden":
-            cb, disp = golden_codebook(c), golden_dispersion(c)
-        else:
-            cb = spatial_multiplex_codebook(c, lt=cfg.lt, n_uses=1)
-            disp = spatial_multiplex_dispersion(c, lt=cfg.lt, n_uses=1)
-        if data_uses % cb.n_uses:
+        if family.lt not in (None, cfg.lt):
+            raise ConfigError(f"{cfg.code} requires lt = {family.lt}", key="lt")
+        code = family.codebook(c, cfg.lt)
+        if data_uses % code.n_uses:
             raise ConfigError(
                 f"data span {data_uses} is not a multiple of the"
-                f" {cb.n_uses}-use codeword",
+                f" {code.n_uses}-use codeword",
                 key="frame_uses",
             )
-        info_bits = (data_uses // cb.n_uses) * cb.bits_per_codeword
-        encode = partial(_encode_blocks, cb=cb)
-        if decoder == "combiner":
-            allow_nonstatic = (
-                cfg.channel_mode == "clarke_varying" and cfg.fdt > 0
-            ) or cfg.csi == "pilot"
-            decode = partial(alamouti_combine, c=c, allow_nonstatic=allow_nonstatic)
-        elif decoder == "sphere":
-            decode = partial(sphere_decode, code=disp)
-        else:
-            decode = partial(ml_exhaustive_blocks, cb=cb)
+        info_bits = (data_uses // code.n_uses) * code.bits_per_codeword
+        encode = partial(_encode_blocks, cb=code)
+    if decoder == "viterbi":
+        decode = partial(viterbi_decode, code=code)
+    elif decoder == "combiner":
+        allow_nonstatic = cfg.fading_fdt > 0 or cfg.csi == "pilot"
+        decode = partial(alamouti_combine, c=c, allow_nonstatic=allow_nonstatic)
+    elif decoder == "sphere":
+        decode = partial(sphere_decode, code=family.lattice(c, cfg.lt))
+    else:
+        decode = partial(ml_exhaustive_blocks, cb=code)
 
-    corr = {}
-    for side, count in (("tx", cfg.lt), ("rx", cfg.lr)):
-        key = f"{side}_geometry"
-        geom = _parse_geometry(getattr(cfg, key), key)
-        if geom is not None and geom.n_elements < count:
-            raise ConfigError(
-                f"geometry has {geom.n_elements} elements, need {count}", key=key
-            )
-        corr[side] = spatial_correlation(geom.truncate(count)) if geom else np.eye(count)
-
-    setup = SweepSetup(
-        cfg, info_bits, encode, decode, corr["tx"], corr["rx"], pmap, wiener
-    )
+    corr = []
+    for key, count in (("tx_geometry", cfg.lt), ("rx_geometry", cfg.lr)):
+        try:
+            corr.append(spatial_correlation(getattr(cfg, key), count))
+        except ValidationError as e:
+            raise ConfigError(str(e), key=key) from None
+    setup = SweepSetup(cfg, info_bits, encode, decode, *corr, pmap, wiener)
     for ebn0 in cfg.ebn0_db:
         try:
             ok = 0.0 < _es_for(setup, ebn0) < math.inf
@@ -359,13 +364,10 @@ def simulate_frames(setup, si, frame_indices, es):
         x = np.empty((len(gens), cfg.lt, nf), dtype=complex)
         x[:, :, pmap.pilot_positions] = np.tile(pmap.pilot_matrix, pmap.n_blocks)
         x[:, :, pmap.data_positions] = x_data
-    params = ChannelParams(
-        lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
-    )
     h = np.empty((len(gens), nf, cfg.lr, cfg.lt), dtype=complex)
     for hf, g in zip(h, gens):
-        hf[...] = generate_fading(nf, params, setup.rtx, setup.rrx, g[1])
-    y = apply_channel(x, h, params, [g[2] for g in gens])
+        hf[...] = generate_fading(nf, cfg.fading_fdt, setup.rtx, setup.rrx, g[1])
+    y = apply_channel(x, h, es, [g[2] for g in gens])
     if pmap is not None:
         pos = pmap.data_positions
         h = np.empty((len(gens), pos.size, cfg.lr, cfg.lt), dtype=complex)

@@ -173,8 +173,7 @@ def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
     return (index[:, None] // c.size ** np.arange(n_syms - 1, -1, -1)) % c.size
 
 
-def alamouti_codebook(c: Constellation = None):
-    c = c if c is not None else CONSTELLATIONS["QPSK"]
+def alamouti_codebook(c: Constellation):
     patterns = _enumerate_symbol_tuples(c, 2)
     words = np.stack(
         [
@@ -194,8 +193,7 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def golden_codebook(c: Constellation = None):
-    c = c if c is not None else CONSTELLATIONS["QPSK"]
+def golden_codebook(c: Constellation):
     patterns = _enumerate_symbol_tuples(c, 4)
     pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
     sr, si = pts.real[patterns], pts.imag[patterns]
@@ -219,8 +217,7 @@ def golden_codebook(c: Constellation = None):
     return BlockCodebook("golden", words, 4 * c.bits_per_symbol)
 
 
-def spatial_multiplex_codebook(c: Constellation = None, lt=2, n_uses=1):
-    c = c if c is not None else CONSTELLATIONS["QPSK"]
+def spatial_multiplex_codebook(c: Constellation, lt=2, n_uses=1):
     n_syms = lt * n_uses
     pts = np.array([c.pattern_to_point(p) for p in range(c.size)]) / np.sqrt(lt)
     # encode_spatial_multiplex on every word, bitwise the same, written into
@@ -265,19 +262,8 @@ class LinearDispersionCode:
     def n_uses(self):
         return self.basis.shape[2]
 
-    @property
-    def bits_per_codeword(self):
-        return self.n_syms * self.constellation.bits_per_symbol
 
-    def encode(self, symbols):
-        symbols = np.asarray(symbols, dtype=complex)
-        if symbols.shape != (self.n_syms,):
-            raise LengthMismatch(f"expected {self.n_syms} symbols")
-        return np.einsum("m,mjk->jk", symbols, self.basis)
-
-
-def golden_dispersion(c: Constellation = None):
-    c = c if c is not None else CONSTELLATIONS["QPSK"]
+def golden_dispersion(c: Constellation):
     th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
     a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
     basis = GOLDEN_SCALE * np.array(
@@ -292,8 +278,7 @@ def golden_dispersion(c: Constellation = None):
     return LinearDispersionCode("golden", basis, c)
 
 
-def spatial_multiplex_dispersion(c: Constellation = None, lt=2, n_uses=1):
-    c = c if c is not None else CONSTELLATIONS["QPSK"]
+def spatial_multiplex_dispersion(c: Constellation, lt=2, n_uses=1):
     n_syms = lt * n_uses
     basis = np.zeros((n_syms, lt, n_uses), dtype=complex)
     for k in range(n_uses):
@@ -331,7 +316,7 @@ class TrellisCode:
         return self.term_inputs.shape[1]
 
 
-def _termination_table(next_state, max_steps=None):
+def _termination_table(next_state):
     """Per-state input sequences of minimal uniform length ending in state 0.
 
     Finds the smallest T such that every state has a length-T path to state
@@ -340,8 +325,7 @@ def _termination_table(next_state, max_steps=None):
     n_states, n_inputs = next_state.shape
     if n_states == 1:
         return np.zeros((1, 0), dtype=int)
-    if max_steps is None:
-        max_steps = max(2 * n_states, 8)
+    max_steps = max(2 * n_states, 8)
     # reach[t][s] is True when state s has an exact-t-step path to state 0
     reach = [np.zeros(n_states, dtype=bool)]
     reach[0][0] = True

@@ -10,14 +10,8 @@ import time
 import numpy as np
 
 from stclab.chanest import build_pilot_map, design_wiener, estimate_channel
-from stclab.channel import (
-    ArrayGeometry,
-    ChannelParams,
-    apply_channel,
-    generate_fading,
-    spatial_correlation,
-)
-from stclab.demod import ml_exhaustive, sphere_decode, viterbi_decode
+from stclab.channel import apply_channel, generate_fading, spatial_correlation
+from stclab.demod import ml_exhaustive_blocks, sphere_decode, viterbi_decode
 from stclab.designmetrics import codebook_report
 from stclab.harness import (
     SweepConfig,
@@ -25,7 +19,6 @@ from stclab.harness import (
     run_sweep,
     simulate_frame,
     _es_for,
-    _parse_geometry,
 )
 from stclab.mathcore import QPSK, bessel_j0
 from stclab.stcodes import (
@@ -72,14 +65,13 @@ def test_oracle_equivalence(capsys):
     sphere_mismatches = 0
     for db_i, db in enumerate((0.0, 10.0, 20.0)):
         es = 10.0 ** (db / 10.0)
-        p = ChannelParams(lt=2, lr=2, fdT=0.0, es=es, n0=1.0, mode="quasi_static")
         for t in range(334):
             rng = make_rng(1_000_000 + 10_000 * db_i + t)
             n = int(rng.integers(0, cb.size))
-            h = generate_fading(2, p, np.eye(2), np.eye(2), rng)
-            frame = apply_channel(cb.codewords[n], h, p, rng)
+            h = generate_fading(2, 0.0, np.eye(2), np.eye(2), rng)
+            frame = apply_channel(cb.codewords[n], h, es, rng)
             sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive(frame, h, cb, es)
+            ml = ml_exhaustive_blocks(frame, h, cb, es)
             sphere_trials += 1
             if not np.array_equal(sd.bits, ml.bits):
                 sphere_mismatches += 1
@@ -94,11 +86,10 @@ def test_oracle_equivalence(capsys):
         bits = rng.integers(0, 2, size=16)
         x = encode_trellis(bits, code)
         es = 10.0 ** (float(rng.choice([0.0, 10.0, 20.0])) / 10.0)
-        p = ChannelParams(lt=2, lr=2, fdT=0.0, es=es, n0=1.0, mode="quasi_static")
-        h = generate_fading(x.shape[1], p, np.eye(2), np.eye(2), rng)
-        frame = apply_channel(x, h, p, rng)
+        h = generate_fading(x.shape[1], 0.0, np.eye(2), np.eye(2), rng)
+        frame = apply_channel(x, h, es, rng)
         vd = viterbi_decode(frame, h, code, es)
-        ml = ml_exhaustive(frame, h, path_cb, es)
+        ml = ml_exhaustive_blocks(frame, h, path_cb, es)
         vit_trials += 1
         if not np.array_equal(vd.bits, ml.bits):
             vit_mismatches += 1
@@ -126,12 +117,11 @@ def test_channel_statistics(capsys):
     fdt = 0.01
     nf = 300
     lags = np.arange(51)
-    p = ChannelParams(lt=1, lr=50, fdT=fdt, es=1.0, n0=1.0)
     num = np.zeros(51)
     den = 0.0
     n_frames = 0
     for b in range(2000):
-        h = generate_fading(nf, p, np.eye(1), np.eye(50), make_rng(3_000_000 + b))
+        h = generate_fading(nf, fdt, np.eye(1), np.eye(50), make_rng(3_000_000 + b))
         paths = h[:, :, 0]
         for m in lags:
             num[m] += np.sum((paths[: nf - m] * np.conj(paths[m:])).real) / (nf - m)
@@ -142,13 +132,11 @@ def test_channel_statistics(capsys):
     temporal_err = float(np.abs(r_hat - r_want).max())
 
     # spatial: half-wavelength receive pair
-    g = ArrayGeometry(np.array([[0.0, 0.0], [0.5, 0.0]]))
-    rrx = spatial_correlation(g)
-    p2 = ChannelParams(lt=1, lr=2, fdT=0.0, es=1.0, n0=1.0)
+    rrx = spatial_correlation("0,0; 0.5,0", 2)
     num2 = 0.0
     den2 = 0.0
     for f in range(20000):
-        h = generate_fading(1, p2, np.eye(1), rrx, make_rng(4_000_000 + f))
+        h = generate_fading(1, 0.0, np.eye(1), rrx, make_rng(4_000_000 + f))
         num2 += (h[0, 0, 0] * np.conj(h[0, 1, 0])).real
         den2 += (abs(h[0, 0, 0]) ** 2 + abs(h[0, 1, 0]) ** 2) / 2
     rho_hat = num2 / den2
@@ -242,15 +230,14 @@ def test_estimator_accuracy(capsys):
     pm = build_pilot_map(300, 2, 72)
     w = design_wiener(pm, fdt, snr_db, 12)
     es = 10.0 ** (snr_db / 10.0)
-    p = ChannelParams(lt=2, lr=2, fdT=fdt, es=es, n0=1.0)
     x = np.zeros((2, 300), dtype=complex)
     for s in pm.block_starts:
         x[:, s : s + 2] = pm.pilot_matrix
     err2 = np.zeros(300)
     n = 400
     for f in range(n):
-        h = generate_fading(300, p, np.eye(2), np.eye(2), make_rng(5_000_000 + f))
-        frame = apply_channel(x, h, p, make_rng(6_000_000 + f))
+        h = generate_fading(300, fdt, np.eye(2), np.eye(2), make_rng(5_000_000 + f))
+        frame = apply_channel(x, h, es, make_rng(6_000_000 + f))
         err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
     mse = err2 / (n * 4)
     d = pm.data_positions
@@ -293,7 +280,7 @@ def _vb_fer(code, constellation, tx, rx, seed):
 
 def _adjacent_rho(spec):
     """Adjacent-element correlation of a 2-antenna side, as the sweep builds it."""
-    return float(spatial_correlation(_parse_geometry(spec, "geometry").truncate(2))[0, 1])
+    return float(spatial_correlation(spec, 2)[0, 1])
 
 
 def test_geometry_code_ordering(capsys):

@@ -13,7 +13,7 @@ from stclab.chanest import (
     estimate_channel,
     raw_block_estimates,
 )
-from stclab.channel import ChannelParams, apply_channel, generate_fading
+from stclab.channel import apply_channel, generate_fading
 from stclab.errors import InvalidCount, ShapeMismatch
 from stclab.mathcore import CHOL_JITTER, bessel_j0
 
@@ -46,19 +46,18 @@ def per_position_design(pmap, fdt, snr, taps):
     return weights, mmse
 
 
-def pilot_frame(pmap, h, p, rng):
+def pilot_frame(pmap, h, es, rng, n0=1.0):
     """Transmit pilots only (zeros elsewhere) through the channel."""
     x = np.zeros((pmap.lt, pmap.nf), dtype=complex)
     for s in pmap.block_starts:
         x[:, s : s + pmap.lt] = pmap.pilot_matrix
-    return apply_channel(x, h, p, rng)
+    return apply_channel(x, h, es, rng, n0=n0)
 
 
 class TestPilotMap:
     def test_standard_frame_layout(self):
         pm = build_pilot_map(300, 2, 72)
         assert pm.n_blocks == 36
-        assert pm.n_pilot == 72
         # edge flush: the first block occupies uses 1..2, the last 299..300
         assert pm.block_starts[0] == 0
         assert pm.block_starts[-1] == 298
@@ -204,10 +203,9 @@ class TestWienerDesign:
 class TestEstimation:
     def test_raw_block_estimates_noiseless(self):
         pm = build_pilot_map(20, 2, 8)
-        p = ChannelParams(lt=2, lr=3, fdT=0.0, es=4.0, n0=1e-20)
-        h = generate_fading(20, p, np.eye(2), np.eye(3), make_rng(0))
-        frame = pilot_frame(pm, h, p, make_rng(1))
-        raw = raw_block_estimates(frame, p.es, pm)
+        h = generate_fading(20, 0.0, np.eye(2), np.eye(3), make_rng(0))
+        frame = pilot_frame(pm, h, 4.0, make_rng(1), n0=1e-20)
+        raw = raw_block_estimates(frame, 4.0, pm)
         assert raw.shape == (pm.n_blocks, 3, 2)
         for b, s in enumerate(pm.block_starts):
             assert_allclose(raw[b], h[s], atol=1e-8)
@@ -215,23 +213,21 @@ class TestEstimation:
     def test_static_noiseless_estimate_is_exact(self):
         pm = build_pilot_map(300, 2, 72)
         w = design_wiener(pm, 0.0, np.inf, 8)
-        p = ChannelParams(lt=2, lr=2, fdT=0.0, es=1.0, n0=1e-20)
-        h = generate_fading(300, p, np.eye(2), np.eye(2), make_rng(2))
-        frame = pilot_frame(pm, h, p, make_rng(3))
-        hh = estimate_channel(frame, p.es, pm, w)
+        h = generate_fading(300, 0.0, np.eye(2), np.eye(2), make_rng(2))
+        frame = pilot_frame(pm, h, 1.0, make_rng(3), n0=1e-20)
+        hh = estimate_channel(frame, 1.0, pm, w)
         assert hh.shape == (300, 2, 2)
         assert_allclose(hh, h, atol=1e-6)
 
     def test_estimate_unbiased(self):
         pm = build_pilot_map(100, 2, 20)
         w = design_wiener(pm, 0.01, 20.0, 5)
-        p = ChannelParams(lt=2, lr=1, fdT=0.01, es=100.0, n0=1.0)
         bias = np.zeros((100, 1, 2), dtype=complex)
         n = 400
         for f in range(n):
-            h = generate_fading(100, p, np.eye(2), np.eye(1), make_rng(40000 + f))
-            frame = pilot_frame(pm, h, p, make_rng(50000 + f))
-            bias += estimate_channel(frame, p.es, pm, w) - h
+            h = generate_fading(100, 0.01, np.eye(2), np.eye(1), make_rng(40000 + f))
+            frame = pilot_frame(pm, h, 100.0, make_rng(50000 + f))
+            bias += estimate_channel(frame, 100.0, pm, w) - h
         assert np.abs(bias / n).max() < 0.02
 
     def test_mse_tracks_analytic(self):
@@ -240,13 +236,12 @@ class TestEstimation:
         pm = build_pilot_map(300, 2, 72)
         w = design_wiener(pm, fdt, snr_db, 12)
         es = 10 ** (snr_db / 10)
-        p = ChannelParams(lt=2, lr=2, fdT=fdt, es=es, n0=1.0)
         err2 = np.zeros(300)
         n = 250
         for f in range(n):
-            h = generate_fading(300, p, np.eye(2), np.eye(2), make_rng(60000 + f))
-            frame = pilot_frame(pm, h, p, make_rng(70000 + f))
-            err2 += np.sum(np.abs(estimate_channel(frame, p.es, pm, w) - h) ** 2, axis=(1, 2))
+            h = generate_fading(300, fdt, np.eye(2), np.eye(2), make_rng(60000 + f))
+            frame = pilot_frame(pm, h, es, make_rng(70000 + f))
+            err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
         mse = err2 / (n * 4)
         d = pm.data_positions
         assert mse[d].mean() <= 1.25 * w.mmse[d].mean()
@@ -257,24 +252,22 @@ class TestEstimation:
         # rows must not disturb the other's estimate
         pm = build_pilot_map(40, 2, 8)
         w = design_wiener(pm, 0.0, np.inf, 4)
-        p = ChannelParams(lt=2, lr=1, fdT=0.0, es=1.0, n0=1e-20)
-        h = generate_fading(40, p, np.eye(2), np.eye(1), make_rng(4))
+        h = generate_fading(40, 0.0, np.eye(2), np.eye(1), make_rng(4))
         h_masked = h.copy()
         h_masked[:, :, 1] = 0.0
-        fa = pilot_frame(pm, h, p, make_rng(5))
-        fb = pilot_frame(pm, h_masked, p, make_rng(5))
-        ha = estimate_channel(fa, p.es, pm, w)
-        hb = estimate_channel(fb, p.es, pm, w)
+        fa = pilot_frame(pm, h, 1.0, make_rng(5), n0=1e-20)
+        fb = pilot_frame(pm, h_masked, 1.0, make_rng(5), n0=1e-20)
+        ha = estimate_channel(fa, 1.0, pm, w)
+        hb = estimate_channel(fb, 1.0, pm, w)
         assert_allclose(ha[:, :, 0], hb[:, :, 0], atol=1e-8)
         assert_allclose(hb[:, :, 1], np.zeros((40, 1)), atol=1e-8)
 
     def test_frame_length_check(self):
         pm = build_pilot_map(300, 2, 72)
         w = design_wiener(pm, 0.01, 20.0, 4)
-        p = ChannelParams(lt=2, lr=1, fdT=0.0, es=1.0, n0=1.0)
-        h = generate_fading(200, p, np.eye(2), np.eye(1), make_rng(6))
-        frame = apply_channel(np.zeros((2, 200), dtype=complex), h, p, make_rng(7))
+        h = generate_fading(200, 0.0, np.eye(2), np.eye(1), make_rng(6))
+        frame = apply_channel(np.zeros((2, 200), dtype=complex), h, 1.0, make_rng(7))
         with pytest.raises(ShapeMismatch):
-            raw_block_estimates(frame, p.es, pm)
+            raw_block_estimates(frame, 1.0, pm)
         with pytest.raises(ShapeMismatch):
-            estimate_channel(frame, p.es, pm, w)
+            estimate_channel(frame, 1.0, pm, w)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from stclab import cli, errors
+from stclab import cli, errors, harness
 from stclab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from stclab.errors import InputError, NumericError, StclabError
 
@@ -98,6 +98,38 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(p)])
         assert rc == EXIT_CONFIG
 
+    def test_negative_seed_exits_config(self, config_file, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(config_file), "--seed", "-1"])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        p = tmp_path / "seed.cfg"
+        p.write_text(SWEEP_CONFIG.replace("seed = 11", "seed = -1"))
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: seed: ")
+
+    @pytest.mark.parametrize("key", ["lt", "lr"])
+    def test_zero_antennas_names_the_key(self, key, tmp_path, capsys):
+        p = tmp_path / "antennas.cfg"
+        p.write_text(SWEEP_CONFIG.replace(f"{key} = ", f"{key} = 0  # "))
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_long_clarke_frame_exits_config_before_any_frame(self, tmp_path, monkeypatch, capsys):
+        def no_frames(*_args, **_kwargs):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness, "simulate_frames", no_frames)
+        p = tmp_path / "clarke.cfg"
+        p.write_text(
+            SWEEP_CONFIG.replace("quasi_static", "clarke_varying")
+            .replace("frame_uses = 60", "frame_uses = 50000")
+            + "fdt = 0.01\n"
+        )
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: frame_uses: ")
+
     @pytest.mark.parametrize("grid", ["nan", "inf", "-4000", "4000"])
     def test_grid_without_finite_es_is_a_config_error(self, grid, tmp_path, capsys):
         p = tmp_path / "grid.cfg"
@@ -107,6 +139,30 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ebn0_db: ")
+
+
+# a malformed array spec on either side, with lt = lr = 2
+MALFORMED_GEOMETRY = {
+    "ragged row": "0,0; 0.5",
+    "three coordinates": "0,0,0; 1,0,0",
+    "not a number": "0,0; nan,0",
+    "infinite": "0,0; inf,0",
+    "unknown name": "hexagon",
+    "too few elements": "0,0",
+}
+
+
+class TestGeometrySpecs:
+    @pytest.mark.parametrize("key", ["tx_geometry", "rx_geometry"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GEOMETRY))
+    def test_malformed_spec_exits_config_and_names_key(self, key, case, tmp_path, capsys):
+        p = tmp_path / "geometry.cfg"
+        spec = MALFORMED_GEOMETRY[case]
+        p.write_text(SWEEP_CONFIG.replace("lr = 1", "lr = 2") + f"{key} = {spec}\n")
+        assert main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key}: ")
 
 
 class TestMetricsCommand:

@@ -9,11 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from stclab import demod
-from stclab.channel import ChannelParams, apply_channel, generate_fading
+from stclab.channel import apply_channel, generate_fading
 from stclab.demod import (
     alamouti_combine,
-    eq3_metric,
-    ml_exhaustive,
     ml_exhaustive_blocks,
     sphere_decode,
     viterbi_decode,
@@ -145,11 +143,15 @@ def _per_block_search(yr, gr, levels, d):
 
 def transmit(x, lr, es, n0, rng, fdt=0.0):
     lt = x.shape[0]
-    mode = "quasi_static" if fdt == 0.0 else "clarke_varying"
-    p = ChannelParams(lt=lt, lr=lr, fdT=fdt, es=es, n0=n0, mode=mode)
-    h = generate_fading(x.shape[1], p, np.eye(lt), np.eye(lr), rng)
-    frame = apply_channel(x, h, p, rng)
+    h = generate_fading(x.shape[1], fdt, np.eye(lt), np.eye(lr), rng)
+    frame = apply_channel(x, h, es, rng, n0=n0)
     return frame, h
+
+
+def word_metric(y, h, x, es):
+    """sum_k ||y(k) - sqrt(es) H(k) x(k)||^2 for one candidate word x."""
+    pred = np.sqrt(es) * np.einsum("kij,jk->ki", h, x)
+    return float(np.sum(np.abs(y - pred) ** 2))
 
 
 class TestMlExhaustive:
@@ -158,7 +160,7 @@ class TestMlExhaustive:
         for n in (0, 1, 77, 255):
             x = cb.codewords[n]
             frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(n))
-            res = ml_exhaustive(frame, h, cb, 4.0)
+            res = ml_exhaustive_blocks(frame, h, cb, 4.0)
             want = patterns_to_bits(np.array([n]), 8)
             np.testing.assert_array_equal(res.bits, want)
             assert res.metric < 1e-12
@@ -168,15 +170,15 @@ class TestMlExhaustive:
         cb = alamouti_codebook(QPSK)
         x = cb.codewords[5]
         frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1))
-        res = ml_exhaustive(frame, h, cb, 1.0)
+        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
         n = int("".join(str(b) for b in res.bits), 2)
-        assert_allclose(res.metric, eq3_metric(frame, h, cb.codewords[n], 1.0), rtol=1e-12)
+        assert_allclose(res.metric, word_metric(frame, h, cb.codewords[n], 1.0), rtol=1e-12)
 
     def test_metric_is_minimum(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[9], 1, 1.0, 1.0, make_rng(2))
-        res = ml_exhaustive(frame, h, cb, 1.0)
-        metrics = [eq3_metric(frame, h, w, 1.0) for w in cb.codewords]
+        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        metrics = [word_metric(frame, h, w, 1.0) for w in cb.codewords]
         assert_allclose(res.metric, min(metrics), rtol=1e-12)
 
     def test_single_word_codebook(self):
@@ -184,7 +186,7 @@ class TestMlExhaustive:
 
         cb = BlockCodebook("one", np.eye(2)[None], 0)
         frame, h = transmit(np.eye(2, dtype=complex), 1, 1.0, 1.0, make_rng(3))
-        res = ml_exhaustive(frame, h, cb, 1.0)
+        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
         assert res.bits.size == 0
 
     def test_blocks_match_per_block_ml(self):
@@ -200,7 +202,7 @@ class TestMlExhaustive:
             sl = slice(2 * b, 2 * b + 2)
             sub_y = frame[sl]
             sub_h = h[sl]
-            res = ml_exhaustive(sub_y, sub_h, cb, 2.0)
+            res = ml_exhaustive_blocks(sub_y, sub_h, cb, 2.0)
             bits.append(res.bits)
             metric += res.metric
         np.testing.assert_array_equal(whole.bits, np.concatenate(bits))
@@ -215,7 +217,7 @@ class TestMlExhaustive:
         cb = BlockCodebook("pair", w, 1)
         y = np.zeros((1, 1), dtype=complex)  # equidistant from both words
         h = np.ones((1, 1, 1), dtype=complex)
-        res = ml_exhaustive(y, h, cb, 1.0)
+        res = ml_exhaustive_blocks(y, h, cb, 1.0)
         np.testing.assert_array_equal(res.bits, [0])
 
 
@@ -377,7 +379,7 @@ class TestViterbi:
             es = 10 ** (rng.uniform(-2, 12) / 10)
             frame, h = transmit(x, 2, es, 1.0, make_rng(5000 + t))
             vd = viterbi_decode(frame, h, code, es)
-            ml = ml_exhaustive(frame, h, cb, es)
+            ml = ml_exhaustive_blocks(frame, h, cb, es)
             if not np.array_equal(vd.bits, ml.bits):
                 mismatch += 1
             assert_allclose(vd.metric, ml.metric, rtol=1e-9)
@@ -445,7 +447,7 @@ class TestSphere:
             es = 10 ** (rng.uniform(-2, 20) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(40000 + t))
             sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive(frame, h, cb, es)
+            ml = ml_exhaustive_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(sd.bits, ml.bits)
             assert_allclose(sd.metric, ml.metric, rtol=1e-8, atol=1e-12)
 
@@ -458,7 +460,7 @@ class TestSphere:
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(60000 + t))
             sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive(frame, h, cb, es)
+            ml = ml_exhaustive_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_visited_falls_with_snr(self):
@@ -495,7 +497,7 @@ class TestSphere:
         ld = golden_dispersion(QPSK)
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[0], 1, 1.0, 1.0, make_rng(11))
-        res_ok = ml_exhaustive(frame, h, cb, 1.0)
+        res_ok = ml_exhaustive_blocks(frame, h, cb, 1.0)
         assert res_ok.bits.shape == (8,)
         with pytest.raises(ModelMismatch):
             sphere_decode(frame, h, ld, 1.0)
@@ -603,7 +605,7 @@ class TestAlamoutiCombiner:
                 es = 10 ** (rng.uniform(-2, 15) / 10)
                 frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(95000 + 1000 * lr + t))
                 cm = alamouti_combine(frame, h, es, QPSK)
-                ml = ml_exhaustive(frame, h, cb, es)
+                ml = ml_exhaustive_blocks(frame, h, cb, es)
                 np.testing.assert_array_equal(cm.bits, ml.bits)
                 assert_allclose(cm.metric, ml.metric, rtol=1e-9, atol=1e-12)
 
@@ -615,15 +617,14 @@ class TestAlamoutiCombiner:
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(120000 + t))
             cm = alamouti_combine(frame, h, es, QAM16)
-            ml = ml_exhaustive(frame, h, cb, es)
+            ml = ml_exhaustive_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_rejects_nonstatic_block(self):
         s = QPSK.pattern_to_point(0)
         x = encode_alamouti(s, s)
-        p = ChannelParams(lt=2, lr=1, fdT=0.2, es=1.0, n0=1.0)
-        h = generate_fading(2, p, np.eye(2), np.eye(1), make_rng(15))
-        frame = apply_channel(x, h, p, make_rng(16))
+        h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
+        frame = apply_channel(x, h, 1.0, make_rng(16))
         with pytest.raises(NonStaticBlock):
             alamouti_combine(frame, h, 1.0, QPSK)
         res = alamouti_combine(frame, h, 1.0, QPSK, allow_nonstatic=True)
@@ -648,16 +649,16 @@ class TestCrossDecoderConsistency:
         # scaling y and sqrt(es) together leaves decisions unchanged
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[17], 2, 1.0, 1.0, make_rng(17))
-        a = ml_exhaustive(frame, h, cb, 1.0)
-        b = ml_exhaustive(2.0 * frame, h, cb, 4.0)
+        a = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        b = ml_exhaustive_blocks(2.0 * frame, h, cb, 4.0)
         np.testing.assert_array_equal(a.bits, b.bits)
         assert_allclose(b.metric, 4.0 * a.metric, rtol=1e-12)
 
     def test_received_frame_and_array_agree(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[3], 2, 1.0, 1.0, make_rng(18))
-        a = ml_exhaustive(frame, h, cb, 1.0)
-        b = ml_exhaustive(frame, h, cb, 1.0)
+        a = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        b = ml_exhaustive_blocks(frame, h, cb, 1.0)
         np.testing.assert_array_equal(a.bits, b.bits)
 
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from stclab import harness
 from stclab.chanest import estimate_channel
-from stclab.channel import ChannelParams, apply_channel, generate_fading
+from stclab.channel import CLARKE_MAX_USES, apply_channel, generate_fading
 from stclab.demod import (
     alamouti_combine,
     ml_exhaustive_blocks,
@@ -32,7 +32,7 @@ from stclab.harness import (
     simulate_frames,
     wilson_interval,
 )
-from stclab.mathcore import CONSTELLATIONS, bits_to_patterns
+from stclab.mathcore import CONSTELLATIONS, bessel_j0, bits_to_patterns
 from stclab.stcodes import (
     alamouti_codebook,
     encode_trellis,
@@ -180,8 +180,90 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepConfig(code="trellis", ebn0_db=(1.0,))  # needs trellis_file
 
+    @pytest.mark.parametrize(
+        "field, value, key", [("fdt", -0.01, "fdt"), ("channel_mode", "block", "channel")]
+    )
+    def test_fading_refusals_name_their_key(self, field, value, key):
+        with pytest.raises(ConfigError) as exc:
+            SweepConfig(code="alamouti", ebn0_db=(1.0,), **{field: value})
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize("key", ["lt", "lr"])
+    def test_antenna_count_refusal_names_its_key(self, key):
+        with pytest.raises(ConfigError) as exc:
+            SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), **{key: 0})
+        assert exc.value.key == key
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError) as exc:
+            SweepConfig(code="alamouti", ebn0_db=(1.0,), seed=-1)
+        assert exc.value.key == "seed"
+
+    def test_clarke_frame_cap(self):
+        cfg = SweepConfig(code="alamouti", ebn0_db=(1.0,), channel_mode="clarke_varying",
+                          fdt=0.01, frame_uses=CLARKE_MAX_USES)
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, frame_uses=CLARKE_MAX_USES + 2)
+        assert exc.value.key == "frame_uses"
+        # quasi-static frames, and Clarke at fdT = 0, hold one draw: no cap
+        replace(cfg, frame_uses=10**6, channel_mode="quasi_static")
+        replace(cfg, frame_uses=10**6, fdt=0.0)
+
+
+# literal element positions of every preset and of some text specs
+GEOMETRY_POSITIONS = {
+    "rx_square_0.5": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]],
+    "rx_square_0.25": [[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [0.25, 0.25]],
+    "tx_linear_2.0": [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]],
+    "tx_linear_1.0": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]],
+    "0,0; 0.5,0; 1,0": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+    "0,0; 0.3,0.4; -1.25,2": [[0.0, 0.0], [0.3, 0.4], [-1.25, 2.0]],
+    " 0.05 , 0 ;0,0;": [[0.05, 0.0], [0.0, 0.0]],
+}
+
+
+def j0_of_positions(positions):
+    pos = np.array(positions, dtype=float)
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    return bessel_j0(2.0 * np.pi * d)
+
+
+class TestGeometrySpecs:
+    @pytest.mark.parametrize("spec", sorted(GEOMETRY_POSITIONS))
+    def test_spec_gives_j0_of_its_first_positions(self, spec):
+        pos = GEOMETRY_POSITIONS[spec]
+        for n in range(1, len(pos) + 1):
+            cfg = SweepConfig(
+                code="spatial_multiplex", ebn0_db=(10.0,), lt=n, lr=n,
+                tx_geometry=spec, rx_geometry=spec, decoder="ml", frame_uses=4,
+            )
+            setup = build_setup(cfg)
+            want = j0_of_positions(pos[:n])
+            np.testing.assert_array_equal(setup.rtx, want)
+            np.testing.assert_array_equal(setup.rrx, want)
+
+    def test_white_is_identity(self):
+        cfg = SweepConfig(code="spatial_multiplex", ebn0_db=(10.0,), lt=3, lr=2,
+                          decoder="ml", frame_uses=4)
+        setup = build_setup(cfg)
+        np.testing.assert_array_equal(setup.rtx, np.eye(3))
+        np.testing.assert_array_equal(setup.rrx, np.eye(2))
+
 
 class TestBuildSetup:
+    def test_family_builders_are_looked_up_per_setup(self, monkeypatch):
+        # the names a tracer wraps on the harness module see every call
+        calls = []
+
+        def counted(name):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+        for name in ("golden_codebook", "golden_dispersion", "spatial_correlation"):
+            counted(name)
+        build_setup(SweepConfig(code="golden", ebn0_db=(1.0,), lr=2, decoder="sphere"))
+        assert calls == ["golden_codebook", "golden_dispersion"] + ["spatial_correlation"] * 2
+
     def test_pilot_overhead_charged_to_info_bits(self):
         cfg = SweepConfig(
             code="alamouti",
@@ -278,6 +360,11 @@ class TestBuildSetup:
 
 
 class TestRunSweep:
+    def test_quasi_static_ignores_fdt(self):
+        cfg = SweepConfig(code="alamouti", ebn0_db=(6.0,), lr=2, channel_mode="quasi_static",
+                          fdt=0.05, min_frame_errors=5, max_frames=20, frame_uses=30, seed=4)
+        assert run_sweep(cfg).to_csv() == run_sweep(replace(cfg, fdt=0.0)).to_csv()
+
     def test_csv_schema(self):
         cfg = parse_config(BASE_CONFIG)
         out = run_sweep(cfg).to_csv()
@@ -495,11 +582,9 @@ def old_simulate_frame(setup, si, fi, es):
             x[:, start : start + cfg.lt] = setup.pmap.pilot_matrix
     else:
         x = x_data
-    params = ChannelParams(
-        lt=cfg.lt, lr=cfg.lr, fdT=cfg.fdt, es=es, n0=1.0, mode=cfg.channel_mode
-    )
-    h = generate_fading(nf, params, setup.rtx, setup.rrx, fade_rng)
-    y = apply_channel(x, h, params, noise_rng)
+    fdt = cfg.fdt if cfg.channel_mode == "clarke_varying" else 0.0
+    h = generate_fading(nf, fdt, setup.rtx, setup.rrx, fade_rng)
+    y = apply_channel(x, h, es, noise_rng)
     if cfg.csi == "pilot":
         h_dec = estimate_channel(y, es, setup.pmap, setup.wiener)
         y_data = y[setup.pmap.data_positions]
