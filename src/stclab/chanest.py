@@ -181,5 +181,8 @@ def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
     if w.nf != pmap.nf:
         raise ShapeMismatch("interpolator was designed for a different map")
     raw = raw_block_estimates(y, es, pmap)
-    gathered = raw[w.block_idx]  # (nf, taps, lr, lt)
-    return np.einsum("ka,kaij->kij", w.weights, gathered)
+    # einsum("ka,kaij->kij", weights, raw[block_idx])'s sums, without the gather
+    est = np.zeros((pmap.nf,) + raw.shape[1:], dtype=complex)
+    for a in range(w.weights.shape[1]):
+        est += w.weights[:, a, None, None] * raw[w.block_idx[:, a]]
+    return est

@@ -31,9 +31,8 @@ from .stcodes import (
 
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
-# Values per temporary in one chunk of the time-varying metric kernel
-# (one complex and two float buffers), or one row of its outer axis when
-# that is longer.
+# Values per temporary in one chunk of the metric kernel, or one row of
+# its outer axis when that is longer.
 ML_TILE_ELEMENTS = 2**15
 
 
@@ -86,17 +85,13 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     the codebook, while a slice across frames would multiply the
     temporaries by the number of frames.
 
-    The codebook is scanned in slices so that no temporary holds more than
-    ``ML_SLICE_ELEMENTS`` complex values, whatever the frame length and
-    codebook size.  When H is the same at every use (a quasi-static frame)
-    each candidate's prediction sqrt(Es) H X is computed once per slice and
-    shared by all blocks; otherwise it is computed per block, by
-    :func:`_varying_metrics`.  A codebook
-    that gives its distinct columns has each column predicted once under
-    a quasi-static H, by the same einsum, and the words' predictions
-    gathered from them.  Either way the metric is the direct
-    ||Y - sqrt(Es) H X||^2, and ties go to the lowest codeword index,
-    within a slice by argmin and across slices by a strict comparison.
+    The codebook is scanned in slices of about ``ML_SLICE_ELEMENTS``
+    (block, word, use, antenna) values, whatever the frame length and
+    codebook size, each scored by :func:`_varying_metrics`, which predicts
+    a quasi-static frame's words once for all its blocks.  The metric is
+    the direct ||Y - sqrt(Es) H X||^2, summed in numpy's order, and ties go
+    to the lowest codeword index, within a slice by argmin and across
+    slices by a strict comparison.
     """
     yv, h, batch = _frames(y, h)
     if yv.shape[1] % cb.n_uses:
@@ -108,33 +103,19 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
 
 
 def _ml_frame(yv, h, cb, es):
-    u = cb.n_uses
+    u, lr = cb.n_uses, yv.shape[1]
     nb = yv.shape[0] // u
-    lr = yv.shape[1]
     yb = yv.reshape(nb, u, lr)
-    hb = h.reshape(nb, u, lr, h.shape[2])
-    static = np.all(h == h[:1])
-    col_pred = None
-    if static and cb.columns is not None:
-        # a word's prediction at a use depends only on that use's column:
-        # predict each distinct column once and gather
-        col_pred = np.sqrt(es) * np.einsum(
-            "bkij,njk->bnki", hb[:1, :1], cb.columns[:, :, None]
-        )[:, :, 0]
+    # a quasi-static frame's H is one row, shared by every block
+    hb = h.reshape(nb, u, lr, h.shape[2])[: 1 if np.all(h == h[:1]) else nb]
     step = max(1, ML_SLICE_ELEMENTS // max(nb * u * lr, 1))
     best = np.full(nb, np.inf)
     idx = np.zeros(nb, dtype=int)
     blocks = np.arange(nb)
     for start in range(0, cb.size, step):
-        words = cb.codewords[start : start + step]
-        if static:
-            if col_pred is not None:
-                pred = col_pred[:, cb.column_index[start : start + step]]
-            else:
-                pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb[:1], words)
-            metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
-        else:
-            metrics = _varying_metrics(yb, hb, words, es)
+        words = slice(start, start + step)
+        gather = () if cb.columns is None else (cb.columns, cb.column_index[words])
+        metrics = _varying_metrics(yb, hb, cb.codewords[words], es, *gather)
         pick = np.argmin(metrics, axis=1)
         found = metrics[blocks, pick]
         better = found < best
@@ -144,11 +125,12 @@ def _ml_frame(yv, h, cb, es):
     return DecodeResult(bits=bits, metric=float(best.sum()), visited=nb * cb.size)
 
 
-def _varying_metrics(yb, hb, words, es):
-    """Metric of every word at every block of a time-varying frame.
+def _varying_metrics(yb, hb, words, es, columns=None, column_index=None):
+    """Metric of every word at every block of a frame.
 
-    ``yb`` is (nb, u, lr), ``hb`` (nb, u, lr, lt) and ``words``
-    (n, lt, u); returns the (nb, n) metrics, bitwise equal to
+    ``yb`` is (nb, u, lr), ``hb`` (nb, u, lr, lt), or (1, u, lr, lt) for
+    an H shared by every block, and ``words`` (n, lt, u); returns the
+    (nb, n) metrics, bitwise equal to
 
         np.sum(np.abs(yb[:, None] - np.sqrt(es)
                       * np.einsum("bkij,njk->bnki", hb, words)) ** 2,
@@ -156,42 +138,71 @@ def _varying_metrics(yb, hb, words, es):
 
     by the same numpy operations on another layout.  The prediction is
     laid out (use, antenna, block, word), or (use, antenna, word, block)
-    when there are more blocks than words, so the einsum and the
-    elementwise passes run along the longer of the two axes, contiguous,
-    instead of the short inner axes of the einsum's output.  Only the sum
-    runs on a (block, word, use x antenna) copy, the layout the expression
-    above sums.  The outer axis goes through in chunks of about
-    ``ML_TILE_ELEMENTS`` values per temporary, and at least one row, and
-    the chunks reuse the same three buffers.
+    when blocks outnumber words and H varies, so every pass runs along the
+    longer axis.  A shared H predicts the words once, or, given the
+    distinct ``columns`` (n_columns, lt) and the words' ``column_index``
+    (n, u), each column once per use, gathered into the words.  Each
+    (use, antenna) term's |y - pred|^2 is one contiguous plane, added in
+    numpy's order by :func:`_sum_terms`.  The outer axis goes in chunks of
+    about ``ML_TILE_ELEMENTS`` values per temporary (at least one row)
+    that reuse two buffers.
     """
-    nb, u, lr, lt = hb.shape
-    n = words.shape[0]
+    (nb, u, lr), n = yb.shape, len(words)
     terms = u * lr
-    words_inner = n >= nb
+    shared = len(hb) == 1
+    words_inner = n >= nb or shared
     outer, inner = (nb, n) if words_inner else (n, nb)
     y = np.ascontiguousarray(yb.transpose(1, 2, 0))
-    if words_inner:
-        spec, chunked, whole = "bkij,kjn->kibn", hb, words.transpose(2, 1, 0).copy()
-    else:
-        spec, chunked, whole = "njk,kijb->kinb", words, hb.transpose(1, 2, 3, 0).copy()
     scale = np.sqrt(es)
+    if words_inner:
+        spec, chunked, whole = "bkij,kjn->kibn", hb, words.transpose(2, 1, 0)
+    else:
+        spec, chunked, whole = "njk,kijb->kinb", words, hb.transpose(1, 2, 3, 0)
+    if not shared:
+        whole = whole.copy()
+    elif columns is None:
+        pred = scale * np.einsum(spec, hb, whole.copy())
+    else:
+        col = scale * np.einsum("kij,cj->kic", hb[0], columns)
+        pred = np.take_along_axis(col, column_index.T[:, None], 2)[:, :, None]
     chunk = min(outer, max(1, ML_TILE_ELEMENTS // (terms * inner)))
     work = np.empty(terms * chunk * inner, dtype=complex)
-    sq_work, col_work = np.empty((2, work.size))
+    sq_work = np.empty(work.size)
     metrics = np.empty((outer, inner))
     for a0 in range(0, outer, chunk):
         a1 = min(a0 + chunk, outer)
         shape = (u, lr, a1 - a0, inner)
-        size = math.prod(shape)
-        pred = np.einsum(spec, chunked[a0:a1], whole, out=work[:size].reshape(shape))
-        np.multiply(scale, pred, out=pred)
-        np.subtract(y[:, :, a0:a1, None] if words_inner else y[:, :, None], pred, out=pred)
-        sq = np.abs(pred, out=sq_work[:size].reshape(shape))
+        diff = work[: math.prod(shape)].reshape(shape)
+        if not shared:
+            pred = np.einsum(spec, chunked[a0:a1], whole, out=diff)
+            np.multiply(scale, pred, out=pred)
+        np.subtract(y[:, :, a0:a1, None] if words_inner else y[:, :, None], pred, out=diff)
+        sq = np.abs(diff, out=sq_work[: diff.size].reshape(shape))
         np.square(sq, out=sq)
-        cols = col_work[:size].reshape(a1 - a0, inner, terms)
-        np.copyto(cols, np.moveaxis(sq.reshape(terms, a1 - a0, inner), 0, -1))
-        np.sum(cols, axis=2, out=metrics[a0:a1])
+        metrics[a0:a1] = _sum_terms(sq.reshape(terms, a1 - a0, inner))
     return metrics if words_inner else metrics.T
+
+
+def _sum_terms(planes):
+    """Sum of ``planes`` (terms, ...) over its first axis in the order
+    np.sum adds a contiguous axis (numpy's pairwise sum): in sequence below
+    8 terms; up to 128, in 8 running sums added as ((0 + 1) + (2 + 3)) +
+    ((4 + 5) + (6 + 7)), then the rest in sequence; above 128, as two such
+    sums split at a multiple of 8.  Overwrites ``planes``.
+    """
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        first = _sum_terms(planes[:half])
+        return np.add(first, _sum_terms(planes[half:]), out=first)
+    rest = n - n % 8 if n >= 8 else 1
+    for i in range(8, rest, 8):
+        np.add(planes[:8], planes[i : i + 8], out=planes[:8])
+    for s in (1, 2, 4) if n >= 8 else ():
+        np.add(planes[: 8 : 2 * s], planes[s : 8 : 2 * s], out=planes[: 8 : 2 * s])
+    for i in range(rest, n):
+        np.add(planes[0], planes[i], out=planes[0])
+    return planes[0]
 
 
 def viterbi_decode(y, h, code: TrellisCode, es):
@@ -302,13 +313,7 @@ def _dispersion_system(yv, h, code: LinearDispersionCode, es):
     g = np.sqrt(es) * np.einsum("bkij,mjk->bkim", hb, code.basis)
     g = g.reshape(nb, u * lr, code.n_syms)
     yc = yv.reshape(nb, u * lr)
-    gr = np.concatenate(
-        [
-            np.concatenate([g.real, -g.imag], axis=2),
-            np.concatenate([g.imag, g.real], axis=2),
-        ],
-        axis=1,
-    )
+    gr = np.block([[g.real, -g.imag], [g.imag, g.real]])
     yr = np.concatenate([yc.real, yc.imag], axis=1)
     return yr, gr
 
@@ -435,16 +440,10 @@ def _brute_force_lattice(yr, gr, levels, m, table, c):
     costs = np.sum((yr[None, :] - cand @ gr.T) ** 2, axis=1)
     best = costs.min()
     tied = np.nonzero(costs == best)[0]
-    # map each tied candidate to its codeword index, pick the smallest
-    def word_index(v):
-        idx = 0
-        for i in range(m):
-            i_re = int(np.argmin(np.abs(levels - v[i])))
-            i_im = int(np.argmin(np.abs(levels - v[m + i])))
-            idx = idx * c.size + int(table[i_re, i_im])
-        return idx
-
-    pick = min(tied, key=lambda n: word_index(cand[n]))
+    # each tied candidate's codeword index, symbols MSB first; the smallest wins
+    lv = np.argmin(np.abs(cand[tied][:, :, None] - levels), axis=2)
+    words = table[lv[:, :m], lv[:, m:]] @ c.size ** np.arange(m - 1, -1, -1)
+    pick = tied[np.argmin(words)]
     return cand[pick], cand.shape[0]
 
 

@@ -247,6 +247,20 @@ class TestEstimation:
         assert mse[d].mean() <= 1.25 * w.mmse[d].mean()
         assert mse[d].mean() >= 0.5 * w.mmse[d].mean()
 
+    @pytest.mark.parametrize("lt", [1, 2, 3])
+    @pytest.mark.parametrize("lr", [1, 2, 3, 4])
+    def test_estimate_bitwise_equal_to_einsum(self, lr, lt):
+        # the tap loop against the gather and einsum it replaced
+        pm = build_pilot_map(300, lt, 72)
+        rng = make_rng(80 + 10 * lr + lt)
+        y = rng.standard_normal((300, lr)) + 1j * rng.standard_normal((300, lr))
+        raw = raw_block_estimates(y, 2.0, pm)
+        for taps in [1, 20, pm.n_blocks]:
+            w = design_wiener(pm, 0.01, 12.0, taps)
+            want = np.einsum("ka,kaij->kij", w.weights, raw[w.block_idx])
+            got = estimate_channel(y, 2.0, pm, w)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_antennas_estimated_separately(self):
         # orthogonal pilots decouple transmit antennas: zeroing one antenna's
         # rows must not disturb the other's estimate

@@ -230,10 +230,13 @@ class TestSlicedKernel:
         "trellis_paths_4": lambda: trellis_path_codebook(load_packaged_trellis(), 4),
     }
 
+    # u * lr per block: alamouti and golden 2 to 8, spatial multiplexing
+    # 1 to 4, trellis paths 5 to 20
     @pytest.mark.parametrize("slice_elements", [demod.ML_SLICE_ELEMENTS, 40])
     @pytest.mark.parametrize("fdt", [0.0, 0.02])
+    @pytest.mark.parametrize("lr", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", sorted(CODEBOOKS))
-    def test_bitwise_equal_to_one_shot(self, name, fdt, slice_elements, monkeypatch):
+    def test_bitwise_equal_to_one_shot(self, name, lr, fdt, slice_elements, monkeypatch):
         # a 40-element cap forces one codeword per slice, so the cross-slice
         # merge decides every block
         monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", slice_elements)
@@ -243,13 +246,24 @@ class TestSlicedKernel:
             idx = rng.integers(0, cb.size, size=12)
             x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
             es = 10 ** (rng.uniform(-2, 15) / 10)
-            frame, h = transmit(x, 2, es, 1.0, make_rng(8000 + t), fdt=fdt)
+            frame, h = transmit(x, lr, es, 1.0, make_rng(8000 + t), fdt=fdt)
             assert np.all(h == h[0]) == (fdt == 0.0)
             res = ml_exhaustive_blocks(frame, h, cb, es)
             want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(res.bits, want_bits)
             assert res.metric == want_metric
             assert res.visited == 12 * cb.size
+
+    def test_sum_terms_adds_in_np_sum_order(self):
+        # np.sum over a contiguous axis of 1 to 300 terms: in sequence, then
+        # 8 running sums from 8 terms, then split in two above 128
+        rng = make_rng(26)
+        for terms in range(1, 301):
+            planes = rng.standard_normal((terms, 3, 5)) ** 2
+            planes *= 10.0 ** rng.uniform(-8, 8, size=(terms, 1, 1))
+            want = np.sum(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), axis=-1)
+            got = demod._sum_terms(planes.copy())
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_channel_decides_index_zero_across_slices(self, monkeypatch):
         monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", 64)
@@ -316,15 +330,19 @@ class TestVaryingKernel:
             assert repr(res.metric) == repr(want_metric)
             assert res.visited == 7 * cb.size
 
+    @pytest.mark.parametrize("h_kind", ["per block", "static", "per use"])
     @pytest.mark.parametrize("nb, n", [(6, 11), (11, 6)])
     @pytest.mark.parametrize(
         "u, lr, lt",
         [(1, 1, 1), (2, 2, 2), (3, 3, 2), (9, 4, 3), (32, 4, 2), (34, 4, 2), (41, 5, 2)],
     )
-    def test_metrics_equal_einsum_sum(self, u, lr, lt, nb, n, monkeypatch):
+    def test_metrics_equal_einsum_sum(self, u, lr, lt, nb, n, h_kind, monkeypatch):
         # every metric, for 1 to 205 terms per block: above 128, np.sum
         # splits the terms in two before its 8-way sums.  More words than
-        # blocks puts the words innermost, fewer puts the blocks there.
+        # blocks puts the words innermost, fewer puts the blocks there.  An
+        # H of one row is shared by every block, the same at every use (a
+        # quasi-static frame) or not, and words given by their columns are
+        # scored both from the words and from the columns.
         monkeypatch.setattr(demod, "ML_TILE_ELEMENTS", 1000)
         rng = make_rng(u * 100 + lr)
 
@@ -332,11 +350,36 @@ class TestVaryingKernel:
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         yb, hb, words = cn(nb, u, lr), cn(nb, u, lr, lt), cn(n, lt, u)
+        gathers = [()]
+        if h_kind != "per block":
+            hb = cn(1, u, lr, lt)
+            if h_kind == "static":
+                hb = np.broadcast_to(hb[:, :1], hb.shape)
+            columns, column_index = cn(7, lt), rng.integers(0, 7, size=(n, u))
+            words = columns[column_index].transpose(0, 2, 1)
+            gathers.append((columns, column_index))
         es = 2.7
         pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb, words)
         want = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
-        got = demod._varying_metrics(yb, hb, words, es)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for gather in gathers:
+            got = demod._varying_metrics(yb, hb, words, es, *gather)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("lr", [1, 2, 4])
+    def test_one_block_path_frame_bitwise_equal_to_one_shot(self, lr):
+        # exhaustive ML over a path codebook decides one block a frame, so a
+        # time-varying H comes as one row and the columns are gathered per use
+        cb = trellis_path_codebook(load_packaged_trellis(), 4)
+        for t in range(6):
+            rng = make_rng(9200 + t)
+            n = int(rng.integers(0, cb.size))
+            es = 10 ** (rng.uniform(-2, 15) / 10)
+            frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(9300 + t), fdt=0.05)
+            assert not np.all(h == h[0])
+            res = ml_exhaustive_blocks(frame, h, cb, es)
+            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
+            np.testing.assert_array_equal(res.bits, want_bits)
+            assert repr(res.metric) == repr(want_metric)
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
         # 40 blocks x 65,536 words: one einsum over them needed ~170 MB
@@ -653,13 +696,6 @@ class TestCrossDecoderConsistency:
         b = ml_exhaustive_blocks(2.0 * frame, h, cb, 4.0)
         np.testing.assert_array_equal(a.bits, b.bits)
         assert_allclose(b.metric, 4.0 * a.metric, rtol=1e-12)
-
-    def test_received_frame_and_array_agree(self):
-        cb = alamouti_codebook(QPSK)
-        frame, h = transmit(cb.codewords[3], 2, 1.0, 1.0, make_rng(18))
-        a = ml_exhaustive_blocks(frame, h, cb, 1.0)
-        b = ml_exhaustive_blocks(frame, h, cb, 1.0)
-        np.testing.assert_array_equal(a.bits, b.bits)
 
 
 class TestFrameBatches:
