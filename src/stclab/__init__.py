@@ -19,7 +19,6 @@ from .mathcore import (
     QPSK,
     Constellation,
     bessel_j0,
-    hermitian_eigenvalues,
     toeplitz_cholesky,
 )
 from .stcodes import (

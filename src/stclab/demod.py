@@ -291,9 +291,8 @@ def _axis_levels(c: Constellation):
         raise ModelMismatch("constellation axes differ; no lattice form")
     if reals.size**2 != c.size:
         raise ModelMismatch("constellation is not a per-axis product set")
-    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
-    i_re = np.argmin(np.abs(reals - pts.real[:, None]), axis=1)
-    i_im = np.argmin(np.abs(reals - pts.imag[:, None]), axis=1)
+    i_re = np.argmin(np.abs(reals - c.points.real[:, None]), axis=1)
+    i_im = np.argmin(np.abs(reals - c.points.imag[:, None]), axis=1)
     table = np.full((reals.size, reals.size), -1)
     table[i_re, i_im] = np.arange(c.size)
     if np.any(table < 0):

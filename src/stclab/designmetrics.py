@@ -10,13 +10,14 @@ Three figures of merit drive the comparisons:
   target when the receive array is large.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .demod import ML_SLICE_ELEMENTS
 from .errors import DepthTooLarge, InvalidCount, ShapeMismatch
-from .mathcore import RANK_TOL, hermitian_eigenvalues
+from .mathcore import RANK_TOL
 from .stcodes import BlockCodebook, TrellisCode, rounded_row_bytes
 
 EVENT_CAP = 10**6
@@ -29,8 +30,7 @@ PAIR_CAP = 10**7
 FRONTIER_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
-class PairMetrics:
+class PairMetrics(NamedTuple):
     rank: int
     product_measure: float
     euclidean: float
@@ -89,10 +89,9 @@ def pair_metrics(x1, x2, rel_tol=RANK_TOL):
     x2 = np.asarray(x2, dtype=complex)
     if x1.shape != x2.shape or x1.ndim != 2:
         raise ShapeMismatch(f"codeword shapes differ: {x1.shape} vs {x2.shape}")
-    d = x1 - x2
-    cs = d @ d.conj().T
-    eigs = hermitian_eigenvalues(cs)[::-1]  # ascending, as eigvalsh gives them
-    rank, product, euclidean = _eig_metrics(eigs[None], x1.shape[0], rel_tol)
+    rank, product, euclidean = _eig_metrics(
+        _batched_pair_eigs((x1 - x2)[None]), x1.shape[0], rel_tol
+    )
     return PairMetrics(int(rank[0]), float(product[0]), float(euclidean[0]))
 
 
@@ -255,7 +254,7 @@ def event_report(events):
     """Worst-case summary over a trellis error-event list."""
     if not events:
         raise ValueError("no error events to summarize")
-    rank, product, euclidean = np.array([astuple(pm) for _, pm in events]).T
+    rank, product, euclidean = np.array([pm for _, pm in events]).T
     k, e = _worst(rank, product, euclidean)
     return DesignMetricsReport(
         min_rank=int(rank[k]),

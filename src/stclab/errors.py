@@ -19,10 +19,6 @@ class NumericError(StclabError):
     """Numerical failure on well-formed input."""
 
 
-class NotHermitian(NumericError, ValueError):
-    """Matrix is not Hermitian within tolerance."""
-
-
 class NotPSD(NumericError, ValueError):
     """Matrix is not positive semidefinite (factorization failed after jitter)."""
 

@@ -392,22 +392,21 @@ def _es_for(setup, ebn0_db):
     return 10.0 ** (ebn0_db / 10.0) * setup.info_bits / setup.cfg.frame_uses
 
 
-def run_sweep(cfg: SweepConfig, workers=None):
+def run_sweep(cfg: SweepConfig):
     """Full Eb/N0 sweep per the config; deterministic for a fixed seed.
 
     Frames are scanned in index order at every grid point until
     ``min_frame_errors`` errors or ``max_frames`` frames, whichever first.
     They run in batches of at most the errors still missing, so the
-    stopping rule can only fire on the last frame in flight.  ``workers``
-    > 1 runs that many batches at once in a thread pool; counts are sums
-    over frames, so output is identical to serial.
+    stopping rule can only fire on the last frame in flight.
+    ``cfg.workers`` > 1 runs that many batches at once in a thread pool;
+    counts are sums over frames, so output is identical to serial.
     """
     setup = build_setup(cfg)
-    workers = cfg.workers if workers is None else workers
     batch_max = max(1, BATCH_MAX * DEFAULT_FRAME_USES // cfg.frame_uses)
     rows = []
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        run = pool.map if workers > 1 else map
+    with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
+        run = pool.map if cfg.workers > 1 else map
         for si, ebn0 in enumerate(cfg.ebn0_db):
             es = _es_for(setup, ebn0)
             frames = errors = bits = bit_errors = nodes = 0
@@ -415,8 +414,8 @@ def run_sweep(cfg: SweepConfig, workers=None):
                 # every frame adds at most one error, so no frame in flight
                 # lies past the frame the serial scan would stop at
                 missing = min(cfg.max_frames - frames, cfg.min_frame_errors - errors)
-                room = min(missing, batch_max * workers)
-                size = -(-room // workers)
+                room = min(missing, batch_max * cfg.workers)
+                size = -(-room // cfg.workers)
                 batches = [
                     range(frames + start, frames + min(start + size, room))
                     for start in range(0, room, size)

@@ -1,9 +1,9 @@
 """Numerical kernels shared by the whole simulator.
 
-Hermitian eigenvalue helpers, Toeplitz Cholesky factorization for exact
-Clarke-correlated sample generation, the zeroth-order Bessel function, and
-the two unit-energy constellations (QPSK, 16QAM), their points listed in
-order of their Gray bit patterns.
+Toeplitz Cholesky factorization for exact Clarke-correlated sample
+generation, the zeroth-order Bessel function, and the two unit-energy
+constellations (QPSK, 16QAM), their points listed in order of their Gray
+bit patterns.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import LengthMismatch, NotHermitian, NotPSD
+from .errors import LengthMismatch, NotPSD
 
 # Relative singular/eigenvalue threshold used for every rank decision.
 RANK_TOL = 1e-9
@@ -31,24 +31,6 @@ def bessel_j0(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def hermitian_eigenvalues(m, tol=1e-10):
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Raises NotHermitian when ||M - M^H|| exceeds ``tol`` relative to ||M||.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    asym = np.linalg.norm(m - m.conj().T)
-    if asym > tol * max(scale, 1e-300):
-        raise NotHermitian(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} vs norm {scale:.3e}"
-        )
-    w = np.linalg.eigvalsh(m)
-    return np.real(w)[::-1].copy()
 
 
 def cholesky_psd(m):
@@ -108,9 +90,6 @@ class Constellation:
     @property
     def size(self):
         return self.points.shape[0]
-
-    def pattern_to_point(self, pattern):
-        return self.points[pattern]
 
 
 def _make_qpsk():

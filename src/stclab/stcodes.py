@@ -175,12 +175,7 @@ def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
 
 def alamouti_codebook(c: Constellation):
     patterns = _enumerate_symbol_tuples(c, 2)
-    words = np.stack(
-        [
-            encode_alamouti(c.pattern_to_point(int(p1)), c.pattern_to_point(int(p2)))
-            for p1, p2 in patterns
-        ]
-    )
+    words = encode_alamouti(*c.points[patterns.T]).transpose(2, 0, 1)
     return BlockCodebook("alamouti", words, 2 * c.bits_per_symbol)
 
 
@@ -195,8 +190,7 @@ def _cmul(ar, ai, br, bi):
 
 def golden_codebook(c: Constellation):
     patterns = _enumerate_symbol_tuples(c, 4)
-    pts = np.array([c.pattern_to_point(p) for p in range(c.size)])
-    sr, si = pts.real[patterns], pts.imag[patterns]
+    sr, si = c.points.real[patterns], c.points.imag[patterns]
 
     def entry(factor, m, t):
         # factor * (s_m + s_{m+1} * t), in encode_golden's operation order
@@ -219,7 +213,7 @@ def golden_codebook(c: Constellation):
 
 def spatial_multiplex_codebook(c: Constellation, lt=2, n_uses=1):
     n_syms = lt * n_uses
-    pts = np.array([c.pattern_to_point(p) for p in range(c.size)]) / np.sqrt(lt)
+    pts = c.points / np.sqrt(lt)
     # encode_spatial_multiplex on every word, bitwise the same, written into
     # the codebook slice by slice so that temporaries stay small
     words = np.empty((_codebook_size(c, n_syms), lt, n_uses), dtype=complex)

@@ -6,6 +6,7 @@ even when a criterion is not met.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -343,8 +344,8 @@ def test_determinism(capsys):
     )
     a = run_sweep(cfg).to_csv()
     b = run_sweep(cfg).to_csv()
-    c = run_sweep(cfg, workers=4).to_csv()
-    d = run_sweep(cfg, workers=2).to_csv()
+    c = run_sweep(replace(cfg, workers=4)).to_csv()
+    d = run_sweep(replace(cfg, workers=2)).to_csv()
     ok = a == b == c == d
     report(
         capsys,

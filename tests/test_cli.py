@@ -243,7 +243,7 @@ METRICS_OUTPUT_SHA256 = {
     ),
     ("golden", "QPSK"): (
         "3cf065556ae8b653e77baa8ba05c26b2bb8358ba37d4bb2862bec3760d317470",
-        "7492876de15845eb5ec4c5550e7ebde26a9f6b13268ff15a46543648e115057e",
+        "47a6ecbad00cc2a246539c5787679ac4865ed507bbd5ca025977fe9e03e551db",
     ),
     ("spatial_multiplex", "QPSK"): (
         "e3a108a6b5996e994b7b15d733faa2249621a7bb60f16fee96ccc5732d76eeb8",
@@ -266,6 +266,31 @@ def test_metrics_output_is_byte_identical(code, constellation, tmp_path, capsys)
     out = capsys.readouterr().out.encode()
     got = (hashlib.sha256(out).hexdigest(), hashlib.sha256(csv.read_bytes()).hexdigest())
     assert got == METRICS_OUTPUT_SHA256[code, constellation]
+
+
+@pytest.mark.parametrize(
+    "code, constellation",
+    [key for key in sorted(METRICS_OUTPUT_SHA256) if key[0] in harness.FAMILIES],
+)
+def test_metrics_csv_agrees_with_report(code, constellation, tmp_path, capsys):
+    csv = tmp_path / "metrics.csv"
+    argv = ["metrics", "--code", code, "--constellation", constellation, "--csv", str(csv)]
+    assert main(argv) == EXIT_OK
+    report = dict(
+        (k.strip(), v.strip())
+        for k, v in (line.split(":", 1) for line in capsys.readouterr().out.splitlines()[1:])
+    )
+    header, rank_product, euclidean = (
+        line.split(",") for line in csv.read_text().splitlines()
+    )
+    assert header == ["kind", "i", "j", "rank", "product_measure", "euclidean"]
+    assert rank_product[0] == "rank_product"
+    assert f"({rank_product[1]}, {rank_product[2]})" == report["worst pair (rank, product)"]
+    assert rank_product[3] == report["min rank"]
+    assert rank_product[4] == report["min product measure @ min rank"]
+    assert euclidean[0] == "euclidean"
+    assert f"({euclidean[1]}, {euclidean[2]})" == report["worst pair (euclidean)"]
+    assert euclidean[5] == report["min euclidean"]
 
 
 class TestSelftestCommand:
@@ -305,7 +330,6 @@ ERROR_EXIT_CODES = {
     "ShapeMismatch": EXIT_CONFIG,
     "ModelMismatch": EXIT_CONFIG,
     "NotPSD": EXIT_NUMERIC,
-    "NotHermitian": EXIT_NUMERIC,
     "SingularCovariance": EXIT_NUMERIC,
     "DepthTooLarge": EXIT_NUMERIC,
     "NonStaticBlock": EXIT_NUMERIC,

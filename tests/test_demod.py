@@ -69,7 +69,7 @@ def per_block_sphere_decode(y, h, code, es):
     reals = np.unique(np.round(c.points.real, 12))
     table = {}
     for pattern in range(c.size):
-        pt = c.pattern_to_point(pattern)
+        pt = c.points[pattern]
         i_re = int(np.argmin(np.abs(reals - pt.real)))
         i_im = int(np.argmin(np.abs(reals - pt.imag)))
         table[(i_re, i_im)] = pattern
@@ -618,7 +618,7 @@ class TestSphere:
 class TestAlamoutiCombiner:
     def test_unit_channel_outputs(self):
         # h = [1, 1]: z1 = g s1', z2 = g s2' with g = 2, amp = sqrt(es/2) g
-        s1, s2 = QPSK.pattern_to_point(0), QPSK.pattern_to_point(3)
+        s1, s2 = QPSK.points[0], QPSK.points[3]
         x = encode_alamouti(s1, s2)
         h = np.ones((2, 1, 2), dtype=complex)
         es = 8.0
@@ -630,7 +630,7 @@ class TestAlamoutiCombiner:
     def test_noiseless_round_trip(self):
         rng = make_rng(13)
         patterns = rng.integers(0, 4, size=40)
-        syms = np.array([QPSK.pattern_to_point(int(p)) for p in patterns])
+        syms = np.array([QPSK.points[int(p)] for p in patterns])
         x = np.concatenate(
             [encode_alamouti(syms[2 * b], syms[2 * b + 1]) for b in range(20)], axis=1
         )
@@ -664,7 +664,7 @@ class TestAlamoutiCombiner:
             np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_rejects_nonstatic_block(self):
-        s = QPSK.pattern_to_point(0)
+        s = QPSK.points[0]
         x = encode_alamouti(s, s)
         h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
         frame = apply_channel(x, h, 1.0, make_rng(16))

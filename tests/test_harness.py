@@ -417,8 +417,8 @@ class TestRunSweep:
             seed=9,
         )
         a = run_sweep(cfg).to_csv()
-        b = run_sweep(cfg, workers=4).to_csv()
-        c = run_sweep(replace(cfg, seed=9), workers=2).to_csv()
+        b = run_sweep(replace(cfg, workers=4)).to_csv()
+        c = run_sweep(replace(cfg, seed=9, workers=2)).to_csv()
         assert a == b == c
 
     def test_seed_changes_stream(self):
@@ -701,7 +701,7 @@ class TestFrameBatches:
         )
         want = serial_sweep(cfg)
         assert run_sweep(cfg).to_csv() == want
-        assert run_sweep(cfg, workers=3).to_csv() == want
+        assert run_sweep(replace(cfg, workers=3)).to_csv() == want
 
     def test_batch_size_not_dividing_max_frames(self, monkeypatch):
         cfg = small_config(
@@ -721,7 +721,7 @@ class TestFrameBatches:
             harness, "simulate_frames", lambda *a: calls.append(a) or []
         )
         cfg = small_config("golden", "ml", 2, "perfect-static", max_frames=0)
-        rows = run_sweep(cfg, workers=2).rows
+        rows = run_sweep(replace(cfg, workers=2)).rows
         assert calls == []
         assert [(r.frames, r.bits, r.fer_ci_lo, r.fer_ci_hi) for r in rows] == [
             (0, 0, 0.0, 1.0)
@@ -740,7 +740,7 @@ class TestFrameBatches:
             "alamouti", "combiner", 1, "perfect-static", ebn0_db=(0.0, 30.0),
             min_frame_errors=3, max_frames=500,
         )
-        rows = run_sweep(cfg, workers=workers).rows
+        rows = run_sweep(replace(cfg, workers=workers)).rows
         assert rows[0].frame_errors == 3 and rows[0].frames < 500
         assert len(calls) == sum(r.frames for r in rows)
         assert SweepResult(rows=rows).to_csv() == serial_sweep(cfg)
@@ -759,6 +759,6 @@ class TestFrameBatches:
             "golden", "ml", 2, "pilot-clarke", ebn0_db=(0.0, 30.0),
             min_frame_errors=3, max_frames=40,
         )
-        rows = run_sweep(cfg, workers=workers).rows
+        rows = run_sweep(replace(cfg, workers=workers)).rows
         assert len(shapes) == sum(r.frames for r in rows) > 0
         assert set(shapes) == {(cfg.frame_uses, cfg.lr, cfg.lt)}

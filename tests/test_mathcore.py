@@ -1,5 +1,5 @@
-"""Tests for the numerical primitives: Bessel J0, Hermitian eigen helpers,
-Toeplitz Cholesky factors, and the bit-to-symbol mappers."""
+"""Tests for the numerical primitives: Bessel J0, Toeplitz Cholesky
+factors, and the bit-to-symbol mappers."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stclab.errors import LengthMismatch, NotHermitian, NotPSD
+from stclab.errors import LengthMismatch, NotPSD
 from stclab.mathcore import (
     CONSTELLATIONS,
     QAM16,
     QPSK,
     bessel_j0,
     bits_to_patterns,
-    hermitian_eigenvalues,
     patterns_to_bits,
     toeplitz_cholesky,
 )
@@ -55,31 +54,6 @@ class TestBesselJ0:
     def test_scalar_float_return(self):
         out = bessel_j0(2.0)
         assert isinstance(out, float)
-
-
-class TestHermitianEigenvalues:
-    def test_diagonal(self):
-        w = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]))
-        assert_allclose(w, [3.0, 2.0, 1.0])
-
-    def test_two_by_two(self):
-        w = hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert_allclose(w, [3.0, 1.0], atol=1e-12)
-
-    def test_complex_hermitian(self):
-        m = np.array([[2.0, 1j], [-1j, 2.0]])
-        assert_allclose(hermitian_eigenvalues(m), [3.0, 1.0], atol=1e-12)
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        m = a @ a.conj().T
-        w = hermitian_eigenvalues(m)
-        assert np.all(np.diff(w) <= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestToeplitzCholesky:
@@ -139,7 +113,7 @@ class TestConstellations:
 
     def test_qpsk_gray_pattern_angles(self):
         # 00 -> 45deg, 01 -> 135deg, 11 -> -135deg, 10 -> -45deg
-        angles = {p: np.degrees(np.angle(QPSK.pattern_to_point(p))) for p in range(4)}
+        angles = {p: np.degrees(np.angle(QPSK.points[p])) for p in range(4)}
         assert_allclose(angles[0b00], 45.0)
         assert_allclose(angles[0b01], 135.0)
         assert_allclose(angles[0b11], -135.0)
@@ -153,10 +127,10 @@ class TestConstellations:
             for b_im, lvl_im in axis.items():
                 pattern = (b_re << 2) | b_im
                 want = scale * (lvl_re + 1j * lvl_im)
-                assert_allclose(QAM16.pattern_to_point(pattern), want, atol=1e-15)
+                assert_allclose(QAM16.points[pattern], want, atol=1e-15)
 
     def test_qam16_gray_neighbours_differ_by_one_bit(self):
-        pts = np.array([QAM16.pattern_to_point(p) for p in range(16)])
+        pts = np.array([QAM16.points[p] for p in range(16)])
         scale = 1 / np.sqrt(10)
         for i in range(16):
             for j in range(i + 1, 16):

@@ -60,7 +60,7 @@ class TestAlamouti:
     def test_energy_per_use_is_symbol_energy(self):
         for p1 in range(4):
             for p2 in range(4):
-                x = encode_alamouti(QPSK.pattern_to_point(p1), QPSK.pattern_to_point(p2))
+                x = encode_alamouti(QPSK.points[p1], QPSK.points[p2])
                 assert_allclose(np.sum(np.abs(x) ** 2) / 2, 1.0, atol=1e-12)
 
     def test_codebook_all_pairs_full_rank(self):
@@ -88,7 +88,7 @@ class TestAlamouti:
 
 class TestGolden:
     def test_hand_formula(self):
-        s = np.array([QPSK.pattern_to_point(p) for p in (0, 1, 2, 3)])
+        s = np.array([QPSK.points[p] for p in (0, 1, 2, 3)])
         scale = 1 / np.sqrt(10.0)
         want = scale * np.array(
             [
@@ -105,7 +105,7 @@ class TestGolden:
         assert_allclose(encode_golden(s), want, atol=1e-14)
 
     def test_frozen_entry(self):
-        s = np.array([QPSK.pattern_to_point(p) for p in (0, 1, 2, 3)])
+        s = np.array([QPSK.points[p] for p in (0, 1, 2, 3)])
         assert_allclose(encode_golden(s)[0, 0], 0.2236068 + 0.67082039j, atol=1e-7)
 
     def test_codebook_distinct_and_sized(self):
@@ -119,7 +119,7 @@ class TestGolden:
         cw = golden_codebook(c).codewords
         want = np.stack(
             [
-                encode_golden([c.pattern_to_point(p) for p in pats])
+                encode_golden([c.points[p] for p in pats])
                 for pats in np.ndindex(*(c.size,) * 4)
             ]
         )
@@ -159,7 +159,7 @@ class TestSpatialMultiplex:
         assert_allclose(x, np.array([[1.0, 3.0], [2.0, 4.0]]) / RT2, atol=1e-15)
 
     def test_energy_split(self):
-        s = np.array([QPSK.pattern_to_point(p) for p in (0, 3)])
+        s = np.array([QPSK.points[p] for p in (0, 3)])
         x = encode_spatial_multiplex(s, 2)
         assert_allclose(np.sum(np.abs(x) ** 2), 1.0, atol=1e-12)
 
@@ -192,7 +192,7 @@ class TestSpatialMultiplex:
         assert cb.codewords.shape == (c.size ** (lt * n_uses), lt, n_uses)
         for n, word in enumerate(cb.codewords):
             syms = [(n // c.size ** (lt * n_uses - 1 - m)) % c.size for m in range(lt * n_uses)]
-            want = encode_spatial_multiplex(np.array([c.pattern_to_point(p) for p in syms]), lt)
+            want = encode_spatial_multiplex(np.array([c.points[p] for p in syms]), lt)
             assert word.tobytes() == want.tobytes()
 
     def test_codebook_cap_sits_at_five_sixteen_qam_antennas(self):
@@ -393,7 +393,7 @@ class TestTrellisEncoding:
         x = encode_trellis(np.array([], dtype=int), code)
         assert x.shape == (2, 1)
         # from state 0 the termination input is 0: both antennas send point 0
-        p0 = QPSK.pattern_to_point(0)
+        p0 = QPSK.points[0]
         assert_allclose(x[:, 0], np.array([p0, p0]) / RT2, atol=1e-15)
 
     def test_frame_shape(self):
@@ -409,7 +409,7 @@ class TestTrellisEncoding:
         bits = rng.integers(0, 2, size=40)
         x = encode_trellis(bits, code)
         assert_allclose(x[1, 1:], x[0, :-1], atol=1e-15)
-        p0 = QPSK.pattern_to_point(0) / RT2
+        p0 = QPSK.points[0] / RT2
         assert_allclose(x[1, 0], p0, atol=1e-15)
 
     def test_terminates_in_state_zero(self):
@@ -418,7 +418,7 @@ class TestTrellisEncoding:
         bits = rng.integers(0, 2, size=600)
         x = encode_trellis(bits, code)
         # last antenna-1 use is the termination input from state 0's table
-        assert_allclose(x[0, -1], QPSK.pattern_to_point(0) / RT2, atol=1e-15)
+        assert_allclose(x[0, -1], QPSK.points[0] / RT2, atol=1e-15)
 
     def test_energy_per_use(self):
         code = load_packaged_trellis()
@@ -502,4 +502,4 @@ class TestSixteenQamTrellis:
         assert code.constellation is QAM16
         x = encode_trellis(np.array([1, 0, 1, 0]), code)
         assert x.shape == (1, 1)
-        assert_allclose(x[0, 0], QAM16.pattern_to_point(0b1010), atol=1e-15)
+        assert_allclose(x[0, 0], QAM16.points[0b1010], atol=1e-15)
