@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidCount, ShapeMismatch, SingularCovariance
+from .errors import InputError, NumericError
 from .mathcore import CHOL_JITTER, bessel_j0
 
 
@@ -50,18 +50,18 @@ def _orthogonal_pilot_matrix(lt):
 def build_pilot_map(nf, lt, n_pilot):
     """Edge-flush plus uniform interior pilot blocks of lt uses each."""
     if n_pilot <= 0 or n_pilot % lt:
-        raise InvalidCount(
+        raise InputError(
             f"n_pilot={n_pilot} must be a positive multiple of lt={lt}"
         )
     if n_pilot >= nf:
-        raise InvalidCount(f"n_pilot={n_pilot} must be < nf={nf}")
+        raise InputError(f"n_pilot={n_pilot} must be < nf={nf}")
     n_blocks = n_pilot // lt
     if n_blocks < 2:
-        raise InvalidCount("need at least two pilot blocks (one per frame edge)")
+        raise InputError("need at least two pilot blocks (one per frame edge)")
     frac = np.arange(n_blocks) / (n_blocks - 1)
     starts = np.rint(frac * (nf - lt)).astype(int)
     if np.any(np.diff(starts) < lt):
-        raise InvalidCount(
+        raise InputError(
             f"{n_blocks} pilot blocks of {lt} uses do not fit in nf={nf}"
         )
     pilot_positions = (starts[:, None] + np.arange(lt)).reshape(-1)
@@ -105,7 +105,7 @@ def _design_factor(r):
     try:
         return scipy.linalg.cho_factor(r + jitter * np.eye(r.shape[0]), lower=True)
     except scipy.linalg.LinAlgError:
-        raise SingularCovariance(
+        raise NumericError(
             "pilot covariance solve failed after jitter"
         ) from None
 
@@ -121,9 +121,9 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     """
     taps = int(taps)
     if taps < 1:
-        raise InvalidCount("taps must be >= 1")
+        raise InputError("taps must be >= 1")
     if taps > pmap.n_blocks:
-        raise InvalidCount(
+        raise InputError(
             f"taps={taps} exceeds the {pmap.n_blocks} available pilot blocks"
         )
     centers = pmap.block_centers
@@ -159,7 +159,7 @@ def raw_block_estimates(y, es, pmap: PilotMap):
     """Per-block estimates H_hat = Y_b P^H / sqrt(Es) from the (nf, lr)
     received frame ``y``, shape (n_blocks, lr, lt)."""
     if y.shape[0] != pmap.nf:
-        raise ShapeMismatch(
+        raise InputError(
             f"frame length {y.shape[0]} does not match pilot map nf={pmap.nf}"
         )
     p = pmap.pilot_matrix
@@ -179,7 +179,7 @@ def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
     joint result restricted to it.
     """
     if w.nf != pmap.nf:
-        raise ShapeMismatch("interpolator was designed for a different map")
+        raise InputError("interpolator was designed for a different map")
     raw = raw_block_estimates(y, es, pmap)
     # einsum("ka,kaij->kij", weights, raw[block_idx])'s sums, without the gather
     est = np.zeros((pmap.nf,) + raw.shape[1:], dtype=complex)

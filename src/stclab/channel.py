@@ -25,7 +25,7 @@ import functools
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch, ValidationError
+from .errors import InputError
 from .mathcore import bessel_j0, cholesky_psd, toeplitz_cholesky
 
 GEOMETRY_PRESETS = {
@@ -49,8 +49,8 @@ def spatial_correlation(spec, n):
     ``white`` gives the identity; a preset or ``x,y; x,y; ...`` positions
     give J0(2 pi d_mn) under isotropic scattering: unit diagonal, real
     symmetric, PSD (checked; degenerate geometries that defeat the jitter
-    raise NotPSD).  A malformed spec, or one with fewer than n elements,
-    raises ValidationError.
+    raise NumericError).  A malformed spec, or one with fewer than n
+    elements, raises InputError.
     """
     if spec == "white":
         return np.eye(n)
@@ -60,12 +60,12 @@ def spatial_correlation(spec, n):
     except ValueError:  # ragged rows, or a value that is not a number
         pos = np.empty((0, 0))
     if pos.shape[1] != 2 or not np.isfinite(pos).all():
-        raise ValidationError(
+        raise InputError(
             f"expected 'white', a preset {sorted(GEOMETRY_PRESETS)},"
             " or 'x,y; x,y; ...'"
         )
     if pos.shape[0] < n:
-        raise ValidationError(f"geometry has {pos.shape[0]} elements, need {n}")
+        raise InputError(f"geometry has {pos.shape[0]} elements, need {n}")
     pos = pos[:n]
     d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     r = bessel_j0(2.0 * np.pi * d)
@@ -118,10 +118,10 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     rrx = np.asarray(rrx, dtype=float)
     lt, lr = len(rtx), len(rrx)
     if rtx.shape != (lt, lt) or rrx.shape != (lr, lr):
-        raise ShapeMismatch(f"correlation shapes {rtx.shape}/{rrx.shape} are not square")
+        raise InputError(f"correlation shapes {rtx.shape}/{rrx.shape} are not square")
     static = fdt == 0.0
     if not static and nf > CLARKE_MAX_USES:
-        raise LengthMismatch(f"Clarke frame of {nf} uses exceeds {CLARKE_MAX_USES}")
+        raise InputError(f"Clarke frame of {nf} uses exceeds {CLARKE_MAX_USES}")
     n_draws = 1 if static else nf
     w = rng.standard_normal((lr, lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
@@ -151,11 +151,11 @@ def apply_channel(x, h, es, rng, n0=1.0):
     batch = x.ndim == 3
     xb, hb = (x, h) if batch else (x[None], h[None])
     if xb.ndim != 3 or hb.ndim != 4 or hb.shape[0] != xb.shape[0]:
-        raise ShapeMismatch("x must be (lt, n_uses) and h (n_uses, lr, lt)")
+        raise InputError("x must be (lt, n_uses) and h (n_uses, lr, lt)")
     lt, nf = xb.shape[1:]
     lr = hb.shape[2]
     if hb.shape[1:] != (nf, lr, lt):
-        raise ShapeMismatch(f"x {x.shape} and h {h.shape} disagree")
+        raise InputError(f"x {x.shape} and h {h.shape} disagree")
     rngs = rng if batch else [rng]
     w = np.empty((len(rngs), lr, nf, 2))
     for g, wf in zip(rngs, w):

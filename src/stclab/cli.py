@@ -103,6 +103,10 @@ def _cmd_metrics(args):
             with open(args.code, "r", encoding="utf-8") as fh:
                 code = load_trellis(fh.read(), name=args.code)
         events = trellis_error_events(code, max_depth=args.depth)
+        if not events:
+            raise InputError(
+                f"no error event remerges by step {args.depth}", key="--depth"
+            )
         rep = event_report(events)
         title = (
             f"code: {code.name} ({code.constellation.name},"

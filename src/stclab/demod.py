@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelMismatch, NonStaticBlock, ShapeMismatch
+from .errors import InputError, NumericError
 from .mathcore import Constellation, patterns_to_bits
 from .stcodes import (
     BlockCodebook,
@@ -56,9 +56,9 @@ def _frames(y, h):
     if not batch:
         yv, h = yv[None], h[None]
     if yv.ndim != 3:
-        raise ShapeMismatch("received frame must be a (n_uses, lr) array")
+        raise InputError("received frame must be a (n_uses, lr) array")
     if h.ndim != 4 or h.shape[:3] != yv.shape:
-        raise ShapeMismatch(f"fading shape {h.shape} does not match frame {yv.shape}")
+        raise InputError(f"fading shape {h.shape} does not match frame {yv.shape}")
     return yv, h, batch
 
 
@@ -95,7 +95,7 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     """
     yv, h, batch = _frames(y, h)
     if yv.shape[1] % cb.n_uses:
-        raise ShapeMismatch(
+        raise InputError(
             f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
         )
     results = [_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)]
@@ -217,7 +217,7 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     n_term = code.n_term_steps
     data_steps = nf - n_term
     if data_steps < 0:
-        raise ShapeMismatch(
+        raise InputError(
             f"frame of {nf} uses is shorter than the {n_term}-step tail"
         )
     s_count, u_count = code.n_states, code.n_inputs
@@ -282,21 +282,21 @@ def _axis_levels(c: Constellation):
     """Real-axis levels of a product (square QAM style) constellation.
 
     Returns (levels, table) where table[i_re, i_im] is the bit pattern of
-    the point at those level indices.  Raises ModelMismatch when the
+    the point at those level indices.  Raises InputError when the
     constellation is not a full product of one real level set.
     """
     reals = np.unique(np.round(c.points.real, 12))
     imags = np.unique(np.round(c.points.imag, 12))
     if reals.size != imags.size or not np.allclose(reals, imags, atol=1e-12):
-        raise ModelMismatch("constellation axes differ; no lattice form")
+        raise InputError("constellation axes differ; no lattice form")
     if reals.size**2 != c.size:
-        raise ModelMismatch("constellation is not a per-axis product set")
+        raise InputError("constellation is not a per-axis product set")
     i_re = np.argmin(np.abs(reals - c.points.real[:, None]), axis=1)
     i_im = np.argmin(np.abs(reals - c.points.imag[:, None]), axis=1)
     table = np.full((reals.size, reals.size), -1)
     table[i_re, i_im] = np.arange(c.size)
     if np.any(table < 0):
-        raise ModelMismatch("constellation is not a per-axis product set")
+        raise InputError("constellation is not a per-axis product set")
     return reals, table
 
 
@@ -378,14 +378,14 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     and sets its frame's ``degenerate``.
     """
     if not isinstance(code, LinearDispersionCode):
-        raise ModelMismatch(
+        raise InputError(
             f"{type(code).__name__} has no linear-dispersion form"
         )
     yv, h, batch = _frames(y, h)
     n_frames, n, lr = yv.shape
     u = code.n_uses
     if n % u:
-        raise ShapeMismatch(
+        raise InputError(
             f"frame length {n} is not a multiple of the {u}-use"
             " dispersion codeword"
         )
@@ -399,7 +399,7 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     m = code.n_syms
     d = 2 * m
     if gr.shape[1] < d:
-        raise ModelMismatch(
+        raise InputError(
             f"underdetermined lattice: {gr.shape[1]} real observations for"
             f" {d} real unknowns (need lr * n_uses >= n_syms)"
         )
@@ -460,9 +460,9 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
     yv, h, batch = _frames(y, h)
     n_frames, nf, lr = yv.shape
     if h.shape[3] != 2:
-        raise ShapeMismatch("alamouti combining requires lt = 2")
+        raise InputError("alamouti combining requires lt = 2")
     if nf % 2:
-        raise ShapeMismatch("frame length must be even (2-use blocks)")
+        raise InputError("frame length must be even (2-use blocks)")
     yb = yv.reshape(n_frames, nf // 2, 2, lr)
     if np.all(h == h[:, :1]):
         # quasi-static frames: one channel, gain and scaled point set per
@@ -473,7 +473,7 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
         drift = np.linalg.norm(hb[:, :, 1] - hb[:, :, 0], axis=(2, 3))
         scale_h = np.linalg.norm(hb[:, :, 0], axis=(2, 3))
         if not allow_nonstatic and np.any(drift > 1e-9 * np.maximum(scale_h, 1e-300)):
-            raise NonStaticBlock(
+            raise NumericError(
                 "channel varies within an Alamouti block;"
                 " pass allow_nonstatic=True to combine anyway"
             )

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .demod import ML_SLICE_ELEMENTS
-from .errors import DepthTooLarge, InvalidCount, ShapeMismatch
+from .errors import InputError, NumericError
 from .mathcore import RANK_TOL
 from .stcodes import BlockCodebook, TrellisCode, rounded_row_bytes
 
@@ -88,7 +88,7 @@ def pair_metrics(x1, x2, rel_tol=RANK_TOL):
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
     if x1.shape != x2.shape or x1.ndim != 2:
-        raise ShapeMismatch(f"codeword shapes differ: {x1.shape} vs {x2.shape}")
+        raise InputError(f"codeword shapes differ: {x1.shape} vs {x2.shape}")
     rank, product, euclidean = _eig_metrics(
         _batched_pair_eigs((x1 - x2)[None]), x1.shape[0], rel_tol
     )
@@ -108,7 +108,7 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
 
     Pairs (i, j), i < j, are taken in row-major order, in slices whose
     temporaries hold at most ``ML_SLICE_ELEMENTS`` complex values (the
-    exhaustive-ML cap); ties go to the first pair.  Raises InvalidCount,
+    exhaustive-ML cap); ties go to the first pair.  Raises InputError,
     before any pair is examined, when the codebook has more than
     ``PAIR_CAP`` pairs.
     """
@@ -116,12 +116,12 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
     n, lt, n_uses = cw.shape
     total = n * (n - 1) // 2
     if total > PAIR_CAP:
-        raise InvalidCount(
+        raise InputError(
             f"{cb.name} codebook has {total} codeword pairs, more than the"
             f" {PAIR_CAP} an exhaustive report enumerates"
         )
     if total == 0:
-        raise ValueError("codebook_report needs a codebook of size >= 2")
+        raise InputError("codebook_report needs a codebook of size >= 2")
     # flat index of pair (i, i + 1): row i holds the n - 1 - i pairs after it
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     step = max(1, ML_SLICE_ELEMENTS // (lt * max(lt, n_uses)))
@@ -167,11 +167,11 @@ def trellis_error_events(
     Returns a list of (difference matrix, PairMetrics), deduplicated on
     identical difference matrices (rounded to 12 digits) with the first
     occurrence kept.  Events are ordered by start state, then by input
-    sequence, lexicographically descending.  Raises DepthTooLarge when more
+    sequence, lexicographically descending.  Raises NumericError when more
     than ``event_cap`` events are generated before deduplication.
     """
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise InputError("max_depth must be >= 1")
     n_states, n_inputs = code.n_states, code.n_inputs
     per_state = n_states * n_inputs
     flat_next = code.next_state.ravel()
@@ -203,7 +203,7 @@ def trellis_error_events(
         merged = alt == ref[steps[:, 0] // n_inputs, depth]
         n_events += np.count_nonzero(merged)
         if n_events > event_cap:
-            raise DepthTooLarge(
+            raise NumericError(
                 f"more than {event_cap} error events before depth {max_depth}"
             )
         if merged.any():
@@ -253,7 +253,7 @@ def trellis_error_events(
 def event_report(events):
     """Worst-case summary over a trellis error-event list."""
     if not events:
-        raise ValueError("no error events to summarize")
+        raise InputError("no error events to summarize")
     rank, product, euclidean = np.array([pm for _, pm in events]).T
     k, e = _worst(rank, product, euclidean)
     return DesignMetricsReport(

@@ -51,7 +51,7 @@ from .demod import (
     sphere_decode,
     viterbi_decode,
 )
-from .errors import ConfigError, ValidationError
+from .errors import InputError
 from .mathcore import CONSTELLATIONS, bits_to_patterns
 from .stcodes import (
     alamouti_codebook,
@@ -134,45 +134,51 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.code not in FAMILIES:
-            raise ConfigError(f"must be one of {tuple(FAMILIES)}", key="code")
+            raise InputError(f"must be one of {tuple(FAMILIES)}", key="code")
         if FAMILIES[self.code].codebook is None and not self.trellis_file:
-            raise ConfigError("required when code = trellis", key="trellis_file")
+            raise InputError("required when code = trellis", key="trellis_file")
         if self.constellation not in CONSTELLATIONS:
-            raise ConfigError(
+            raise InputError(
                 f"must be one of {sorted(CONSTELLATIONS)}", key="constellation"
             )
         if not self.ebn0_db:
-            raise ConfigError("grid must be non-empty", key="ebn0_db")
+            raise InputError("grid must be non-empty", key="ebn0_db")
         diffs = np.diff(np.asarray(self.ebn0_db, dtype=float))
         if np.any(diffs <= 0):
-            raise ConfigError("grid must be strictly increasing", key="ebn0_db")
+            raise InputError("grid must be strictly increasing", key="ebn0_db")
         for key in ("lt", "lr"):
             if getattr(self, key) < 1:
-                raise ConfigError("antenna counts must be >= 1", key=key)
+                raise InputError("antenna counts must be >= 1", key=key)
         if self.channel_mode not in MODES:
-            raise ConfigError(f"must be one of {MODES}", key="channel")
+            raise InputError(f"must be one of {MODES}", key="channel")
         if self.fdt < 0:
-            raise ConfigError("must be >= 0", key="fdt")
+            raise InputError("must be >= 0", key="fdt")
+        if not math.isfinite(self.fdt):
+            raise InputError("must be finite", key="fdt")
+        if not math.isfinite(self.pilot_design_fdt):
+            raise InputError("must be finite", key="pilot.design_fdt")
+        if not self.pilot_design_snr_db > -math.inf:  # inf: a noise-free design
+            raise InputError("must be finite or inf", key="pilot.design_snr_db")
         if self.csi not in CSI_MODES:
-            raise ConfigError(f"must be one of {CSI_MODES}", key="csi")
+            raise InputError(f"must be one of {CSI_MODES}", key="csi")
         decoders = ("auto", *sorted({d for f in FAMILIES.values() for d in f.decoders}))
         if self.decoder not in decoders:
-            raise ConfigError(f"must be one of {decoders}", key="decoder")
+            raise InputError(f"must be one of {decoders}", key="decoder")
         if self.min_frame_errors < 1:
-            raise ConfigError("must be >= 1", key="min_frame_errors")
+            raise InputError("must be >= 1", key="min_frame_errors")
         if self.max_frames < 0:
-            raise ConfigError("must be >= 0", key="max_frames")
+            raise InputError("must be >= 0", key="max_frames")
         if self.frame_uses < 1:
-            raise ConfigError("must be >= 1", key="frame_uses")
+            raise InputError("must be >= 1", key="frame_uses")
         if self.fading_fdt > 0 and self.frame_uses > CLARKE_MAX_USES:
-            raise ConfigError(
+            raise InputError(
                 f"a Clarke-correlated frame must be <= {CLARKE_MAX_USES} uses",
                 key="frame_uses",
             )
         if self.workers < 1:
-            raise ConfigError("must be >= 1", key="workers")
+            raise InputError("must be >= 1", key="workers")
         if self.seed < 0:
-            raise ConfigError("must be >= 0", key="seed")
+            raise InputError("must be >= 0", key="seed")
 
     @property
     def fading_fdt(self):
@@ -262,12 +268,12 @@ def build_setup(cfg: SweepConfig):
     family = FAMILIES[cfg.code]
     decoder = family.decoders[0] if cfg.decoder == "auto" else cfg.decoder
     if decoder not in family.decoders:
-        raise ConfigError(
+        raise InputError(
             f"decoder {cfg.decoder!r} does not apply to code {cfg.code!r}",
             key="decoder",
         )
     if decoder == "sphere" and cfg.lr < cfg.lt:
-        raise ConfigError("sphere decoding requires lr >= lt", key="decoder")
+        raise InputError("sphere decoding requires lr >= lt", key="decoder")
 
     pmap = wiener = None
     data_uses = cfg.frame_uses
@@ -286,18 +292,18 @@ def build_setup(cfg: SweepConfig):
             with open(cfg.trellis_file, "r", encoding="utf-8") as fh:
                 code = load_trellis(fh.read(), name=cfg.trellis_file)
         except OSError as e:
-            raise ConfigError(str(e), key="trellis_file") from None
+            raise InputError(str(e), key="trellis_file") from None
         if code.lt != cfg.lt:
-            raise ConfigError(
+            raise InputError(
                 f"trellis file has lt={code.lt}, config says {cfg.lt}", key="lt"
             )
         if code.constellation.name != c.name:
-            raise ConfigError(
+            raise InputError(
                 "trellis file constellation differs from config", key="constellation"
             )
         steps = data_uses - code.n_term_steps
         if steps < 1:
-            raise ConfigError(
+            raise InputError(
                 "frame too short for the trellis termination tail",
                 key="frame_uses",
             )
@@ -305,10 +311,10 @@ def build_setup(cfg: SweepConfig):
         encode = partial(encode_trellis, code=code)
     else:
         if family.lt not in (None, cfg.lt):
-            raise ConfigError(f"{cfg.code} requires lt = {family.lt}", key="lt")
+            raise InputError(f"{cfg.code} requires lt = {family.lt}", key="lt")
         code = family.codebook(c, cfg.lt)
         if data_uses % code.n_uses:
-            raise ConfigError(
+            raise InputError(
                 f"data span {data_uses} is not a multiple of the"
                 f" {code.n_uses}-use codeword",
                 key="frame_uses",
@@ -329,8 +335,8 @@ def build_setup(cfg: SweepConfig):
     for key, count in (("tx_geometry", cfg.lt), ("rx_geometry", cfg.lr)):
         try:
             corr.append(spatial_correlation(getattr(cfg, key), count))
-        except ValidationError as e:
-            raise ConfigError(str(e), key=key) from None
+        except InputError as e:
+            raise InputError(str(e), key=key) from None
     setup = SweepSetup(cfg, info_bits, encode, decode, *corr, pmap, wiener)
     for ebn0 in cfg.ebn0_db:
         try:
@@ -338,7 +344,7 @@ def build_setup(cfg: SweepConfig):
         except OverflowError:
             ok = False
         if not ok:
-            raise ConfigError(f"{ebn0!r} dB gives no finite Es > 0", key="ebn0_db")
+            raise InputError(f"{ebn0!r} dB gives no finite Es > 0", key="ebn0_db")
     return setup
 
 
@@ -472,32 +478,31 @@ def parse_config(text):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {line!r}",
-                key=f"line{lineno}",
+            raise InputError(
+                f"expected 'key = value', got {line!r}", key=f"line {lineno}"
             )
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _CONFIG_KEYS:
-            raise ConfigError("unknown key", key=key)
+            raise InputError("unknown key", key=key)
         if key in seen:
-            raise ConfigError("duplicate key", key=key)
+            raise InputError("duplicate key", key=key)
         conv = _CONFIG_KEYS[key]
         try:
             seen[key] = conv(value)
         except ValueError:
-            raise ConfigError(
+            raise InputError(
                 f"cannot parse {value!r} as {conv.__name__}", key=key
             ) from None
     if "code" not in seen:
-        raise ConfigError("required", key="code")
+        raise InputError("required", key="code")
     if "ebn0_db" not in seen:
-        raise ConfigError("required", key="ebn0_db")
+        raise InputError("required", key="ebn0_db")
     try:
         grid = tuple(float(v) for v in seen.pop("ebn0_db").split(","))
     except ValueError:
-        raise ConfigError("expected comma-separated dB values", key="ebn0_db") from None
+        raise InputError("expected comma-separated dB values", key="ebn0_db") from None
     kwargs = {"ebn0_db": grid}
     for key, value in seen.items():
         kwargs[_KEY_TO_FIELD.get(key, key)] = value

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import LengthMismatch, NotPSD
+from .errors import InputError, NumericError
 
 # Relative singular/eigenvalue threshold used for every rank decision.
 RANK_TOL = 1e-9
@@ -37,7 +37,7 @@ def cholesky_psd(m):
     """Lower Cholesky factor of a PSD matrix, with one jitter retry.
 
     On factorization failure a diagonal jitter of CHOL_JITTER * trace/n is
-    added once; a second failure raises NotPSD.  Used for near-singular
+    added once; a second failure raises NumericError.  Used for near-singular
     correlation matrices (e.g. the Clarke Toeplitz matrix at low Doppler).
     """
     m = np.asarray(m)
@@ -50,7 +50,7 @@ def cholesky_psd(m):
     try:
         return np.linalg.cholesky(m + jitter * np.eye(n))
     except np.linalg.LinAlgError:
-        raise NotPSD(
+        raise NumericError(
             f"matrix is not positive semidefinite (jitter {jitter:.3e} did not help)"
         ) from None
 
@@ -63,7 +63,7 @@ def toeplitz_cholesky(first_row):
     """
     first_row = np.asarray(first_row, dtype=float)
     if first_row.ndim != 1 or first_row.size == 0:
-        raise ValueError("first_row must be a non-empty 1-D sequence")
+        raise InputError("first_row must be a non-empty 1-D sequence")
     t = scipy.linalg.toeplitz(first_row)
     return cholesky_psd(t)
 
@@ -82,10 +82,10 @@ class Constellation:
         object.__setattr__(self, "points", pts)
         size = 2 ** self.bits_per_symbol
         if pts.shape != (size,):
-            raise ValueError(f"{self.name}: expected {size} points, got {pts.shape}")
+            raise InputError(f"{self.name}: expected {size} points, got {pts.shape}")
         energy = np.mean(np.abs(pts) ** 2)
         if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"{self.name}: mean energy {energy!r} != 1")
+            raise InputError(f"{self.name}: mean energy {energy!r} != 1")
 
     @property
     def size(self):
@@ -125,11 +125,11 @@ def bits_to_patterns(bits, bits_per_symbol):
     """Group a flat bit sequence into MSB-first integer patterns."""
     bits = np.asarray(bits, dtype=int)
     if bits.ndim != 1:
-        raise LengthMismatch("bits must be a flat sequence")
+        raise InputError("bits must be a flat sequence")
     if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must contain only 0 and 1")
+        raise InputError("bits must contain only 0 and 1")
     if bits.size % bits_per_symbol:
-        raise LengthMismatch(
+        raise InputError(
             f"bit count {bits.size} is not divisible by {bits_per_symbol}"
         )
     groups = bits.reshape(-1, bits_per_symbol)

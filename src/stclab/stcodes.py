@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCount, LengthMismatch, ParseError, ValidationError
+from .errors import InputError
 from .mathcore import CONSTELLATIONS, Constellation, bits_to_patterns
 
 # Golden-number constants of the [2x2] full-rate construction.
@@ -62,7 +62,7 @@ def encode_spatial_multiplex(symbols, lt):
     """Fill symbols column-wise, lt per channel use, scaled 1/sqrt(lt)."""
     symbols = np.asarray(symbols, dtype=complex)
     if symbols.ndim != 1 or symbols.size % lt:
-        raise LengthMismatch(
+        raise InputError(
             f"symbol count {symbols.size} is not divisible by lt={lt}"
         )
     return symbols.reshape(-1, lt).T / np.sqrt(lt)
@@ -125,17 +125,17 @@ class BlockCodebook:
         cw = np.ascontiguousarray(np.asarray(self.codewords, dtype=complex))
         object.__setattr__(self, "codewords", cw)
         if cw.ndim != 3:
-            raise ValidationError("codewords must be a (size, lt, n_uses) array")
+            raise InputError("codewords must be a (size, lt, n_uses) array")
         if cw.shape[0] != 2 ** self.bits_per_codeword:
-            raise ValidationError(
+            raise InputError(
                 f"codebook size {cw.shape[0]} != 2^{self.bits_per_codeword}"
             )
         if self.columns is not None and not np.array_equal(
             self.columns[self.column_index].transpose(0, 2, 1), cw
         ):
-            raise ValidationError("columns and column_index do not give the codewords")
+            raise InputError("columns and column_index do not give the codewords")
         if _has_duplicate_rows(cw.reshape(cw.shape[0], -1)):
-            raise ValidationError("codebook contains duplicate codewords")
+            raise InputError("codebook contains duplicate codewords")
 
     @property
     def size(self):
@@ -151,10 +151,10 @@ class BlockCodebook:
 
 
 def _codebook_size(c: Constellation, n_syms):
-    """Word count of a codebook of n_syms symbols; InvalidCount past the cap."""
+    """Word count of a codebook of n_syms symbols; InputError past the cap."""
     n = c.size**n_syms
     if n > CODEBOOK_CAP:
-        raise InvalidCount(
+        raise InputError(
             f"a codebook of {n_syms} {c.name} symbols has {n} codewords,"
             f" more than the {CODEBOOK_CAP} a block codebook enumerates"
         )
@@ -165,7 +165,7 @@ def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
     """Pattern tuples of codewords start..stop - 1 (all by default) in
     codeword-index order (first symbol is MSB).
 
-    Raises InvalidCount, before allocating anything, when the codebook has
+    Raises InputError, before allocating anything, when the codebook has
     more than ``CODEBOOK_CAP`` words.
     """
     n = _codebook_size(c, n_syms)
@@ -242,7 +242,7 @@ class LinearDispersionCode:
         b = np.asarray(self.basis, dtype=complex)
         object.__setattr__(self, "basis", b)
         if b.ndim != 3:
-            raise ValidationError("basis must be (n_syms, lt, n_uses)")
+            raise InputError("basis must be (n_syms, lt, n_uses)")
 
     @property
     def n_syms(self):
@@ -327,7 +327,7 @@ def _termination_table(next_state):
     while not reach[t].all():
         t += 1
         if t > max_steps:
-            raise ValidationError(
+            raise InputError(
                 "trellis cannot be driven to state 0 with a uniform-length tail"
             )
         nxt = np.zeros(n_states, dtype=bool)
@@ -346,7 +346,7 @@ def _termination_table(next_state):
                     cur = next_state[cur, u]
                     break
         if cur != 0:
-            raise ValidationError("termination table construction failed")
+            raise InputError("termination table construction failed")
     return term
 
 
@@ -356,8 +356,8 @@ def load_trellis(text, name="trellis"):
     Format: a header line ``trellis <n_states> <bits_per_step> <lt>
     <constellation>`` followed by exactly n_states * 2^bits_per_step lines
     ``<state> <input-bits> <next_state> <idx_ant1> ... <idx_ant_lt>``.
-    ``#`` starts a comment.  Raises ParseError (with line number) on
-    malformed text and ValidationError on semantic violations.
+    ``#`` starts a comment.  Raises InputError on malformed text or a
+    semantic violation, keyed ``line N`` when one line is at fault.
     """
     header = None
     transitions = []
@@ -366,35 +366,31 @@ def load_trellis(text, name="trellis"):
         if not line:
             continue
         tokens = line.split()
+        at = f"line {lineno}"
         if header is None:
             if tokens[0] != "trellis" or len(tokens) != 5:
-                raise ParseError(
+                raise InputError(
                     "expected header 'trellis <n_states> <bits_per_step>"
                     " <lt> <constellation>'",
-                    line=lineno,
+                    key=at,
                 )
             try:
                 n_states, bits_per_step, lt = (int(v) for v in tokens[1:4])
             except ValueError:
-                raise ParseError("non-integer header field", line=lineno) from None
+                raise InputError("non-integer header field", key=at) from None
             if n_states < 1 or bits_per_step < 1 or lt < 1:
-                raise ParseError("header counts must be positive", line=lineno)
+                raise InputError("header counts must be positive", key=at)
             cname = tokens[4]
             if cname not in CONSTELLATIONS:
-                raise ParseError(
-                    f"unknown constellation {cname!r}", line=lineno
-                )
+                raise InputError(f"unknown constellation {cname!r}", key=at)
             header = (n_states, bits_per_step, lt, CONSTELLATIONS[cname])
             continue
         n_states, bits_per_step, lt, constellation = header
         if len(tokens) != 3 + lt:
-            raise ParseError(
-                f"expected {3 + lt} fields, got {len(tokens)}", line=lineno
-            )
+            raise InputError(f"expected {3 + lt} fields, got {len(tokens)}", key=at)
         if len(tokens[1]) != bits_per_step or set(tokens[1]) - {"0", "1"}:
-            raise ParseError(
-                f"input pattern must be {bits_per_step} binary digits",
-                line=lineno,
+            raise InputError(
+                f"input pattern must be {bits_per_step} binary digits", key=at
             )
         try:
             state = int(tokens[0])
@@ -402,40 +398,40 @@ def load_trellis(text, name="trellis"):
             nxt = int(tokens[2])
             idx = [int(v) for v in tokens[3:]]
         except ValueError:
-            raise ParseError("non-integer transition field", line=lineno) from None
-        transitions.append((lineno, state, pattern, nxt, idx))
+            raise InputError("non-integer transition field", key=at) from None
+        transitions.append((at, state, pattern, nxt, idx))
 
     if header is None:
-        raise ParseError("empty document: missing header line", line=1)
+        raise InputError("empty document: missing header line", key="line 1")
     n_states, bits_per_step, lt, constellation = header
     n_inputs = 2**bits_per_step
     if len(transitions) != n_states * n_inputs:
-        raise ValidationError(
+        raise InputError(
             f"expected {n_states * n_inputs} transition lines,"
             f" got {len(transitions)}"
         )
     next_state = np.full((n_states, n_inputs), -1, dtype=int)
     out_idx = np.zeros((n_states, n_inputs, lt), dtype=int)
-    for lineno, state, pattern, nxt, idx in transitions:
+    for at, state, pattern, nxt, idx in transitions:
         if not 0 <= state < n_states:
-            raise ValidationError(f"line {lineno}: state {state} out of range")
+            raise InputError(f"state {state} out of range", key=at)
         if not 0 <= nxt < n_states:
-            raise ValidationError(f"line {lineno}: next state {nxt} out of range")
+            raise InputError(f"next state {nxt} out of range", key=at)
         if any(not 0 <= v < constellation.size for v in idx):
-            raise ValidationError(
-                f"line {lineno}: point index out of range for"
-                f" {constellation.name}"
+            raise InputError(
+                f"point index out of range for {constellation.name}", key=at
             )
         if next_state[state, pattern] != -1:
-            raise ValidationError(
-                f"line {lineno}: duplicate transition for state {state},"
-                f" input {pattern:0{bits_per_step}b}"
+            raise InputError(
+                f"duplicate transition for state {state},"
+                f" input {pattern:0{bits_per_step}b}",
+                key=at,
             )
         next_state[state, pattern] = nxt
         out_idx[state, pattern] = idx
     if (next_state < 0).any():
         missing = np.argwhere(next_state < 0)[0]
-        raise ValidationError(
+        raise InputError(
             f"missing transition for state {missing[0]},"
             f" input {missing[1]:0{bits_per_step}b}"
         )
@@ -472,7 +468,7 @@ def encode_trellis(bits, code: TrellisCode):
         cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
     if np.any(state != 0):
-        raise ValidationError("termination tail did not reach state 0")
+        raise InputError("termination tail did not reach state 0")
     cols = np.array(cols, dtype=int).reshape(-1, rows.shape[0], code.lt)
     x = code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
     return x if batch else x[0]
@@ -513,7 +509,7 @@ def trellis_path_codebook(code: TrellisCode, n_steps):
         cols[:, k] = code.out_idx[state, u]
         state = code.next_state[state, u]
     if np.any(state != 0):
-        raise ValidationError("termination tail did not reach state 0")
+        raise InputError("termination tail did not reach state 0")
     # every column is one of the M^lt point tuples, numbered MSB first
     m = code.constellation.size
     tuples = _enumerate_symbol_tuples(code.constellation, code.lt)

@@ -1,9 +1,11 @@
 """Tests for the stc-lab command line: sweep, metrics, selftest, and the
 exit-code contract (0 ok, 2 config/usage, 3 numerical failure)."""
 
+import ast
 import hashlib
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,20 +321,11 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-# the exit code of every package error, as the command line assigned it by
-# class name before the errors were grouped into two families
+# the exit code of each error family, and of the builtins the command line
+# also maps
 ERROR_EXIT_CODES = {
-    "ConfigError": EXIT_CONFIG,
-    "ParseError": EXIT_CONFIG,
-    "ValidationError": EXIT_CONFIG,
-    "InvalidCount": EXIT_CONFIG,
-    "LengthMismatch": EXIT_CONFIG,
-    "ShapeMismatch": EXIT_CONFIG,
-    "ModelMismatch": EXIT_CONFIG,
-    "NotPSD": EXIT_NUMERIC,
-    "SingularCovariance": EXIT_NUMERIC,
-    "DepthTooLarge": EXIT_NUMERIC,
-    "NonStaticBlock": EXIT_NUMERIC,
+    "InputError": EXIT_CONFIG,
+    "NumericError": EXIT_NUMERIC,
 }
 BUILTIN_EXIT_CODES = {
     OSError: EXIT_CONFIG,
@@ -342,21 +335,25 @@ BUILTIN_EXIT_CODES = {
 }
 
 
-def error_classes(cls=StclabError):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from error_classes(sub)
-
-
 class TestErrorFamilies:
-    def test_every_error_is_in_exactly_one_family(self):
-        families = {InputError: EXIT_CONFIG, NumericError: EXIT_NUMERIC}
-        leaves = [c for c in error_classes() if c not in families]
-        assert sorted(c.__name__ for c in leaves) == sorted(ERROR_EXIT_CODES)
-        for cls in leaves:
-            codes = [code for fam, code in families.items() if issubclass(cls, fam)]
-            assert codes == [ERROR_EXIT_CODES[cls.__name__]], cls
-            assert issubclass(cls, (ValueError, RuntimeError)), cls
+    def test_every_raise_names_a_family(self):
+        # each raise in the package builds an InputError or a NumericError
+        # (a bare raise re-raises), so every refusal reaches its exit code
+        bad = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue
+                func = getattr(node.exc, "func", None)
+                if getattr(func, "id", None) not in ERROR_EXIT_CODES:
+                    bad.append(f"{path.name}:{node.lineno}")
+        assert bad == []
+
+    def test_families(self):
+        assert InputError.__bases__ == (StclabError, ValueError)
+        assert NumericError.__bases__ == (StclabError, RuntimeError)
+        assert str(InputError("bad", key="lt")) == "lt: bad"
+        assert InputError("bad").key is None
 
     @pytest.mark.parametrize(
         "cls, code",
@@ -375,3 +372,13 @@ class TestErrorFamilies:
         rc = main(["metrics", "--code", "delay_diversity", "--depth", "14"])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [("0", "max_depth must be >= 1"), ("1", "--depth: no error event remerges by step 1")],
+    )
+    def test_depth_too_small_exits_config(self, depth, message, capsys):
+        # at depth 1 no delay-diversity event has remerged yet
+        rc = main(["metrics", "--code", "delay_diversity", "--depth", depth])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"

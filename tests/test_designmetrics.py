@@ -16,7 +16,7 @@ from stclab.designmetrics import (
     pair_metrics,
     trellis_error_events,
 )
-from stclab.errors import DepthTooLarge, ShapeMismatch
+from stclab.errors import InputError, NumericError
 from stclab.mathcore import QAM16, QPSK, RANK_TOL
 from stclab.stcodes import (
     BlockCodebook,
@@ -82,7 +82,7 @@ class TestPairMetrics:
         assert_allclose(pm.euclidean, 2.0 / 3.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError):
             pair_metrics(np.eye(2), np.zeros((2, 3)))
 
     def test_left_unitary_invariance(self):
@@ -245,14 +245,12 @@ class TestTrellisErrorEvents:
         assert_allclose(a.min_euclidean, b.min_euclidean)
 
     def test_event_cap(self):
-        from stclab.errors import DepthTooLarge
-
         code = load_packaged_trellis()
-        with pytest.raises(DepthTooLarge):
+        with pytest.raises(NumericError):
             trellis_error_events(code, max_depth=10, event_cap=100)
 
     def test_empty_report_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             event_report([])
 
 
@@ -324,7 +322,7 @@ def dfs_error_events(code, max_depth, event_cap=10**6, all_reference_states=Fals
             if alt_state == ref_states[depth]:
                 n_events += 1
                 if n_events > event_cap:
-                    raise DepthTooLarge("event cap")
+                    raise NumericError("event cap")
                 diff = np.array(cols).T
                 key = (np.round(diff, 12) + (0.0 + 0.0j)).tobytes()
                 if key not in raw:
@@ -459,7 +457,7 @@ class TestArrayKernels:
     def test_event_cap_boundary(self):
         code = load_packaged_trellis()
         assert len(trellis_error_events(code, max_depth=10, event_cap=29523)) == 29523
-        with pytest.raises(DepthTooLarge):
+        with pytest.raises(NumericError):
             trellis_error_events(code, max_depth=10, event_cap=29522)
 
     def test_depth_ten_traced_peak(self):

@@ -17,7 +17,7 @@ from stclab.demod import (
     sphere_decode,
     viterbi_decode,
 )
-from stclab.errors import ConfigError
+from stclab.errors import InputError
 from stclab.harness import (
     BATCH_MAX,
     CSV_COLUMNS,
@@ -143,66 +143,92 @@ class TestConfigParsing:
             pilot_design_snr_db=15.5, ebn0_db=(-1.5, 4.0), min_frame_errors=7,
             max_frames=900, seed=12, frame_uses=120, decoder="sphere", workers=2,
         )
-        with pytest.raises(ConfigError, match=r"^lt: cannot parse '2.5' as int$"):
+        with pytest.raises(InputError, match=r"^lt: cannot parse '2.5' as int$"):
             parse_config(text.replace("lt = 2", "lt = 2.5"))
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InputError) as exc:
             parse_config(BASE_CONFIG + "bandwidth = 20\n")
         assert exc.value.key == "bandwidth"
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_config(BASE_CONFIG + "lt = 2\n")
 
     def test_missing_required(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_config("code = alamouti\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_config("ebn0_db = 10\n")
 
     def test_type_errors(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_config(BASE_CONFIG + "max_frames = soon\n")
 
     def test_grid_must_increase(self):
         bad = BASE_CONFIG.replace("ebn0_db = 6.0, 10.0", "ebn0_db = 10.0, 6.0")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_config(bad)
 
     def test_validation_catches_bad_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SweepConfig(code="turbo", ebn0_db=(1.0,))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SweepConfig(code="alamouti", ebn0_db=())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SweepConfig(code="alamouti", ebn0_db=(1.0,), csi="genie")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             SweepConfig(code="trellis", ebn0_db=(1.0,))  # needs trellis_file
 
     @pytest.mark.parametrize(
-        "field, value, key", [("fdt", -0.01, "fdt"), ("channel_mode", "block", "channel")]
+        "field, value, key",
+        [
+            ("fdt", -0.01, "fdt"),
+            ("fdt", np.nan, "fdt"),
+            ("fdt", np.inf, "fdt"),
+            ("channel_mode", "block", "channel"),
+            ("pilot_design_fdt", np.nan, "pilot.design_fdt"),
+            ("pilot_design_fdt", np.inf, "pilot.design_fdt"),
+            ("pilot_design_snr_db", np.nan, "pilot.design_snr_db"),
+            ("pilot_design_snr_db", -np.inf, "pilot.design_snr_db"),
+        ],
     )
     def test_fading_refusals_name_their_key(self, field, value, key):
-        with pytest.raises(ConfigError) as exc:
-            SweepConfig(code="alamouti", ebn0_db=(1.0,), **{field: value})
+        kwargs = {"channel_mode": "clarke_varying", "csi": "pilot", field: value}
+        with pytest.raises(InputError) as exc:
+            SweepConfig(code="alamouti", ebn0_db=(1.0,), **kwargs)
         assert exc.value.key == key
+
+    def test_noise_free_pilot_design_runs(self):
+        cfg = parse_config(
+            BASE_CONFIG.replace("quasi_static", "clarke_varying\nfdt = 0.01")
+            + "csi = pilot\npilot.count = 8\npilot.taps = 4\npilot.design_snr_db = inf\n"
+        )
+        assert cfg.pilot_design_snr_db == np.inf
+        assert [r.frames > 0 for r in run_sweep(cfg).rows] == [True, True]
+
+    def test_line_without_equals_names_its_line(self):
+        with pytest.raises(InputError) as exc:
+            parse_config(BASE_CONFIG + "bandwidth\n")
+        n = len((BASE_CONFIG + "bandwidth").splitlines())
+        assert exc.value.key == f"line {n}"
+        assert str(exc.value) == f"line {n}: expected 'key = value', got 'bandwidth'"
 
     @pytest.mark.parametrize("key", ["lt", "lr"])
     def test_antenna_count_refusal_names_its_key(self, key):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InputError) as exc:
             SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), **{key: 0})
         assert exc.value.key == key
 
     def test_negative_seed_refused(self):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InputError) as exc:
             SweepConfig(code="alamouti", ebn0_db=(1.0,), seed=-1)
         assert exc.value.key == "seed"
 
     def test_clarke_frame_cap(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(1.0,), channel_mode="clarke_varying",
                           fdt=0.01, frame_uses=CLARKE_MAX_USES)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InputError) as exc:
             replace(cfg, frame_uses=CLARKE_MAX_USES + 2)
         assert exc.value.key == "frame_uses"
         # quasi-static frames, and Clarke at fdT = 0, hold one draw: no cap
@@ -309,7 +335,7 @@ class TestBuildSetup:
             rx_geometry="rx_square_0.5",
             decoder="ml",
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             build_setup(cfg)
 
     def test_explicit_positions(self):
@@ -325,7 +351,7 @@ class TestBuildSetup:
 
     def test_sphere_needs_enough_rx(self):
         cfg = SweepConfig(code="golden", ebn0_db=(10.0,), lt=2, lr=1, decoder="sphere")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             build_setup(cfg)
 
     def test_sphere_decode_keeps_degenerate_flag(self):
@@ -343,7 +369,7 @@ class TestBuildSetup:
 
     def test_odd_data_span_rejected(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=61)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             build_setup(cfg)
 
     @pytest.mark.parametrize("ebn0", [np.nan, np.inf, -np.inf, -4000.0, 4000.0])
@@ -353,7 +379,7 @@ class TestBuildSetup:
         # a valid point beside the bad one: no frame of it may run either
         grid = (ebn0, 8.0) if ebn0 < 0 else (8.0, ebn0)
         cfg = SweepConfig(code="alamouti", ebn0_db=grid, lt=2, lr=1, frame_uses=60)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(InputError) as exc:
             run_sweep(cfg)
         assert exc.value.key == "ebn0_db"
         assert calls == []

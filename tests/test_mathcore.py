@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from stclab.errors import LengthMismatch, NotPSD
+from stclab.errors import InputError, NumericError
 from stclab.mathcore import (
     CONSTELLATIONS,
     QAM16,
@@ -91,7 +91,7 @@ class TestToeplitzCholesky:
         assert_allclose(f_big[:10, :10], f_small, atol=1e-8)
 
     def test_rejects_indefinite_row(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NumericError):
             toeplitz_cholesky(np.array([1.0, 2.0]))
 
 
@@ -144,11 +144,11 @@ class TestBitPatterns:
         assert_array_equal(bits_to_patterns(np.array([0, 1]), 2), [0b01])
 
     def test_length_check(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError):
             bits_to_patterns(np.array([0, 1, 0]), 2)
 
     def test_bit_value_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             bits_to_patterns(np.array([0, 2]), 2)
 
     def test_empty(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from stclab.errors import InvalidCount, ParseError, ValidationError
+from stclab.errors import InputError
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, bits_to_patterns
 from stclab import stcodes
 from stclab.stcodes import (
@@ -199,9 +199,9 @@ class TestSpatialMultiplex:
         # 16^5 = 2^20 words is the largest codebook that is enumerated
         assert _enumerate_symbol_tuples(QAM16, 5).shape == (CODEBOOK_CAP, 5)
         assert _enumerate_symbol_tuples(QPSK, 10).shape == (CODEBOOK_CAP, 10)
-        with pytest.raises(InvalidCount, match="16777216 codewords"):
+        with pytest.raises(InputError, match="16777216 codewords"):
             spatial_multiplex_codebook(QAM16, lt=6, n_uses=1)
-        with pytest.raises(InvalidCount, match="4194304 codewords"):
+        with pytest.raises(InputError, match="4194304 codewords"):
             spatial_multiplex_codebook(QPSK, lt=11, n_uses=1)
 
     @pytest.mark.parametrize(
@@ -249,7 +249,7 @@ class TestDuplicateCheck:
         return cw
 
     def test_words_equal_to_twelve_digits_are_duplicates(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             BlockCodebook("planted", self.planted(1e-14), 4)
 
     def test_words_apart_beyond_twelve_digits_are_distinct(self):
@@ -262,7 +262,7 @@ class TestDuplicateCheck:
         )
         monkeypatch.setattr(stcodes, "DUPLICATE_SLICE_ELEMENTS", 12)
         assert BlockCodebook("golden", golden_codebook(QPSK).codewords, 8).size == 256
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(InputError, match="duplicate"):
             BlockCodebook("planted", self.planted(1e-14), 4)
 
     def test_largest_codebook_checks_in_bounded_memory(self):
@@ -316,38 +316,41 @@ class TestTrellisParsing:
         assert code.out_idx.shape == (4, 4, 2)
 
     def test_unknown_constellation(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_trellis("trellis 1 1 1 8PSK\n0 0 0 0\n0 1 1 0\n")
 
     def test_malformed_header(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             load_trellis("trellis 4 2\n")
-        assert exc.value.line == 1
+        assert exc.value.key == "line 1"
 
     def test_missing_transition(self):
         lines = DELAY_DIVERSITY_TEXT.strip().splitlines()
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             load_trellis("\n".join(lines[:-1]) + "\n")
 
     def test_duplicate_transition(self):
         text = DELAY_DIVERSITY_TEXT + "3 11 3 3 3\n"
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             load_trellis(text)
 
     def test_point_index_out_of_range(self):
         text = DELAY_DIVERSITY_TEXT.replace("0 11 3 3 0", "0 11 3 4 0")
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError) as exc:
             load_trellis(text)
+        lineno = text.splitlines().index("0 11 3 4 0") + 1
+        assert exc.value.key == f"line {lineno}"
+        assert str(exc.value) == f"line {lineno}: point index out of range for QPSK"
 
     def test_bad_input_pattern_width(self):
         text = DELAY_DIVERSITY_TEXT.replace("0 00 0 0 0", "0 000 0 0 0")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError):
             load_trellis(text)
 
     def test_unreachable_termination(self):
         # state 1 can never get back to state 0
         text = "trellis 2 1 1 QPSK\n0 0 0 0\n0 1 1 1\n1 0 1 2\n1 1 1 3\n"
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             load_trellis(text)
 
 
@@ -467,7 +470,7 @@ class TestTrellisEncoding:
                     lines.append(f"{state} {u} {nxt} {outs[u] // 4} {outs[u] % 4}")
             try:
                 code = load_trellis("\n".join(lines))
-            except ValidationError:  # some state cannot reach state 0
+            except InputError:  # some state cannot reach state 0
                 continue
             tails.add(code.n_term_steps)
             n_steps = 3
@@ -489,7 +492,7 @@ class TestTrellisEncoding:
         assert cb.columns.shape == (16, 2)
         wrong = cb.column_index.copy()
         wrong[5, 1] = (wrong[5, 1] + 1) % 16
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError):
             BlockCodebook("paths", cb.codewords, 6, cb.columns, wrong)
 
 
