@@ -6,7 +6,6 @@ Subcommands:
   Carlo Eb/N0 sweep and writes CSV (stdout when no --out).
 * ``metrics --code NAME|FILE`` prints worst-case design metrics for a block
   code preset or a trellis code-definition file.
-* ``selftest`` runs a quick internal consistency battery.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -17,14 +16,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import generate_fading
-from .chanest import build_pilot_map, design_wiener
-from .demod import (
-    alamouti_combine,
-    ml_exhaustive_blocks,
-    sphere_decode,
-    viterbi_decode,
-)
 from .designmetrics import (
     codebook_report,
     event_report,
@@ -33,14 +24,8 @@ from .designmetrics import (
 )
 from .errors import InputError, NumericError
 from .harness import FAMILIES, parse_config, run_sweep
-from .mathcore import CONSTELLATIONS, bessel_j0
-from .stcodes import (
-    encode_trellis,
-    golden_codebook,
-    golden_dispersion,
-    load_packaged_trellis,
-    load_trellis,
-)
+from .mathcore import CONSTELLATIONS
+from .stcodes import load_packaged_trellis, load_trellis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,121 +113,6 @@ def _cmd_metrics(args):
     return EXIT_OK
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(7)
-
-    def constellations_ok():
-        for c in CONSTELLATIONS.values():
-            if abs(np.mean(np.abs(c.points) ** 2) - 1.0) > 1e-12:
-                return f"{c.name} energy off"
-        return None
-
-    def alamouti_round_trip():
-        from .stcodes import encode_alamouti
-
-        c = CONSTELLATIONS["QPSK"]
-        h = (rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2)))
-        h = np.broadcast_to(h[0], (2, 1, 2))
-        x = encode_alamouti(c.points[1], c.points[2])
-        y = np.einsum("kij,jk->ki", h, 2.0 * x)
-        res = alamouti_combine(y, h, 4.0, c)
-        want = np.array([0, 1, 1, 0])
-        return None if np.array_equal(res.bits, want) else "bits mismatch"
-
-    def golden_min_det():
-        cw = golden_codebook(CONSTELLATIONS["QPSK"]).codewords
-        d = cw[:, None] - cw[None, :]
-        det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
-        iu = np.triu_indices(cw.shape[0], k=1)
-        return np.abs(det[iu]).min()
-
-    def golden_det():
-        m = golden_min_det()
-        return None if m > 1e-9 else f"min |det| {m}"
-
-    def design_metrics():
-        # for a full-rank 2x2 pair the product measure is |det| of the difference
-        rep = codebook_report(golden_codebook(CONSTELLATIONS["QPSK"]))
-        m = golden_min_det()
-        if abs(rep.min_product_measure_at_min_rank - m) > 1e-12:
-            return f"min product {rep.min_product_measure_at_min_rank} vs min |det| {m}"
-        events = trellis_error_events(load_packaged_trellis(), max_depth=3)
-        ranks = [pm.rank for _, pm in events]
-        if ranks != [2] * (3 + 9):
-            return f"depth-3 delay-diversity event ranks {ranks}"
-        return None
-
-    def sphere_matches_ml():
-        # 50 random golden words in one frame, each over its own static
-        # channel, decoded by the calls a sweep makes
-        c = CONSTELLATIONS["QPSK"]
-        cb = golden_codebook(c)
-        es = 10.0
-        x = np.concatenate(cb.codewords[rng.integers(0, cb.size, 50)], axis=1)
-        h = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
-        h = np.repeat(h / np.sqrt(2), 2, axis=0)
-        noise = rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2))
-        y = np.sqrt(es) * np.einsum("kij,jk->ki", h, x) + noise / np.sqrt(2)
-        a = ml_exhaustive_blocks(y, h, cb, es)
-        b = sphere_decode(y, h, golden_dispersion(c), es)
-        return None if np.array_equal(a.bits, b.bits) else "decision mismatch"
-
-    def viterbi_round_trip():
-        code = load_packaged_trellis()
-        bits = rng.integers(0, 2, 40)
-        x = encode_trellis(bits, code)
-        h = np.ones((x.shape[1], 1, 2), dtype=complex)
-        y = np.einsum("kij,jk->ki", h, x)
-        res = viterbi_decode(y, h, code, 1.0)
-        return None if np.array_equal(res.bits, bits) else "bits mismatch"
-
-    def clarke_autocorrelation():
-        eye = np.eye(1)
-        acc = 0.0
-        norm = 0.0
-        frames = 1500
-        for f in range(frames):
-            g = np.random.Generator(np.random.PCG64(1000 + f))
-            h = generate_fading(120, 0.02, eye, eye, g)[:, 0, 0]
-            acc += np.mean(h[:-10] * np.conj(h[10:])).real
-            norm += np.mean(np.abs(h) ** 2)
-        got = acc / frames / (norm / frames)
-        want = bessel_j0(2 * np.pi * 0.02 * 10)
-        return None if abs(got - want) < 0.05 else f"lag-10 corr {got} vs {want}"
-
-    def wiener_dc():
-        pmap = build_pilot_map(120, 2, 16)
-        w = design_wiener(pmap, fdT_design=0.0, snr_design_db=np.inf, taps=4)
-        err = np.abs(w.weights.sum(axis=1) - 1.0).max()
-        return None if err < 1e-6 else f"coefficient sums off by {err}"
-
-    return [
-        ("constellation invariants", constellations_ok),
-        ("alamouti combiner round trip", alamouti_round_trip),
-        ("golden code full diversity", golden_det),
-        ("design metrics", design_metrics),
-        ("sphere equals exhaustive ML", sphere_matches_ml),
-        ("viterbi round trip", viterbi_round_trip),
-        ("clarke autocorrelation", clarke_autocorrelation),
-        ("wiener dc pass-through", wiener_dc),
-    ]
-
-
-def _cmd_selftest(_args):
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            detail = check()
-        except Exception as e:  # a crash is a failure, not an abort
-            detail = f"{type(e).__name__}: {e}"
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
-            failures += 1
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stc-lab",
@@ -276,9 +146,6 @@ def build_parser():
     )
     p_metrics.add_argument("--csv", default=None, help="CSV export path")
     p_metrics.set_defaults(func=_cmd_metrics)
-
-    p_self = sub.add_parser("selftest", help="run the internal check battery")
-    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 

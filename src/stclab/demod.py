@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError
 from .mathcore import Constellation, patterns_to_bits
 from .stcodes import (
     BlockCodebook,
@@ -446,16 +446,17 @@ def _brute_force_lattice(yr, gr, levels, m, table, c):
     return cand[pick], cand.shape[0]
 
 
-def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
+def alamouti_combine(y, h, es, c: Constellation):
     """Orthogonal combining plus per-symbol slicing for Alamouti frames.
 
     Works block by block over pairs of uses.  For each block with channel
     columns h1, h2 the statistics z1 = h1^H y1 + y2^H h2 and
     z2 = h2^H y1 - h1^T conj(y2) decouple the two symbols with combining
     gain g = ||h1||^2 + ||h2||^2, so slicing z against sqrt(Es/2) g times
-    each point is exact ML.  The channel must be constant within each block
-    unless ``allow_nonstatic`` accepts the combiner as an approximation.
-    A zero-gain block is flagged degenerate and decides pattern 0.
+    each point is exact ML when the channel is constant within each block.
+    A block whose channel varies (Clarke fading, pilot estimates) is
+    combined with the channel of its first use, an approximation.  A
+    zero-gain block is flagged degenerate and decides pattern 0.
     """
     yv, h, batch = _frames(y, h)
     n_frames, nf, lr = yv.shape
@@ -470,13 +471,6 @@ def alamouti_combine(y, h, es, c: Constellation, allow_nonstatic=False):
         hb = h[:, None, :1]
     else:
         hb = h.reshape(n_frames, nf // 2, 2, lr, 2)
-        drift = np.linalg.norm(hb[:, :, 1] - hb[:, :, 0], axis=(2, 3))
-        scale_h = np.linalg.norm(hb[:, :, 0], axis=(2, 3))
-        if not allow_nonstatic and np.any(drift > 1e-9 * np.maximum(scale_h, 1e-300)):
-            raise NumericError(
-                "channel varies within an Alamouti block;"
-                " pass allow_nonstatic=True to combine anyway"
-            )
     h1 = hb[:, :, 0, :, 0]
     h2 = hb[:, :, 0, :, 1]
     y1 = yb[:, :, 0]

@@ -53,18 +53,18 @@ class DesignMetricsReport:
     n_pairs: int
 
 
-def _eig_metrics(eig, lt, rel_tol):
+def _eig_metrics(eig, lt):
     """Rank, product measure and euclidean metric per row of eigenvalues.
 
     ``eig`` is (n, lt) in ascending order, as eigvalsh gives it.  Values are
-    clipped at 0; those above ``rel_tol`` times the row's largest count
+    clipped at 0; those above ``RANK_TOL`` times the row's largest count
     toward the rank, and the product measure is their geometric mean.  A row
     whose largest value is not positive gets rank 0 and product measure 0.
     """
     eig = np.maximum(eig, 0.0)
     top = eig.max(axis=1)
     euclidean = eig.sum(axis=1) / lt
-    rank = np.count_nonzero(eig > (rel_tol * top)[:, None], axis=1)
+    rank = np.count_nonzero(eig > (RANK_TOL * top)[:, None], axis=1)
     product = np.zeros(eig.shape[0])
     for r in np.unique(rank[rank > 0]):
         rows = rank == r
@@ -80,7 +80,7 @@ def _worst(rank, product, euclidean):
     return at_min_rank[np.argmin(product[at_min_rank])], np.argmin(euclidean)
 
 
-def pair_metrics(x1, x2, rel_tol=RANK_TOL):
+def pair_metrics(x1, x2):
     """Rank, product measure and euclidean metric of one codeword pair.
 
     Identical codewords give rank 0 and, by convention, product measure 0.
@@ -90,7 +90,7 @@ def pair_metrics(x1, x2, rel_tol=RANK_TOL):
     if x1.shape != x2.shape or x1.ndim != 2:
         raise InputError(f"codeword shapes differ: {x1.shape} vs {x2.shape}")
     rank, product, euclidean = _eig_metrics(
-        _batched_pair_eigs((x1 - x2)[None]), x1.shape[0], rel_tol
+        _batched_pair_eigs((x1 - x2)[None]), x1.shape[0]
     )
     return PairMetrics(int(rank[0]), float(product[0]), float(euclidean[0]))
 
@@ -103,7 +103,7 @@ def _batched_pair_eigs(diffs):
     return np.linalg.eigvalsh(cs)
 
 
-def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
+def codebook_report(cb: BlockCodebook):
     """Exhaustive worst-case metrics over all unordered codeword pairs.
 
     Pairs (i, j), i < j, are taken in row-major order, in slices whose
@@ -130,9 +130,7 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
         p = np.arange(p0, min(p0 + step, total))
         i = np.searchsorted(row_start, p, side="right") - 1
         j = p - row_start[i] + i + 1
-        rank, product, euclidean = _eig_metrics(
-            _batched_pair_eigs(cw[j] - cw[i]), lt, rel_tol
-        )
+        rank, product, euclidean = _eig_metrics(_batched_pair_eigs(cw[j] - cw[i]), lt)
         k, e = _worst(rank, product, euclidean)
         key = (int(rank[k]), float(product[k]))
         if best_key is None or key < best_key:
@@ -149,13 +147,7 @@ def codebook_report(cb: BlockCodebook, rel_tol=RANK_TOL):
     )
 
 
-def trellis_error_events(
-    code: TrellisCode,
-    max_depth=10,
-    event_cap=EVENT_CAP,
-    all_reference_states=False,
-    rel_tol=RANK_TOL,
-):
+def trellis_error_events(code: TrellisCode, max_depth=10, all_reference_states=False):
     """Enumerate error events on the pair-state trellis.
 
     An event is an alternative path that diverges from the reference path at
@@ -168,7 +160,7 @@ def trellis_error_events(
     identical difference matrices (rounded to 12 digits) with the first
     occurrence kept.  Events are ordered by start state, then by input
     sequence, lexicographically descending.  Raises NumericError when more
-    than ``event_cap`` events are generated before deduplication.
+    than ``EVENT_CAP`` events are generated before deduplication.
     """
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
@@ -202,9 +194,9 @@ def trellis_error_events(
         alt = flat_next[steps[:, -1]]
         merged = alt == ref[steps[:, 0] // n_inputs, depth]
         n_events += np.count_nonzero(merged)
-        if n_events > event_cap:
+        if n_events > EVENT_CAP:
             raise NumericError(
-                f"more than {event_cap} error events before depth {max_depth}"
+                f"more than {EVENT_CAP} error events before depth {max_depth}"
             )
         if merged.any():
             found[depth].append(steps[merged])
@@ -243,7 +235,7 @@ def trellis_error_events(
         col = col.reshape(g.shape)
         _, first = np.unique(cls.ravel()[col], axis=0, return_index=True)
         diffs = cols[col[first]].transpose(0, 2, 1)
-        metrics = _eig_metrics(_batched_pair_eigs(diffs), code.lt, rel_tol)
+        metrics = _eig_metrics(_batched_pair_eigs(diffs), code.lt)
         metrics = zip(*(v.tolist() for v in metrics))
         for k, diff, m in zip(at[first].tolist(), diffs, metrics):
             events[k] = (diff, PairMetrics(*m))

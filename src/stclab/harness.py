@@ -94,8 +94,8 @@ FAMILIES = {
     ),
     "spatial_multiplex": Family(
         ("ml", "sphere"),
-        lambda c, lt: spatial_multiplex_codebook(c, lt=lt, n_uses=1),
-        lambda c, lt: spatial_multiplex_dispersion(c, lt=lt, n_uses=1),
+        lambda c, lt: spatial_multiplex_codebook(c, lt),
+        lambda c, lt: spatial_multiplex_dispersion(c, lt),
     ),
     "trellis": Family(("viterbi",)),
 }
@@ -220,7 +220,7 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(k, n, z=Z_95):
+def wilson_interval(k, n):
     """Wilson score 95% interval for k successes in n trials.
 
     n = 0 returns the uninformative (0, 1) interval.
@@ -228,10 +228,10 @@ def wilson_interval(k, n, z=Z_95):
     if n == 0:
         return 0.0, 1.0
     p = k / n
-    zz = z * z
+    zz = Z_95 * Z_95
     denom = 1.0 + zz / n
     center = (p + zz / (2.0 * n)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / n + zz / (4.0 * n * n)) / denom
+    half = Z_95 * np.sqrt(p * (1.0 - p) / n + zz / (4.0 * n * n)) / denom
     # score-interval endpoints are exact at the boundaries
     lo = 0.0 if k == 0 else max(0.0, center - half)
     hi = 1.0 if k == n else min(1.0, center + half)
@@ -324,8 +324,7 @@ def build_setup(cfg: SweepConfig):
     if decoder == "viterbi":
         decode = partial(viterbi_decode, code=code)
     elif decoder == "combiner":
-        allow_nonstatic = cfg.fading_fdt > 0 or cfg.csi == "pilot"
-        decode = partial(alamouti_combine, c=c, allow_nonstatic=allow_nonstatic)
+        decode = partial(alamouti_combine, c=c)
     elif decoder == "sphere":
         decode = partial(sphere_decode, code=family.lattice(c, cfg.lt))
     else:

@@ -211,19 +211,16 @@ def golden_codebook(c: Constellation):
     return BlockCodebook("golden", words, 4 * c.bits_per_symbol)
 
 
-def spatial_multiplex_codebook(c: Constellation, lt=2, n_uses=1):
-    n_syms = lt * n_uses
+def spatial_multiplex_codebook(c: Constellation, lt=2):
     pts = c.points / np.sqrt(lt)
     # encode_spatial_multiplex on every word, bitwise the same, written into
     # the codebook slice by slice so that temporaries stay small
-    words = np.empty((_codebook_size(c, n_syms), lt, n_uses), dtype=complex)
-    step = max(1, DUPLICATE_SLICE_ELEMENTS // n_syms)
+    words = np.empty((_codebook_size(c, lt), lt, 1), dtype=complex)
+    step = max(1, DUPLICATE_SLICE_ELEMENTS // lt)
     for start in range(0, words.shape[0], step):
-        patterns = _enumerate_symbol_tuples(c, n_syms, start, start + step)
-        words[start : start + step] = (
-            pts[patterns].reshape(-1, n_uses, lt).transpose(0, 2, 1)
-        )
-    return BlockCodebook("spatial_multiplex", words, n_syms * c.bits_per_symbol)
+        patterns = _enumerate_symbol_tuples(c, lt, start, start + step)
+        words[start : start + step, :, 0] = pts[patterns]
+    return BlockCodebook("spatial_multiplex", words, lt * c.bits_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -272,12 +269,9 @@ def golden_dispersion(c: Constellation):
     return LinearDispersionCode("golden", basis, c)
 
 
-def spatial_multiplex_dispersion(c: Constellation, lt=2, n_uses=1):
-    n_syms = lt * n_uses
-    basis = np.zeros((n_syms, lt, n_uses), dtype=complex)
-    for k in range(n_uses):
-        for a in range(lt):
-            basis[k * lt + a, a, k] = 1.0 / np.sqrt(lt)
+def spatial_multiplex_dispersion(c: Constellation, lt=2):
+    # symbol a goes to antenna a of the single use
+    basis = np.eye(lt)[:, :, None] / np.sqrt(lt)
     return LinearDispersionCode("spatial_multiplex", basis, c)
 
 

@@ -209,7 +209,7 @@ def test_diversity_slope(capsys):
 def test_design_metrics(capsys):
     t0 = time.time()
     alam = codebook_report(alamouti_codebook(QPSK))
-    sm = codebook_report(spatial_multiplex_codebook(QPSK, lt=2, n_uses=1))
+    sm = codebook_report(spatial_multiplex_codebook(QPSK, lt=2))
     cw = golden_codebook(QPSK).codewords
     d = cw[:, None] - cw[None, :]
     dets = np.abs(d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0])

@@ -1,4 +1,4 @@
-"""Tests for the stc-lab command line: sweep, metrics, selftest, and the
+"""Tests for the stc-lab command line: sweep, metrics, and the
 exit-code contract (0 ok, 2 config/usage, 3 numerical failure)."""
 
 import ast
@@ -295,17 +295,6 @@ def test_metrics_csv_agrees_with_report(code, constellation, tmp_path, capsys):
     assert euclidean[5] == report["min euclidean"]
 
 
-class TestSelftestCommand:
-    def test_passes_and_prints_lines(self, capsys):
-        rc = main(["selftest"])
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        lines = [l for l in out.strip().split("\n") if l]
-        assert len(lines) >= 5
-        assert all(l.startswith("PASS") for l in lines)
-        assert "PASS design metrics" in lines
-
-
 class TestExitCodes:
     def test_constants(self):
         assert (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC) == (0, 2, 3)
@@ -315,9 +304,10 @@ class TestExitCodes:
             main(["sweep"])  # --config is required
         assert exc.value.code == 2
 
-    def test_unknown_command(self, capsys):
+    @pytest.mark.parametrize("command", ["tune", "selftest"])
+    def test_unknown_command(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["tune"])
+            main([command])
         assert exc.value.code == 2
 
 
@@ -364,8 +354,8 @@ class TestErrorFamilies:
         def fail(_args):
             raise cls("injected fault")
 
-        monkeypatch.setattr(cli, "_cmd_selftest", fail)
-        assert main(["selftest"]) == code
+        monkeypatch.setattr(cli, "_cmd_metrics", fail)
+        assert main(["metrics", "--code", "golden"]) == code
         assert capsys.readouterr().err == "error: injected fault\n"
 
     def test_depth_too_large_exits_numeric(self, capsys):

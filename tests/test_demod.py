@@ -16,7 +16,7 @@ from stclab.demod import (
     sphere_decode,
     viterbi_decode,
 )
-from stclab.errors import InputError, NumericError
+from stclab.errors import InputError
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, patterns_to_bits
 from stclab.stcodes import (
     alamouti_codebook,
@@ -495,8 +495,8 @@ class TestSphere:
             assert_allclose(sd.metric, ml.metric, rtol=1e-8, atol=1e-12)
 
     def test_sixteen_qam_matches_ml(self):
-        ld = spatial_multiplex_dispersion(QAM16, lt=2, n_uses=1)
-        cb = spatial_multiplex_codebook(QAM16, lt=2, n_uses=1)
+        ld = spatial_multiplex_dispersion(QAM16, lt=2)
+        cb = spatial_multiplex_codebook(QAM16, lt=2)
         for t in range(100):
             rng = make_rng(50000 + t)
             n = int(rng.integers(0, 256))
@@ -556,8 +556,8 @@ class TestSphere:
         "golden_qpsk": lambda: (golden_dispersion(QPSK), golden_codebook(QPSK)),
         "golden_16qam": lambda: (golden_dispersion(QAM16), golden_codebook(QAM16)),
         "spatial_multiplex_16qam": lambda: (
-            spatial_multiplex_dispersion(QAM16, lt=2, n_uses=1),
-            spatial_multiplex_codebook(QAM16, lt=2, n_uses=1),
+            spatial_multiplex_dispersion(QAM16, lt=2),
+            spatial_multiplex_codebook(QAM16, lt=2),
         ),
     }
 
@@ -577,6 +577,7 @@ class TestSphere:
             np.testing.assert_array_equal(res.bits, bits)
             assert res.visited == visited
             assert res.degenerate == degenerate
+            np.testing.assert_array_equal(res.bits, ml_exhaustive_blocks(frame, h, cb, es).bits)
             if n0 < 1.0:
                 want = patterns_to_bits(idx, cb.bits_per_codeword)
                 np.testing.assert_array_equal(res.bits, want)
@@ -663,15 +664,15 @@ class TestAlamoutiCombiner:
             ml = ml_exhaustive_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(cm.bits, ml.bits)
 
-    def test_rejects_nonstatic_block(self):
+    def test_nonstatic_block_combines_first_use_channel(self):
         s = QPSK.points[0]
         x = encode_alamouti(s, s)
         h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
+        assert not np.array_equal(h[0], h[1])
         frame = apply_channel(x, h, 1.0, make_rng(16))
-        with pytest.raises(NumericError):
-            alamouti_combine(frame, h, 1.0, QPSK)
-        res = alamouti_combine(frame, h, 1.0, QPSK, allow_nonstatic=True)
-        assert res.bits.shape == (4,)
+        res = alamouti_combine(frame, h, 1.0, QPSK)
+        first = alamouti_combine(frame, np.repeat(h[:1], 2, axis=0), 1.0, QPSK)
+        np.testing.assert_array_equal(res.bits, first.bits)
 
     def test_zero_channel_flags_degenerate(self):
         y = np.zeros((2, 1), dtype=complex)
@@ -705,7 +706,7 @@ class TestFrameBatches:
     TRELLIS = load_packaged_trellis()
     PATHS = trellis_path_codebook(TRELLIS, 3)
     DECODERS = {
-        "combiner": (2, lambda y, h: alamouti_combine(y, h, 3.0, QAM16, allow_nonstatic=True)),
+        "combiner": (2, lambda y, h: alamouti_combine(y, h, 3.0, QAM16)),
         "ml-alamouti": (2, lambda y, h: ml_exhaustive_blocks(y, h, alamouti_codebook(QPSK), 3.0)),
         "ml-golden": (2, lambda y, h: ml_exhaustive_blocks(y, h, golden_codebook(QPSK), 3.0)),
         "sphere-golden": (2, lambda y, h: sphere_decode(y, h, golden_dispersion(QPSK), 3.0)),

@@ -129,7 +129,7 @@ class TestCodebookReport:
         assert_allclose(rep.min_euclidean, 1.0, atol=1e-12)
 
     def test_spatial_multiplex_rank_one(self):
-        rep = codebook_report(spatial_multiplex_codebook(QPSK, lt=2, n_uses=1))
+        rep = codebook_report(spatial_multiplex_codebook(QPSK, lt=2))
         assert rep.min_rank == 1
         assert rep.n_pairs == 120
 
@@ -138,7 +138,7 @@ class TestCodebookReport:
         assert rep.min_rank == 2
         assert rep.n_pairs == 256 * 255 // 2
         # product measure of a full-rank 2x2 pair is |det| of the difference
-        assert_allclose(rep.min_product_measure_at_min_rank, 1 / np.sqrt(5.0), atol=1e-10)
+        assert_allclose(rep.min_product_measure_at_min_rank, 1 / np.sqrt(5.0), atol=1e-12)
 
     def test_matches_double_loop_oracle_alamouti(self):
         cb = alamouti_codebook(QPSK)
@@ -244,10 +244,11 @@ class TestTrellisErrorEvents:
         assert_allclose(a.min_product_measure_at_min_rank, b.min_product_measure_at_min_rank)
         assert_allclose(a.min_euclidean, b.min_euclidean)
 
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(designmetrics, "EVENT_CAP", 100)
         code = load_packaged_trellis()
         with pytest.raises(NumericError):
-            trellis_error_events(code, max_depth=10, event_cap=100)
+            trellis_error_events(code, max_depth=10)
 
     def test_empty_report_rejected(self):
         with pytest.raises(InputError):
@@ -259,20 +260,20 @@ class TestTrellisErrorEvents:
 # replaced: every result must be bit for bit the same, in the same order.
 
 
-def loop_metrics(eigs, lt, rel_tol=RANK_TOL):
+def loop_metrics(eigs, lt):
     """Per-pair metric of the replaced loops, on one row of eigenvalues."""
     eigs = np.maximum(np.real(eigs), 0.0)
     top = eigs.max() if eigs.size else 0.0
     euclidean = float(eigs.sum() / lt)
     if top <= 0.0:
         return 0, 0.0, euclidean
-    nonzero = eigs[eigs > rel_tol * top]
+    nonzero = eigs[eigs > RANK_TOL * top]
     rank = int(nonzero.size)
     product = float(np.exp(np.mean(np.log(nonzero))))
     return rank, product, euclidean
 
 
-def loop_codebook_report(cb, rel_tol=RANK_TOL):
+def loop_codebook_report(cb):
     """Row-by-row pair loop with a strict < merge: first worst pair wins."""
     cw = cb.codewords
     n, lt = cw.shape[0], cw.shape[1]
@@ -283,7 +284,7 @@ def loop_codebook_report(cb, rel_tol=RANK_TOL):
         eig = np.maximum(designmetrics._batched_pair_eigs(diffs), 0.0)
         n_pairs += diffs.shape[0]
         for off in range(diffs.shape[0]):
-            rank, product, euclidean = loop_metrics(eig[off], lt, rel_tol)
+            rank, product, euclidean = loop_metrics(eig[off], lt)
             j = i + 1 + off
             if best_rank_key is None or (rank, product) < best_rank_key:
                 best_rank_key, best_rank_pair = (rank, product), (i, j)
@@ -374,9 +375,9 @@ class TestArrayKernels:
         "alamouti_qpsk": lambda: alamouti_codebook(QPSK),
         "alamouti_16qam": lambda: alamouti_codebook(QAM16),
         "golden_qpsk": lambda: golden_codebook(QPSK),
-        "spatial_multiplex_qpsk_lt2": lambda: spatial_multiplex_codebook(QPSK, lt=2, n_uses=1),
+        "spatial_multiplex_qpsk_lt2": lambda: spatial_multiplex_codebook(QPSK, lt=2),
         # rank-1 ties everywhere: the first pair must win
-        "spatial_multiplex_qpsk_lt3": lambda: spatial_multiplex_codebook(QPSK, lt=3, n_uses=1),
+        "spatial_multiplex_qpsk_lt3": lambda: spatial_multiplex_codebook(QPSK, lt=3),
         "shuffled_alamouti_16qam": shuffled_alamouti_sixteen_qam,
     }
 
@@ -389,7 +390,7 @@ class TestArrayKernels:
         "make",
         [
             lambda: alamouti_codebook(QPSK),
-            lambda: spatial_multiplex_codebook(QPSK, lt=3, n_uses=1),
+            lambda: spatial_multiplex_codebook(QPSK, lt=3),
             lambda: BlockCodebook("golden_head", golden_codebook(QPSK).codewords[:64], 6),
         ],
     )
@@ -410,7 +411,7 @@ class TestArrayKernels:
                     tiny = rng.uniform(-1e-13, 1e-13, size=lt - rank)
                     rows.append(np.sort(np.concatenate([tiny, big])))
             eig = np.array(rows)
-            rank, product, euclidean = designmetrics._eig_metrics(eig, lt, RANK_TOL)
+            rank, product, euclidean = designmetrics._eig_metrics(eig, lt)
             for k, row in enumerate(eig):
                 assert (int(rank[k]), float(product[k]), float(euclidean[k])) == loop_metrics(
                     row, lt
@@ -454,11 +455,13 @@ class TestArrayKernels:
                 got = trellis_error_events(code, max_depth=depth, all_reference_states=all_ref)
                 assert_same_events(got, want)
 
-    def test_event_cap_boundary(self):
+    def test_event_cap_boundary(self, monkeypatch):
         code = load_packaged_trellis()
-        assert len(trellis_error_events(code, max_depth=10, event_cap=29523)) == 29523
+        monkeypatch.setattr(designmetrics, "EVENT_CAP", 29523)
+        assert len(trellis_error_events(code, max_depth=10)) == 29523
+        monkeypatch.setattr(designmetrics, "EVENT_CAP", 29522)
         with pytest.raises(NumericError):
-            trellis_error_events(code, max_depth=10, event_cap=29522)
+            trellis_error_events(code, max_depth=10)
 
     def test_depth_ten_traced_peak(self):
         code = load_packaged_trellis()

@@ -621,9 +621,7 @@ def old_simulate_frame(setup, si, fi, es):
     if cfg.decoder == "viterbi":
         res = viterbi_decode(y_data, h_data, trellis, es)
     elif cfg.decoder == "combiner":
-        varying = cfg.channel_mode == "clarke_varying" and cfg.fdt > 0
-        allow = varying or cfg.csi == "pilot"
-        res = alamouti_combine(y_data, h_data, es, c, allow_nonstatic=allow)
+        res = alamouti_combine(y_data, h_data, es, c)
     elif cfg.decoder == "sphere":
         disp = (
             golden_dispersion(c)

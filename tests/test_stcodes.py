@@ -164,7 +164,7 @@ class TestSpatialMultiplex:
         assert_allclose(np.sum(np.abs(x) ** 2), 1.0, atol=1e-12)
 
     def test_codebook_pairs_are_rank_one(self):
-        cb = spatial_multiplex_codebook(QPSK, lt=2, n_uses=1)
+        cb = spatial_multiplex_codebook(QPSK, lt=2)
         assert cb.codewords.shape == (16, 2, 1)
         cw = cb.codewords
         for i in range(16):
@@ -172,7 +172,7 @@ class TestSpatialMultiplex:
                 assert np.linalg.matrix_rank(cw[i] - cw[j]) == 1
 
     def test_dispersion_matches_encoder(self):
-        ld = spatial_multiplex_dispersion(QPSK, lt=2, n_uses=1)
+        ld = spatial_multiplex_dispersion(QPSK, lt=2)
         rng = np.random.default_rng(2)
         s = rng.normal(size=2) + 1j * rng.normal(size=2)
         x = np.einsum("m,mjk->jk", s, ld.basis)
@@ -184,14 +184,12 @@ class TestSpatialMultiplex:
         assert x.shape == (3, 2)
         assert_allclose(x[:, 0], s[:3] / np.sqrt(3.0))
 
-    @pytest.mark.parametrize(
-        "c, lt, n_uses", [(QPSK, 2, 1), (QPSK, 3, 2), (QPSK, 1, 3), (QAM16, 2, 1), (QAM16, 3, 1)]
-    )
-    def test_codebook_bitwise_equals_encoder(self, c, lt, n_uses):
-        cb = spatial_multiplex_codebook(c, lt=lt, n_uses=n_uses)
-        assert cb.codewords.shape == (c.size ** (lt * n_uses), lt, n_uses)
+    @pytest.mark.parametrize("c, lt", [(QPSK, 2), (QPSK, 3), (QPSK, 1), (QAM16, 2), (QAM16, 3)])
+    def test_codebook_bitwise_equals_encoder(self, c, lt):
+        cb = spatial_multiplex_codebook(c, lt=lt)
+        assert cb.codewords.shape == (c.size**lt, lt, 1)
         for n, word in enumerate(cb.codewords):
-            syms = [(n // c.size ** (lt * n_uses - 1 - m)) % c.size for m in range(lt * n_uses)]
+            syms = [(n // c.size ** (lt - 1 - m)) % c.size for m in range(lt)]
             want = encode_spatial_multiplex(np.array([c.points[p] for p in syms]), lt)
             assert word.tobytes() == want.tobytes()
 
@@ -200,35 +198,35 @@ class TestSpatialMultiplex:
         assert _enumerate_symbol_tuples(QAM16, 5).shape == (CODEBOOK_CAP, 5)
         assert _enumerate_symbol_tuples(QPSK, 10).shape == (CODEBOOK_CAP, 10)
         with pytest.raises(InputError, match="16777216 codewords"):
-            spatial_multiplex_codebook(QAM16, lt=6, n_uses=1)
+            spatial_multiplex_codebook(QAM16, lt=6)
         with pytest.raises(InputError, match="4194304 codewords"):
-            spatial_multiplex_codebook(QPSK, lt=11, n_uses=1)
+            spatial_multiplex_codebook(QPSK, lt=11)
 
     @pytest.mark.parametrize(
-        "c, lt, n_uses, sha",
+        "c, lt, sha",
         [
-            (QAM16, 5, 1, "4120353dac031f4b513b4451e78e044657f91bedd44c4b588d164b19dd5c1ff7"),
-            (QPSK, 3, 2, "583d3288b700d09822322fa6af7eb04a7f7cf8aef0b95f3fcba0500bf273e409"),
-            (QAM16, 2, 2, "241da27d5d85bd458271ac6b6f4069398238777fcd6911196222cb4944d3b151"),
+            (QAM16, 5, "4120353dac031f4b513b4451e78e044657f91bedd44c4b588d164b19dd5c1ff7"),
+            (QPSK, 3, "d74141ada1f653b0e3649a77f9e56964c7ede209dd854a19c4b968965cb069f3"),
+            (QAM16, 2, "b753d9de19fc8762857c0012fff054dddaa7cf88dd4545cb4427cd58328a21f4"),
         ],
     )
-    def test_codebook_bytes_are_pinned(self, c, lt, n_uses, sha):
+    def test_codebook_bytes_are_pinned(self, c, lt, sha):
         # digests of the codewords the one-shot build produced
-        cb = spatial_multiplex_codebook(c, lt=lt, n_uses=n_uses)
+        cb = spatial_multiplex_codebook(c, lt=lt)
         assert hashlib.sha256(cb.codewords.tobytes()).hexdigest() == sha
 
     @pytest.mark.parametrize("slice_elements", [1, 7, 100])
     def test_codebook_slices_join_seamlessly(self, monkeypatch, slice_elements):
-        want = spatial_multiplex_codebook(QPSK, lt=2, n_uses=2).codewords
+        want = spatial_multiplex_codebook(QPSK, lt=4).codewords
         monkeypatch.setattr(stcodes, "DUPLICATE_SLICE_ELEMENTS", slice_elements)
-        got = spatial_multiplex_codebook(QPSK, lt=2, n_uses=2).codewords
+        got = spatial_multiplex_codebook(QPSK, lt=4).codewords
         assert got.tobytes() == want.tobytes()
 
     def test_largest_codebook_builds_in_bounded_memory(self):
         # 2^20 words of 5 x 1, 80 MB; the one-shot build peaked at 200 MB
         tracemalloc.start()
         try:
-            cb = spatial_multiplex_codebook(QAM16, lt=5, n_uses=1)
+            cb = spatial_multiplex_codebook(QAM16, lt=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,7 +266,7 @@ class TestDuplicateCheck:
     def test_largest_codebook_checks_in_bounded_memory(self):
         # spatial multiplexing over 5 antennas with 16QAM: 2^20 words, 80 MB;
         # a rounded copy plus one bytes object per word took 225 MB
-        cw = spatial_multiplex_codebook(QAM16, lt=5, n_uses=1).codewords
+        cw = spatial_multiplex_codebook(QAM16, lt=5).codewords
         tracemalloc.start()
         try:
             BlockCodebook("sm5", cw, 20)
