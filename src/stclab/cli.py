@@ -87,7 +87,10 @@ def _cmd_metrics(args):
         else:
             with open(args.code, "r", encoding="utf-8") as fh:
                 code = load_trellis(fh.read(), name=args.code)
-        events = trellis_error_events(code, max_depth=args.depth)
+        try:
+            events = trellis_error_events(code, max_depth=args.depth)
+        except InputError as e:
+            raise InputError(str(e), key="--depth") from None
         if not events:
             raise InputError(
                 f"no error event remerges by step {args.depth}", key="--depth"

@@ -7,8 +7,9 @@ All decoders minimize the same word metric
 over their codeword set: exhaustive search for block codebooks, a
 full-frame Viterbi pass for trellis codes, depth-first sphere decoding for
 linear-dispersion codes, and the orthogonal fast combiner for Alamouti
-blocks.  Every decoder reports the decoded bits, the achieved metric, and a
-visited-node count as its search-effort measure.
+blocks.  Every decoder reports the decoded bits, a visited-node count as
+its search-effort measure, and whether a degenerate channel forced a
+fallback; the metric of the decided word stays inside the decoder.
 
 Every decoder also takes a batch of frames, ``y`` (frames, n_uses, lr) and
 ``h`` (frames, n_uses, lr, lt), and then returns a list of one DecodeResult
@@ -16,18 +17,13 @@ per frame, each equal to the result of decoding that frame alone.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .mathcore import Constellation, patterns_to_bits
-from .stcodes import (
-    BlockCodebook,
-    LinearDispersionCode,
-    TrellisCode,
-    encode_alamouti,
-)
+from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode
 
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
@@ -36,15 +32,10 @@ ML_SLICE_ELEMENTS = 2**21
 ML_TILE_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     bits: np.ndarray
-    metric: float
     visited: int
     degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=int))
 
 
 def _frames(y, h):
@@ -62,18 +53,10 @@ def _frames(y, h):
     return yv, h, batch
 
 
-def _result(batch, bits, metric, visited, degenerate):
+def _result(batch, bits, visited, degenerate):
     """One DecodeResult per frame from per-frame arrays; a list for a batch."""
-    per_frame = zip(bits, metric.tolist(), visited.tolist(), degenerate.tolist())
-    results = [DecodeResult(*values) for values in per_frame]
+    results = list(map(DecodeResult, bits, visited.tolist(), degenerate.tolist()))
     return results if batch else results[0]
-
-
-def _word_metrics(yv, h, xt, es):
-    """Eq.-(3) metric per frame of words given use by use, ``xt`` of shape
-    (frames, n_uses, lt)."""
-    pred = np.sqrt(es) * np.einsum("fkij,fkj->fki", h, xt)
-    return np.sum(np.abs(yv - pred) ** 2, axis=(1, 2))
 
 
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
@@ -121,8 +104,7 @@ def _ml_frame(yv, h, cb, es):
         better = found < best
         best[better] = found[better]
         idx[better] = pick[better] + start
-    bits = patterns_to_bits(idx, cb.bits_per_codeword)
-    return DecodeResult(bits=bits, metric=float(best.sum()), visited=nb * cb.size)
+    return DecodeResult(patterns_to_bits(idx, cb.bits_per_codeword), nb * cb.size)
 
 
 def _varying_metrics(yb, hb, words, es, columns=None, column_index=None):
@@ -272,7 +254,6 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     return _result(
         batch,
         bits.reshape(n_frames, -1),
-        total[frames, best],
         np.full(n_frames, visited),
         np.zeros(n_frames, dtype=bool),
     )
@@ -421,12 +402,9 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
     patterns = table[idx[:, :m], idx[:, m:]]
     bits = patterns_to_bits(patterns.reshape(-1), c.bits_per_symbol)
-    symbols = (levels[idx[:, :m]] + 1j * levels[idx[:, m:]]).reshape(n_frames, -1, m)
-    xt = np.einsum("fbm,mjk->fbkj", symbols, code.basis).reshape(n_frames, n, code.lt)
     return _result(
         batch,
         bits.reshape(n_frames, -1),
-        _word_metrics(yv, h, xt, es),
         visited.reshape(n_frames, -1).sum(axis=1),
         degenerate.reshape(n_frames, -1).any(axis=1),
     )
@@ -484,13 +462,9 @@ def alamouti_combine(y, h, es, c: Constellation):
     # a point's index is its bit pattern
     pat = np.stack([idx1, idx2], axis=2)
     bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
-    # (2, 2, frames, blocks) codewords -> (frames, nf, lt), use by use
-    xt = encode_alamouti(c.points[idx1], c.points[idx2]).transpose(2, 3, 1, 0)
-    xt = xt.reshape(n_frames, nf, 2)
     return _result(
         batch,
         bits.reshape(n_frames, -1),
-        _word_metrics(yv, h, xt, es),
         np.full(n_frames, nf * c.size),
         np.any(gain <= 0.0, axis=1),
     )

@@ -28,6 +28,9 @@ PAIR_CAP = 10**7
 # Step codes of live alternative paths that trellis_error_events extends at
 # once; the frontier never holds more than about max_depth times this.
 FRONTIER_ELEMENTS = 2**16
+# Deepest error-event search: the events held until EVENT_CAP stops a search
+# take up to EVENT_CAP x max_depth step codes (63 MB traced at this depth).
+DEPTH_CAP = 64
 
 
 class PairMetrics(NamedTuple):
@@ -160,10 +163,13 @@ def trellis_error_events(code: TrellisCode, max_depth=10, all_reference_states=F
     identical difference matrices (rounded to 12 digits) with the first
     occurrence kept.  Events are ordered by start state, then by input
     sequence, lexicographically descending.  Raises NumericError when more
-    than ``EVENT_CAP`` events are generated before deduplication.
+    than ``EVENT_CAP`` events are generated before deduplication, and
+    InputError, before any search, when ``max_depth`` exceeds ``DEPTH_CAP``.
     """
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
+    if max_depth > DEPTH_CAP:
+        raise InputError(f"max_depth must be <= {DEPTH_CAP}")
     n_states, n_inputs = code.n_states, code.n_inputs
     per_state = n_states * n_inputs
     flat_next = code.next_state.ravel()

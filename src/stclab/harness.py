@@ -106,6 +106,12 @@ DEFAULT_FRAME_USES = 300
 # proportionally fewer, so a batch holds at most BATCH_MAX default frames'
 # worth of channel uses (or one frame).
 BATCH_MAX = 16
+# Most antennas on either side: an lr x lr correlation matrix and its factor
+# stay at 32 KB, at eight times the largest array the tests run (lr = 8).
+ANTENNA_CAP = 64
+# Most complex values in one frame's channel array, frame_uses x lr x lt
+# (32 MB); it also bounds the frame's bit draw and received array.
+FRAME_CHANNEL_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,8 @@ class SweepConfig:
         if np.any(diffs <= 0):
             raise InputError("grid must be strictly increasing", key="ebn0_db")
         for key in ("lt", "lr"):
-            if getattr(self, key) < 1:
-                raise InputError("antenna counts must be >= 1", key=key)
+            if not 1 <= getattr(self, key) <= ANTENNA_CAP:
+                raise InputError(f"antenna counts must be 1 to {ANTENNA_CAP}", key=key)
         if self.channel_mode not in MODES:
             raise InputError(f"must be one of {MODES}", key="channel")
         if self.fdt < 0:
@@ -170,6 +176,10 @@ class SweepConfig:
             raise InputError("must be >= 0", key="max_frames")
         if self.frame_uses < 1:
             raise InputError("must be >= 1", key="frame_uses")
+        if self.frame_uses * self.lr * self.lt > FRAME_CHANNEL_CAP:
+            raise InputError(
+                f"frame_uses x lr x lt must be <= {FRAME_CHANNEL_CAP}", key="frame_uses"
+            )
         if self.fading_fdt > 0 and self.frame_uses > CLARKE_MAX_USES:
             raise InputError(
                 f"a Clarke-correlated frame must be <= {CLARKE_MAX_USES} uses",
@@ -278,13 +288,19 @@ def build_setup(cfg: SweepConfig):
     pmap = wiener = None
     data_uses = cfg.frame_uses
     if cfg.csi == "pilot":
-        pmap = build_pilot_map(cfg.frame_uses, cfg.lt, cfg.pilot_count)
-        wiener = design_wiener(
-            pmap,
-            fdT_design=cfg.pilot_design_fdt,
-            snr_design_db=cfg.pilot_design_snr_db,
-            taps=min(cfg.pilot_taps, pmap.n_blocks),
-        )
+        try:
+            pmap = build_pilot_map(cfg.frame_uses, cfg.lt, cfg.pilot_count)
+        except InputError as e:
+            raise InputError(str(e), key="pilot.count") from None
+        try:
+            wiener = design_wiener(
+                pmap,
+                fdT_design=cfg.pilot_design_fdt,
+                snr_design_db=cfg.pilot_design_snr_db,
+                taps=min(cfg.pilot_taps, pmap.n_blocks),
+            )
+        except InputError as e:
+            raise InputError(str(e), key="pilot.taps") from None
         data_uses = int(pmap.data_positions.size)
 
     if family.codebook is None:

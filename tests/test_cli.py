@@ -5,6 +5,7 @@ import ast
 import hashlib
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -365,10 +366,54 @@ class TestErrorFamilies:
 
     @pytest.mark.parametrize(
         "depth, message",
-        [("0", "max_depth must be >= 1"), ("1", "--depth: no error event remerges by step 1")],
+        [("0", "--depth: max_depth must be >= 1"), ("1", "--depth: no error event remerges by step 1")],
     )
     def test_depth_too_small_exits_config(self, depth, message, capsys):
         # at depth 1 no delay-diversity event has remerged yet
         rc = main(["metrics", "--code", "delay_diversity", "--depth", depth])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestRefusalsBeforeAllocation:
+    """Oversized or malformed requests exit 2 with their key before the
+    arrays they would need exist: each call peaks below 10 MB traced."""
+
+    @staticmethod
+    def traced_main(argv):
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        return rc
+
+    @pytest.mark.parametrize(
+        "key, edits",
+        [
+            # np.eye(100000), the white correlation matrix, is 74.5 GiB
+            ("lr", {"lr = 1": "lr = 100000"}),
+            # spatial multiplexing takes any lt
+            ("lt", {"alamouti": "spatial_multiplex", "lt = 2": "lt = 100000"}),
+            # a quasi-static frame's bit draw alone is 14.9 GiB
+            ("frame_uses", {"frame_uses = 60": "frame_uses = 1000000000"}),
+            ("pilot.taps", {"seed = 11": "csi = pilot\npilot.count = 8\npilot.taps = 0"}),
+            ("pilot.count", {"seed = 11": "csi = pilot\npilot.count = 7"}),
+        ],
+    )
+    def test_sweep_refusal_names_the_key(self, key, edits, tmp_path, capsys):
+        text = SWEEP_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        p = tmp_path / "refused.cfg"
+        p.write_text(text)
+        assert self.traced_main(["sweep", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+    def test_huge_depth_names_the_flag(self, capsys):
+        # the reference path alone would be 7.45 GiB
+        argv = ["metrics", "--code", "delay_diversity", "--depth", "1000000000"]
+        assert self.traced_main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: --depth: ")

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from stclab import demod
 from stclab.channel import apply_channel, generate_fading
@@ -41,7 +40,7 @@ def one_shot_ml_blocks(y, h, cb, es):
     """The single-einsum exhaustive ML that the sliced kernel replaced.
 
     It materializes every (block, codeword) prediction at once, so it is
-    kept here only as the bitwise reference for small frames.
+    kept here only as the reference decisions for small frames.
     """
     yv = np.asarray(y, dtype=complex)
     u = cb.n_uses
@@ -51,9 +50,7 @@ def one_shot_ml_blocks(y, h, cb, es):
     hb = np.asarray(h, dtype=complex).reshape(nb, u, lr, h.shape[2])
     pred = np.sqrt(es) * np.einsum("bkij,njk->bnki", hb, cb.codewords)
     metrics = np.sum(np.abs(yb[:, None] - pred) ** 2, axis=(2, 3))
-    idx = np.argmin(metrics, axis=1)
-    bits = patterns_to_bits(idx, cb.bits_per_codeword)
-    return bits, float(metrics[np.arange(nb), idx].sum())
+    return patterns_to_bits(np.argmin(metrics, axis=1), cb.bits_per_codeword)
 
 
 def per_block_sphere_decode(y, h, code, es):
@@ -163,23 +160,29 @@ class TestMlExhaustive:
             res = ml_exhaustive_blocks(frame, h, cb, 4.0)
             want = patterns_to_bits(np.array([n]), 8)
             np.testing.assert_array_equal(res.bits, want)
-            assert res.metric < 1e-12
             assert res.visited == 256
 
     def test_metric_is_word_distance(self):
+        # every block of a time-varying frame decides the word nearest to
+        # it in word distance
         cb = alamouti_codebook(QPSK)
-        x = cb.codewords[5]
-        frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1))
+        x = np.concatenate([cb.codewords[n] for n in (5, 0, 15, 9)], axis=1)
+        frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1), fdt=0.05)
         res = ml_exhaustive_blocks(frame, h, cb, 1.0)
-        n = int("".join(str(b) for b in res.bits), 2)
-        assert_allclose(res.metric, word_metric(frame, h, cb.codewords[n], 1.0), rtol=1e-12)
+        for b, bits in enumerate(res.bits.reshape(4, 4)):
+            sl = slice(2 * b, 2 * b + 2)
+            metrics = [word_metric(frame[sl], h[sl], w, 1.0) for w in cb.codewords]
+            n = int("".join(str(v) for v in bits), 2)
+            assert metrics[n] == min(metrics)
 
     def test_metric_is_minimum(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[9], 1, 1.0, 1.0, make_rng(2))
         res = ml_exhaustive_blocks(frame, h, cb, 1.0)
         metrics = [word_metric(frame, h, w, 1.0) for w in cb.codewords]
-        assert_allclose(res.metric, min(metrics), rtol=1e-12)
+        # np.argmin takes the first index of equal minima
+        want = patterns_to_bits(np.array([np.argmin(metrics)]), cb.bits_per_codeword)
+        np.testing.assert_array_equal(res.bits, want)
 
     def test_single_word_codebook(self):
         from stclab.stcodes import BlockCodebook
@@ -197,16 +200,10 @@ class TestMlExhaustive:
         frame, h = transmit(x, 2, 2.0, 1.0, make_rng(5))
         whole = ml_exhaustive_blocks(frame, h, cb, 2.0)
         bits = []
-        metric = 0.0
         for b in range(5):
             sl = slice(2 * b, 2 * b + 2)
-            sub_y = frame[sl]
-            sub_h = h[sl]
-            res = ml_exhaustive_blocks(sub_y, sub_h, cb, 2.0)
-            bits.append(res.bits)
-            metric += res.metric
+            bits.append(ml_exhaustive_blocks(frame[sl], h[sl], cb, 2.0).bits)
         np.testing.assert_array_equal(whole.bits, np.concatenate(bits))
-        assert_allclose(whole.metric, metric, rtol=1e-10)
 
     def test_tie_breaks_to_lowest_index(self):
         from stclab.stcodes import BlockCodebook
@@ -249,9 +246,7 @@ class TestSlicedKernel:
             frame, h = transmit(x, lr, es, 1.0, make_rng(8000 + t), fdt=fdt)
             assert np.all(h == h[0]) == (fdt == 0.0)
             res = ml_exhaustive_blocks(frame, h, cb, es)
-            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
-            np.testing.assert_array_equal(res.bits, want_bits)
-            assert res.metric == want_metric
+            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 12 * cb.size
 
     def test_sum_terms_adds_in_np_sum_order(self):
@@ -274,8 +269,6 @@ class TestSlicedKernel:
         # 64 // (10 blocks * 2 uses * 2 antennas) = 1 word per slice
         res = ml_exhaustive_blocks(y, h, cb, 3.0)
         np.testing.assert_array_equal(res.bits, np.zeros(8 * nb, dtype=int))
-        per_block = np.sum(np.abs(y.reshape(nb, 2, 2)) ** 2, axis=(1, 2))
-        assert res.metric == float(per_block.sum())
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
         # 150 blocks x 65,536 words: the one-shot einsum needed ~1.5 GB
@@ -325,9 +318,7 @@ class TestVaryingKernel:
             frame, h = transmit(x, lr, es, 1.0, make_rng(9100 + t), fdt=0.05)
             assert not np.all(h == h[0])
             res = ml_exhaustive_blocks(frame, h, cb, es)
-            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
-            np.testing.assert_array_equal(res.bits, want_bits)
-            assert repr(res.metric) == repr(want_metric)
+            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 7 * cb.size
 
     @pytest.mark.parametrize("h_kind", ["per block", "static", "per use"])
@@ -377,9 +368,7 @@ class TestVaryingKernel:
             frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(9300 + t), fdt=0.05)
             assert not np.all(h == h[0])
             res = ml_exhaustive_blocks(frame, h, cb, es)
-            want_bits, want_metric = one_shot_ml_blocks(frame, h, cb, es)
-            np.testing.assert_array_equal(res.bits, want_bits)
-            assert repr(res.metric) == repr(want_metric)
+            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
         # 40 blocks x 65,536 words: one einsum over them needed ~170 MB
@@ -407,7 +396,6 @@ class TestViterbi:
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(7))
         res = viterbi_decode(frame, h, code, 4.0)
         np.testing.assert_array_equal(res.bits, bits)
-        assert res.metric < 1e-12
 
     def test_matches_path_codebook_ml_noisy(self):
         # brute force over all 4^6 terminated paths is the ML oracle
@@ -425,7 +413,6 @@ class TestViterbi:
             ml = ml_exhaustive_blocks(frame, h, cb, es)
             if not np.array_equal(vd.bits, ml.bits):
                 mismatch += 1
-            assert_allclose(vd.metric, ml.metric, rtol=1e-9)
         assert mismatch == 0
 
     @pytest.mark.parametrize("lr", [1, 2, 9])
@@ -479,7 +466,6 @@ class TestSphere:
             frame, h = transmit(cb.codewords[n], 2, 4.0, 1e-20, make_rng(20 + n))
             res = sphere_decode(frame, h, ld, 4.0)
             np.testing.assert_array_equal(res.bits, patterns_to_bits(np.array([n]), 8))
-            assert res.metric < 1e-10
 
     def test_matches_ml_noisy(self):
         ld = golden_dispersion(QPSK)
@@ -492,7 +478,6 @@ class TestSphere:
             sd = sphere_decode(frame, h, ld, es)
             ml = ml_exhaustive_blocks(frame, h, cb, es)
             np.testing.assert_array_equal(sd.bits, ml.bits)
-            assert_allclose(sd.metric, ml.metric, rtol=1e-8, atol=1e-12)
 
     def test_sixteen_qam_matches_ml(self):
         ld = spatial_multiplex_dispersion(QAM16, lt=2)
@@ -626,7 +611,6 @@ class TestAlamoutiCombiner:
         y = np.einsum("kij,jk->ki", h, np.sqrt(es) * x)
         res = alamouti_combine(y, h, es, QPSK)
         np.testing.assert_array_equal(res.bits, [0, 0, 1, 1])
-        assert res.metric < 1e-12
 
     def test_noiseless_round_trip(self):
         rng = make_rng(13)
@@ -651,7 +635,6 @@ class TestAlamoutiCombiner:
                 cm = alamouti_combine(frame, h, es, QPSK)
                 ml = ml_exhaustive_blocks(frame, h, cb, es)
                 np.testing.assert_array_equal(cm.bits, ml.bits)
-                assert_allclose(cm.metric, ml.metric, rtol=1e-9, atol=1e-12)
 
     def test_sixteen_qam_matches_ml(self):
         cb = alamouti_codebook(QAM16)
@@ -696,12 +679,11 @@ class TestCrossDecoderConsistency:
         a = ml_exhaustive_blocks(frame, h, cb, 1.0)
         b = ml_exhaustive_blocks(2.0 * frame, h, cb, 4.0)
         np.testing.assert_array_equal(a.bits, b.bits)
-        assert_allclose(b.metric, 4.0 * a.metric, rtol=1e-12)
 
 
 class TestFrameBatches:
-    """A batch of frames decodes to one result per frame, each equal, bit
-    for bit and metric for metric, to decoding that frame alone."""
+    """A batch of frames decodes to one result per frame, each equal in
+    bits, visits and degeneracy to decoding that frame alone."""
 
     TRELLIS = load_packaged_trellis()
     PATHS = trellis_path_codebook(TRELLIS, 3)
@@ -730,7 +712,6 @@ class TestFrameBatches:
         for f, got in enumerate(batch):
             want = decode(y[f], h[f])
             np.testing.assert_array_equal(got.bits, want.bits)
-            assert repr(got.metric) == repr(want.metric)
             assert (got.visited, got.degenerate) == (want.visited, want.degenerate)
 
     def test_batch_shape_checks(self):

@@ -227,6 +227,11 @@ class TestTrellisErrorEvents:
         code = load_packaged_trellis()
         assert trellis_error_events(code, max_depth=1) == []
 
+    def test_depth_cap_refused_before_search(self):
+        code = load_packaged_trellis()
+        with pytest.raises(InputError, match=f"<= {designmetrics.DEPTH_CAP}$"):
+            trellis_error_events(code, max_depth=designmetrics.DEPTH_CAP + 1)
+
     def test_min_euclidean_monotone_in_depth(self):
         code = load_packaged_trellis()
         prev = None

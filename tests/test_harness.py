@@ -19,8 +19,10 @@ from stclab.demod import (
 )
 from stclab.errors import InputError
 from stclab.harness import (
+    ANTENNA_CAP,
     BATCH_MAX,
     CSV_COLUMNS,
+    FRAME_CHANNEL_CAP,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -219,6 +221,22 @@ class TestConfigParsing:
         with pytest.raises(InputError) as exc:
             SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), **{key: 0})
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("key", ["lt", "lr"])
+    def test_antenna_cap(self, key):
+        SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), frame_uses=1, **{key: ANTENNA_CAP})
+        with pytest.raises(InputError) as exc:
+            SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), **{key: ANTENNA_CAP + 1})
+        assert exc.value.key == key
+
+    def test_frame_channel_cap(self):
+        # the cap counts frame_uses x lr x lt, whichever factor grows
+        uses = FRAME_CHANNEL_CAP // 8
+        cfg = SweepConfig(code="alamouti", ebn0_db=(1.0,), lr=4, frame_uses=uses)
+        for change in (dict(frame_uses=uses + 2), dict(lr=5)):
+            with pytest.raises(InputError) as exc:
+                replace(cfg, **change)
+            assert exc.value.key == "frame_uses"
 
     def test_negative_seed_refused(self):
         with pytest.raises(InputError) as exc:
