@@ -34,7 +34,7 @@ rng = np.random.Generator(np.random.PCG64(7))
 err2 = np.zeros(nf)
 for _ in range(n_frames):
     h = generate_fading(nf, fdt, np.eye(lt), np.eye(lr), rng)
-    frame = apply_channel(x, h, es, rng)
+    frame = apply_channel(x[None], h[None], es, [rng])[0]
     err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
 mse = err2 / (n_frames * lt * lr)
 

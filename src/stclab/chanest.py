@@ -140,10 +140,8 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
         if key not in factors:
             dc = centers[sel]
             r = bessel_j0(2.0 * np.pi * fdT_design * (dc[:, None] - dc[None, :]))
-            factors[key] = _design_factor(np.atleast_2d(r) + noise_var * np.eye(taps))
-        p = np.atleast_1d(
-            bessel_j0(2.0 * np.pi * fdT_design * (centers[sel] - k))
-        )
+            factors[key] = _design_factor(r + noise_var * np.eye(taps))
+        p = bessel_j0(2.0 * np.pi * fdT_design * (centers[sel] - k))
         w = scipy.linalg.cho_solve(factors[key], p)
         block_idx[k] = sel
         weights[k] = w

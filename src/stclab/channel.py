@@ -15,10 +15,10 @@ wavelengths.  An n-antenna side uses the first n elements.
 The received frame is Y(k) = H(k) sqrt(Es) X(k) + N(k) with independent
 circular complex Gaussian noise of variance N0/2 per real dimension.
 
-Shape conventions: a fading realization is an (nf, lr, lt) complex array and
-a received frame an (nf, lr) one; lt and lr are read from the correlation
-matrices and the fading array, and the Es that produced a frame travels
-beside it.
+Shape conventions: a fading realization is an (nf, lr, lt) complex array,
+drawn one frame per call, and the channel maps a batch of them to (frames,
+nf, lr) received frames; lt and lr are read from the correlation matrices
+and the fading array, and the Es that produced a frame travels beside it.
 """
 
 import functools
@@ -135,35 +135,30 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     return np.ascontiguousarray(h.transpose(2, 0, 1))
 
 
-def apply_channel(x, h, es, rng, n0=1.0):
-    """Y(k) = H(k) sqrt(Es) X(k) + N(k) over one frame or a batch of frames.
+def apply_channel(x, h, es, rngs, n0=1.0):
+    """Y(k) = H(k) sqrt(Es) X(k) + N(k) over a batch of frames.
 
-    ``x`` is the lt x n_uses transmit matrix, ``h`` an (n_uses, lr, lt)
-    fading realization; returns the (n_uses, lr) received frame.  Noise is
+    ``x`` holds the (frames, lt, n_uses) transmit matrices, ``h`` the
+    (frames, n_uses, lr, lt) fading realizations and ``rngs`` one generator
+    per frame; returns the (frames, n_uses, lr) received frames.  Noise is
     circular complex Gaussian, variance N0/2 per real dimension, drawn with
-    the receive axis leading (see generate_fading).  A batch gives ``x`` (frames, lt, n_uses), ``h``
-    (frames, n_uses, lr, lt) and one generator per frame in ``rng``; each
-    frame draws its noise from its own generator, so its (n_uses, lr) slice
-    of the (frames, n_uses, lr) output equals the one-frame call.
+    the receive axis leading (see generate_fading), each frame's from its
+    own generator, so a frame's slice equals a batch of one.
     """
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    batch = x.ndim == 3
-    xb, hb = (x, h) if batch else (x[None], h[None])
-    if xb.ndim != 3 or hb.ndim != 4 or hb.shape[0] != xb.shape[0]:
-        raise InputError("x must be (lt, n_uses) and h (n_uses, lr, lt)")
-    lt, nf = xb.shape[1:]
-    lr = hb.shape[2]
-    if hb.shape[1:] != (nf, lr, lt):
-        raise InputError(f"x {x.shape} and h {h.shape} disagree")
-    rngs = rng if batch else [rng]
-    w = np.empty((len(rngs), lr, nf, 2))
+    frames, lt, nf = x.shape if x.ndim == 3 else (-1, -1, -1)
+    if h.ndim != 4 or h.shape[:2] + h.shape[3:] != (frames, nf, lt) or len(rngs) != frames:
+        raise InputError(
+            f"x {x.shape}, h {h.shape} and {len(rngs)} generators must be (frames, lt,"
+            " n_uses) and (frames, n_uses, lr, lt) batches with one generator per frame"
+        )
+    w = np.empty((frames, h.shape[2], nf, 2))
     for g, wf in zip(rngs, w):
         g.standard_normal(out=wf)
     noise = np.sqrt(n0 / 2.0) * w.view(complex)[..., 0]  # w[..., 0] + 1j w[..., 1]
     # use axis before antenna axis: the einsum's inner loop runs over the
     # contiguous transmit axis, with the same products and sums as the
     # per-frame "kij,jk->ki"
-    xt = np.ascontiguousarray((np.sqrt(es) * xb).transpose(0, 2, 1))
-    y = np.einsum("bkij,bkj->bki", hb, xt) + noise.transpose(0, 2, 1)
-    return y if batch else y[0]
+    xt = np.ascontiguousarray((np.sqrt(es) * x).transpose(0, 2, 1))
+    return np.einsum("bkij,bkj->bki", h, xt) + noise.transpose(0, 2, 1)

@@ -11,9 +11,9 @@ blocks.  Every decoder reports the decoded bits, a visited-node count as
 its search-effort measure, and whether a degenerate channel forced a
 fallback; the metric of the decided word stays inside the decoder.
 
-Every decoder also takes a batch of frames, ``y`` (frames, n_uses, lr) and
-``h`` (frames, n_uses, lr, lt), and then returns a list of one DecodeResult
-per frame, each equal to the result of decoding that frame alone.
+Every decoder takes a batch of frames, ``y`` (frames, n_uses, lr) and ``h``
+(frames, n_uses, lr, lt), and returns a list of one DecodeResult per frame,
+each equal to the result of decoding that frame in a batch of one.
 """
 
 import math
@@ -39,34 +39,33 @@ class DecodeResult(NamedTuple):
 
 
 def _frames(y, h):
-    """A frame or a batch of frames as (frames, n_uses, lr) received and
-    (frames, n_uses, lr, lt) fading arrays, and whether a batch was given."""
+    """A batch of frames as (frames, n_uses, lr) received and (frames,
+    n_uses, lr, lt) fading arrays."""
     yv = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
-    batch = yv.ndim == 3
-    if not batch:
-        yv, h = yv[None], h[None]
     if yv.ndim != 3:
-        raise InputError("received frame must be a (n_uses, lr) array")
+        raise InputError(f"frames {yv.shape} must be a (frames, n_uses, lr) batch")
     if h.ndim != 4 or h.shape[:3] != yv.shape:
-        raise InputError(f"fading shape {h.shape} does not match frame {yv.shape}")
-    return yv, h, batch
+        raise InputError(f"fading shape {h.shape} does not match frames {yv.shape}")
+    return yv, h
 
 
-def _result(batch, bits, visited, degenerate):
-    """One DecodeResult per frame from per-frame arrays; a list for a batch."""
-    results = list(map(DecodeResult, bits, visited.tolist(), degenerate.tolist()))
-    return results if batch else results[0]
+def _result(bits, visited, degenerate):
+    """One DecodeResult per frame from all frames' bits in frame order, the
+    visit counts (one per frame, or one shared by all) and the flags."""
+    n = len(degenerate)
+    visited = np.broadcast_to(visited, n).tolist()
+    return list(map(DecodeResult, bits.reshape(n, -1), visited, degenerate.tolist()))
 
 
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
-    """Vectorized per-block ML over a frame of consecutive codewords.
+    """Vectorized per-block ML over frames of consecutive codewords.
 
-    The frame must hold a whole number of codebook words; each block is
-    decided alone, ties going to the lowest codeword index.  A batch
-    of frames is decoded frame by frame: a frame's work already grows with
-    the codebook, while a slice across frames would multiply the
-    temporaries by the number of frames.
+    Each frame must hold a whole number of codebook words; each block is
+    decided alone, ties going to the lowest codeword index.  The batch is
+    decoded frame by frame: a frame's work already grows with the
+    codebook, while a slice across frames would multiply the temporaries
+    by the number of frames.
 
     The codebook is scanned in slices of about ``ML_SLICE_ELEMENTS``
     (block, word, use, antenna) values, whatever the frame length and
@@ -76,13 +75,12 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     to the lowest codeword index, within a slice by argmin and across
     slices by a strict comparison.
     """
-    yv, h, batch = _frames(y, h)
+    yv, h = _frames(y, h)
     if yv.shape[1] % cb.n_uses:
         raise InputError(
             f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
         )
-    results = [_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)]
-    return results if batch else results[0]
+    return [_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)]
 
 
 def _ml_frame(yv, h, cb, es):
@@ -191,10 +189,10 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     """Exact ML over all state-0-terminated trellis paths.
 
     Branch ties prefer the smaller (state, input) pair, so results are
-    deterministic and reproducible against the exhaustive oracle.  A batch
-    of frames runs one add-compare-select pass over all of them.
+    deterministic and reproducible against the exhaustive oracle.  The
+    batch runs one add-compare-select pass over all its frames.
     """
-    yv, h, batch = _frames(y, h)
+    yv, h = _frames(y, h)
     n_frames, nf, lr = yv.shape
     n_term = code.n_term_steps
     data_steps = nf - n_term
@@ -251,12 +249,7 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         state = src // u_count
     bits = patterns_to_bits(patterns.reshape(-1), code.bits_per_step)
     visited = data_steps * s_count * u_count + s_count * n_term
-    return _result(
-        batch,
-        bits.reshape(n_frames, -1),
-        np.full(n_frames, visited),
-        np.zeros(n_frames, dtype=bool),
-    )
+    return _result(bits, visited, np.zeros(n_frames, dtype=bool))
 
 
 def _axis_levels(c: Constellation):
@@ -348,21 +341,20 @@ def _sphere_search(z, r, levels):
 def sphere_decode(y, h, code: LinearDispersionCode, es):
     """Exact ML for consecutive linear-dispersion codewords via sphere decoding.
 
-    The frame must hold a whole number of codewords.  Each codeword is
+    Each frame must hold a whole number of codewords.  Each codeword is
     vectorized into y_eff = G s + n, expanded to a real lattice and
     searched depth-first in closest-first child order with the Babai point
     as the initial radius.  The lattice algebra runs once for the whole
-    frame, or batch of frames (one einsum, one stacked QR); only the
-    search runs per block.  Requires lr >= lt so the lattice has full
-    column rank; a block with a degenerate channel falls back to an
-    exhaustive scan of the product set (ties to the lowest codeword index)
-    and sets its frame's ``degenerate``.
+    batch (one einsum, one stacked QR); only the search runs per block.
+    Requires lr >= lt so the lattice has full column rank; a block with a
+    degenerate channel falls back to an exhaustive scan of the product set
+    (ties to the lowest codeword index) and sets its frame's ``degenerate``.
     """
     if not isinstance(code, LinearDispersionCode):
         raise InputError(
             f"{type(code).__name__} has no linear-dispersion form"
         )
-    yv, h, batch = _frames(y, h)
+    yv, h = _frames(y, h)
     n_frames, n, lr = yv.shape
     u = code.n_uses
     if n % u:
@@ -403,8 +395,7 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     patterns = table[idx[:, :m], idx[:, m:]]
     bits = patterns_to_bits(patterns.reshape(-1), c.bits_per_symbol)
     return _result(
-        batch,
-        bits.reshape(n_frames, -1),
+        bits,
         visited.reshape(n_frames, -1).sum(axis=1),
         degenerate.reshape(n_frames, -1).any(axis=1),
     )
@@ -436,7 +427,7 @@ def alamouti_combine(y, h, es, c: Constellation):
     combined with the channel of its first use, an approximation.  A
     zero-gain block is flagged degenerate and decides pattern 0.
     """
-    yv, h, batch = _frames(y, h)
+    yv, h = _frames(y, h)
     n_frames, nf, lr = yv.shape
     if h.shape[3] != 2:
         raise InputError("alamouti combining requires lt = 2")
@@ -462,9 +453,4 @@ def alamouti_combine(y, h, es, c: Constellation):
     # a point's index is its bit pattern
     pat = np.stack([idx1, idx2], axis=2)
     bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
-    return _result(
-        batch,
-        bits.reshape(n_frames, -1),
-        np.full(n_frames, nf * c.size),
-        np.any(gain <= 0.0, axis=1),
-    )
+    return _result(bits, nf * c.size, np.any(gain <= 0.0, axis=1))

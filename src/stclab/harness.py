@@ -10,13 +10,13 @@ decoder, and reads both arrays' correlation matrices from
 
 Frames run in batches through one kernel, :func:`simulate_frames`.  Only
 the random draws, the fading draw and the pilot estimate run per frame;
-encoding, the channel, the decoder and the error count each run once per
-batch on arrays with a leading frame axis.  A batch holds at most the
-channel uses of ``BATCH_MAX`` default-length frames (at least one frame)
-and never more frames than the errors still missing at the grid point: a
-frame adds at most one error, so the stopping rule can fire only on a
-batch's last frame and no frame past the serial stopping frame is ever
-simulated.
+the encoder, the channel and the decoder take only batches, arrays with a
+leading frame axis, and run once per batch, as does the error count.  A
+batch holds at most the channel uses of ``BATCH_MAX`` default-length
+frames (at least one frame) and never more frames than the errors still
+missing at the grid point: a frame adds at most one error, so the stopping
+rule can fire only on a batch's last frame and no frame past the serial
+stopping frame is ever simulated.
 
 Energy accounting: N0 is fixed at 1 and Es = ebn0_linear * info_bits_per
 frame / frame_uses.  Under pilot CSI the frame still spans ``frame_uses``
@@ -112,6 +112,9 @@ ANTENNA_CAP = 64
 # Most complex values in one frame's channel array, frame_uses x lr x lt
 # (32 MB); it also bounds the frame's bit draw and received array.
 FRAME_CHANNEL_CAP = 2**21
+# Most frame_uses x pilot blocks under pilot CSI: the Wiener design sorts
+# every block at every use, and its weights and indices stay <= 32 MB.
+PILOT_DESIGN_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,10 @@ class SweepConfig:
             raise InputError(
                 f"frame_uses x lr x lt must be <= {FRAME_CHANNEL_CAP}", key="frame_uses"
             )
+        pilot_work = self.frame_uses * (self.pilot_count // self.lt)
+        if self.csi == "pilot" and pilot_work > PILOT_DESIGN_CAP:
+            msg = f"frame_uses x pilot blocks must be <= {PILOT_DESIGN_CAP}"
+            raise InputError(msg, key="pilot.count")
         if self.fading_fdt > 0 and self.frame_uses > CLARKE_MAX_USES:
             raise InputError(
                 f"a Clarke-correlated frame must be <= {CLARKE_MAX_USES} uses",

@@ -443,19 +443,19 @@ def load_trellis(text, name="trellis"):
 
 
 def encode_trellis(bits, code: TrellisCode):
-    """Encode a bit sequence, append the termination tail, scale 1/sqrt(lt).
+    """Encode (frames, n_bits) bit rows, append each frame's termination
+    tail and scale 1/sqrt(lt).
 
-    Output is lt x (data steps + termination steps); the encoder starts and
-    ends in state 0.  A (frames, n_bits) array of bit rows encodes every
-    frame at once into (frames, lt, steps).
+    Output is (frames, lt, data steps + termination steps); the encoder
+    starts and ends in state 0.
     """
     bits = np.asarray(bits)
-    batch = bits.ndim == 2
-    rows = bits if batch else bits[None]
-    patterns = np.stack([bits_to_patterns(r, code.bits_per_step) for r in rows])
-    state = np.zeros(rows.shape[0], dtype=int)
+    if bits.ndim != 2 or bits.shape[1] % code.bits_per_step:
+        raise InputError(f"bits {bits.shape} must be a (frames, n_bits) batch of whole steps")
+    patterns = bits_to_patterns(bits.reshape(-1), code.bits_per_step)
+    state = np.zeros(bits.shape[0], dtype=int)
     cols = []
-    for u in patterns.T:
+    for u in patterns.reshape(bits.shape[0], -1).T:
         cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
     for u in code.term_inputs[state].T:  # the tail of each end-of-data state
@@ -463,9 +463,8 @@ def encode_trellis(bits, code: TrellisCode):
         state = code.next_state[state, u]
     if np.any(state != 0):
         raise InputError("termination tail did not reach state 0")
-    cols = np.array(cols, dtype=int).reshape(-1, rows.shape[0], code.lt)
-    x = code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
-    return x if batch else x[0]
+    cols = np.array(cols, dtype=int).reshape(-1, bits.shape[0], code.lt)
+    return code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
 
 
 def load_packaged_trellis(name="delay_diversity_4state_qpsk"):

@@ -70,9 +70,9 @@ def test_oracle_equivalence(capsys):
             rng = make_rng(1_000_000 + 10_000 * db_i + t)
             n = int(rng.integers(0, cb.size))
             h = generate_fading(2, 0.0, np.eye(2), np.eye(2), rng)
-            frame = apply_channel(cb.codewords[n], h, es, rng)
-            sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive_blocks(frame, h, cb, es)
+            frame = apply_channel(cb.codewords[n][None], h[None], es, [rng])[0]
+            sd = sphere_decode(frame[None], h[None], ld, es)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             sphere_trials += 1
             if not np.array_equal(sd.bits, ml.bits):
                 sphere_mismatches += 1
@@ -85,12 +85,12 @@ def test_oracle_equivalence(capsys):
     for t in range(1000):
         rng = make_rng(2_000_000 + t)
         bits = rng.integers(0, 2, size=16)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         es = 10.0 ** (float(rng.choice([0.0, 10.0, 20.0])) / 10.0)
         h = generate_fading(x.shape[1], 0.0, np.eye(2), np.eye(2), rng)
-        frame = apply_channel(x, h, es, rng)
-        vd = viterbi_decode(frame, h, code, es)
-        ml = ml_exhaustive_blocks(frame, h, path_cb, es)
+        frame = apply_channel(x[None], h[None], es, [rng])[0]
+        vd = viterbi_decode(frame[None], h[None], code, es)[0]
+        ml = ml_exhaustive_blocks(frame[None], h[None], path_cb, es)[0]
         vit_trials += 1
         if not np.array_equal(vd.bits, ml.bits):
             vit_mismatches += 1
@@ -238,7 +238,7 @@ def test_estimator_accuracy(capsys):
     n = 400
     for f in range(n):
         h = generate_fading(300, fdt, np.eye(2), np.eye(2), make_rng(5_000_000 + f))
-        frame = apply_channel(x, h, es, make_rng(6_000_000 + f))
+        frame = apply_channel(x[None], h[None], es, [make_rng(6_000_000 + f)])[0]
         err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
     mse = err2 / (n * 4)
     d = pm.data_positions

@@ -51,7 +51,7 @@ def pilot_frame(pmap, h, es, rng, n0=1.0):
     x = np.zeros((pmap.lt, pmap.nf), dtype=complex)
     for s in pmap.block_starts:
         x[:, s : s + pmap.lt] = pmap.pilot_matrix
-    return apply_channel(x, h, es, rng, n0=n0)
+    return apply_channel(x[None], h[None], es, [rng], n0=n0)[0]
 
 
 class TestPilotMap:
@@ -280,7 +280,7 @@ class TestEstimation:
         pm = build_pilot_map(300, 2, 72)
         w = design_wiener(pm, 0.01, 20.0, 4)
         h = generate_fading(200, 0.0, np.eye(2), np.eye(1), make_rng(6))
-        frame = apply_channel(np.zeros((2, 200), dtype=complex), h, 1.0, make_rng(7))
+        frame = apply_channel(np.zeros((1, 2, 200)), h[None], 1.0, [make_rng(7)])[0]
         with pytest.raises(InputError):
             raw_block_estimates(frame, 1.0, pm)
         with pytest.raises(InputError):

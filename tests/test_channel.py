@@ -198,13 +198,13 @@ class TestApplyChannel:
     def test_near_noiseless_scaling(self):
         h = generate_fading(10, 0.0, np.eye(2), np.eye(2), make_rng(5))
         x = np.ones((2, 10), dtype=complex)
-        frame = apply_channel(x, h, 4.0, make_rng(6), n0=1e-20)
+        frame = apply_channel(x[None], h[None], 4.0, [make_rng(6)], n0=1e-20)[0]
         want = 2.0 * np.einsum("kij,jk->ki", h, x)
         assert_allclose(frame, want, atol=1e-8)
 
     def test_result_shape(self):
         h = generate_fading(4, 0.0, np.eye(1), np.eye(2), make_rng(7))
-        y = apply_channel(np.zeros((1, 4), dtype=complex), h, 2.0, make_rng(8), n0=0.5)
+        y = apply_channel(np.zeros((1, 1, 4)), h[None], 2.0, [make_rng(8)], n0=0.5)[0]
         assert y.shape == (4, 2) and y.dtype == complex
 
     def test_noise_power(self):
@@ -213,7 +213,7 @@ class TestApplyChannel:
         pw = []
         for f in range(60):
             h = generate_fading(500, 0.0, np.eye(1), np.eye(2), make_rng(900 + f))
-            frame = apply_channel(x, h, 1.0, make_rng(30000 + f), n0=n0)
+            frame = apply_channel(x[None], h[None], 1.0, [make_rng(30000 + f)], n0=n0)[0]
             pw.append(np.mean(np.abs(frame) ** 2))
         assert_allclose(np.mean(pw), n0, rtol=0.03)
 
@@ -221,13 +221,16 @@ class TestApplyChannel:
         n0 = 1.0
         x = np.zeros((1, 2000), dtype=complex)
         h = generate_fading(2000, 0.0, np.eye(1), np.eye(1), make_rng(77))
-        frame = apply_channel(x, h, 1.0, make_rng(78), n0=n0)
+        frame = apply_channel(x[None], h[None], 1.0, [make_rng(78)], n0=n0)[0]
         assert_allclose(np.var(frame.real), n0 / 2, rtol=0.1)
         assert_allclose(np.var(frame.imag), n0 / 2, rtol=0.1)
 
     def test_shape_checks(self):
         h = generate_fading(8, 0.0, np.eye(2), np.eye(1), make_rng(9))
         with pytest.raises(InputError):
-            apply_channel(np.zeros((3, 8), dtype=complex), h, 1.0, make_rng(10))
+            apply_channel(np.zeros((1, 3, 8)), h[None], 1.0, [make_rng(10)])
         with pytest.raises(InputError):
-            apply_channel(np.zeros((2, 7), dtype=complex), h, 1.0, make_rng(11))
+            apply_channel(np.zeros((1, 2, 7)), h[None], 1.0, [make_rng(11)])
+        # one generator for two frames would give both the same noise
+        with pytest.raises(InputError):
+            apply_channel(np.zeros((2, 2, 8)), np.stack([h, h]), 1.0, [make_rng(12)])

@@ -401,6 +401,18 @@ class TestRefusalsBeforeAllocation:
             ("frame_uses", {"frame_uses = 60": "frame_uses = 1000000000"}),
             ("pilot.taps", {"seed = 11": "csi = pilot\npilot.count = 8\npilot.taps = 0"}),
             ("pilot.count", {"seed = 11": "csi = pilot\npilot.count = 7"}),
+            # the Wiener design's weights alone would be 763 MiB
+            ("pilot.count", {
+                "frame_uses = 60": "frame_uses = 20000",
+                "seed = 11": "csi = pilot\npilot.count = 10000\npilot.taps = 5000",
+            }),
+            # 2e6 uses x 1e6 blocks of sorting, within every other cap
+            ("pilot.count", {
+                "alamouti": "spatial_multiplex",
+                "lt = 2": "lt = 1",
+                "frame_uses = 60": "frame_uses = 2000000",
+                "seed = 11": "csi = pilot\npilot.count = 1000000",
+            }),
         ],
     )
     def test_sweep_refusal_names_the_key(self, key, edits, tmp_path, capsys):

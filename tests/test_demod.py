@@ -2,6 +2,7 @@
 Alamouti combiner.  The exhaustive search is the reference the others must
 match decision-for-decision."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,7 +142,7 @@ def _per_block_search(yr, gr, levels, d):
 def transmit(x, lr, es, n0, rng, fdt=0.0):
     lt = x.shape[0]
     h = generate_fading(x.shape[1], fdt, np.eye(lt), np.eye(lr), rng)
-    frame = apply_channel(x, h, es, rng, n0=n0)
+    frame = apply_channel(x[None], h[None], es, [rng], n0=n0)[0]
     return frame, h
 
 
@@ -157,7 +158,7 @@ class TestMlExhaustive:
         for n in (0, 1, 77, 255):
             x = cb.codewords[n]
             frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(n))
-            res = ml_exhaustive_blocks(frame, h, cb, 4.0)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 4.0)[0]
             want = patterns_to_bits(np.array([n]), 8)
             np.testing.assert_array_equal(res.bits, want)
             assert res.visited == 256
@@ -168,7 +169,7 @@ class TestMlExhaustive:
         cb = alamouti_codebook(QPSK)
         x = np.concatenate([cb.codewords[n] for n in (5, 0, 15, 9)], axis=1)
         frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1), fdt=0.05)
-        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
         for b, bits in enumerate(res.bits.reshape(4, 4)):
             sl = slice(2 * b, 2 * b + 2)
             metrics = [word_metric(frame[sl], h[sl], w, 1.0) for w in cb.codewords]
@@ -178,7 +179,7 @@ class TestMlExhaustive:
     def test_metric_is_minimum(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[9], 1, 1.0, 1.0, make_rng(2))
-        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
         metrics = [word_metric(frame, h, w, 1.0) for w in cb.codewords]
         # np.argmin takes the first index of equal minima
         want = patterns_to_bits(np.array([np.argmin(metrics)]), cb.bits_per_codeword)
@@ -189,7 +190,7 @@ class TestMlExhaustive:
 
         cb = BlockCodebook("one", np.eye(2)[None], 0)
         frame, h = transmit(np.eye(2, dtype=complex), 1, 1.0, 1.0, make_rng(3))
-        res = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
         assert res.bits.size == 0
 
     def test_blocks_match_per_block_ml(self):
@@ -198,11 +199,11 @@ class TestMlExhaustive:
         idx = rng.integers(0, 256, size=5)
         x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
         frame, h = transmit(x, 2, 2.0, 1.0, make_rng(5))
-        whole = ml_exhaustive_blocks(frame, h, cb, 2.0)
+        whole = ml_exhaustive_blocks(frame[None], h[None], cb, 2.0)[0]
         bits = []
         for b in range(5):
             sl = slice(2 * b, 2 * b + 2)
-            bits.append(ml_exhaustive_blocks(frame[sl], h[sl], cb, 2.0).bits)
+            bits.append(ml_exhaustive_blocks(frame[None, sl], h[None, sl], cb, 2.0)[0].bits)
         np.testing.assert_array_equal(whole.bits, np.concatenate(bits))
 
     def test_tie_breaks_to_lowest_index(self):
@@ -214,7 +215,7 @@ class TestMlExhaustive:
         cb = BlockCodebook("pair", w, 1)
         y = np.zeros((1, 1), dtype=complex)  # equidistant from both words
         h = np.ones((1, 1, 1), dtype=complex)
-        res = ml_exhaustive_blocks(y, h, cb, 1.0)
+        res = ml_exhaustive_blocks(y[None], h[None], cb, 1.0)[0]
         np.testing.assert_array_equal(res.bits, [0])
 
 
@@ -245,7 +246,7 @@ class TestSlicedKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(x, lr, es, 1.0, make_rng(8000 + t), fdt=fdt)
             assert np.all(h == h[0]) == (fdt == 0.0)
-            res = ml_exhaustive_blocks(frame, h, cb, es)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 12 * cb.size
 
@@ -267,7 +268,7 @@ class TestSlicedKernel:
         y = make_rng(21).standard_normal((2 * nb, 2)) + 0j
         h = np.zeros((2 * nb, 2, 2), dtype=complex)
         # 64 // (10 blocks * 2 uses * 2 antennas) = 1 word per slice
-        res = ml_exhaustive_blocks(y, h, cb, 3.0)
+        res = ml_exhaustive_blocks(y[None], h[None], cb, 3.0)[0]
         np.testing.assert_array_equal(res.bits, np.zeros(8 * nb, dtype=int))
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
@@ -279,7 +280,7 @@ class TestSlicedKernel:
         frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(23))
         tracemalloc.start()
         try:
-            res = ml_exhaustive_blocks(frame, h, cb, 10.0)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -317,7 +318,7 @@ class TestVaryingKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(x, lr, es, 1.0, make_rng(9100 + t), fdt=0.05)
             assert not np.all(h == h[0])
-            res = ml_exhaustive_blocks(frame, h, cb, es)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 7 * cb.size
 
@@ -367,7 +368,7 @@ class TestVaryingKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(9300 + t), fdt=0.05)
             assert not np.all(h == h[0])
-            res = ml_exhaustive_blocks(frame, h, cb, es)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
@@ -379,7 +380,7 @@ class TestVaryingKernel:
         frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(25), fdt=0.01)
         tracemalloc.start()
         try:
-            res = ml_exhaustive_blocks(frame, h, cb, 10.0)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -392,9 +393,9 @@ class TestViterbi:
         code = load_packaged_trellis()
         rng = make_rng(6)
         bits = rng.integers(0, 2, size=60)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(7))
-        res = viterbi_decode(frame, h, code, 4.0)
+        res = viterbi_decode(frame[None], h[None], code, 4.0)[0]
         np.testing.assert_array_equal(res.bits, bits)
 
     def test_matches_path_codebook_ml_noisy(self):
@@ -406,11 +407,11 @@ class TestViterbi:
         for t in range(120):
             rng = make_rng(1000 + t)
             bits = rng.integers(0, 2, size=2 * n_steps)
-            x = encode_trellis(bits, code)
+            x = encode_trellis(bits[None], code)[0]
             es = 10 ** (rng.uniform(-2, 12) / 10)
             frame, h = transmit(x, 2, es, 1.0, make_rng(5000 + t))
-            vd = viterbi_decode(frame, h, code, es)
-            ml = ml_exhaustive_blocks(frame, h, cb, es)
+            vd = viterbi_decode(frame[None], h[None], code, es)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             if not np.array_equal(vd.bits, ml.bits):
                 mismatch += 1
         assert mismatch == 0
@@ -436,18 +437,18 @@ class TestViterbi:
 
     def test_zero_length_data(self):
         code = load_packaged_trellis()
-        x = encode_trellis(np.array([], dtype=int), code)
+        x = encode_trellis(np.array([], dtype=int)[None], code)[0]
         frame, h = transmit(x, 1, 1.0, 1.0, make_rng(8))
-        res = viterbi_decode(frame, h, code, 1.0)
+        res = viterbi_decode(frame[None], h[None], code, 1.0)[0]
         assert res.bits.size == 0
 
     def test_time_varying_channel(self):
         code = load_packaged_trellis()
         rng = make_rng(9)
         bits = rng.integers(0, 2, size=40)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         frame, h = transmit(x, 2, 100.0, 1e-18, make_rng(10), fdt=0.01)
-        res = viterbi_decode(frame, h, code, 100.0)
+        res = viterbi_decode(frame[None], h[None], code, 100.0)[0]
         np.testing.assert_array_equal(res.bits, bits)
 
     def test_length_check(self):
@@ -455,7 +456,7 @@ class TestViterbi:
         y = np.zeros((4, 1), dtype=complex)
         h = np.zeros((5, 1, 2), dtype=complex)
         with pytest.raises(InputError):
-            viterbi_decode(y, h, code, 1.0)
+            viterbi_decode(y[None], h[None], code, 1.0)
 
 
 class TestSphere:
@@ -464,7 +465,7 @@ class TestSphere:
         cb = golden_codebook(QPSK)
         for n in (0, 3, 200):
             frame, h = transmit(cb.codewords[n], 2, 4.0, 1e-20, make_rng(20 + n))
-            res = sphere_decode(frame, h, ld, 4.0)
+            res = sphere_decode(frame[None], h[None], ld, 4.0)[0]
             np.testing.assert_array_equal(res.bits, patterns_to_bits(np.array([n]), 8))
 
     def test_matches_ml_noisy(self):
@@ -475,8 +476,8 @@ class TestSphere:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(-2, 20) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(40000 + t))
-            sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive_blocks(frame, h, cb, es)
+            sd = sphere_decode(frame[None], h[None], ld, es)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_sixteen_qam_matches_ml(self):
@@ -487,8 +488,8 @@ class TestSphere:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(60000 + t))
-            sd = sphere_decode(frame, h, ld, es)
-            ml = ml_exhaustive_blocks(frame, h, cb, es)
+            sd = sphere_decode(frame[None], h[None], ld, es)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_visited_falls_with_snr(self):
@@ -502,7 +503,7 @@ class TestSphere:
                 n = int(rng.integers(0, 256))
                 es = 10 ** (es_db / 10)
                 frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(seed0 + 500 + t))
-                total += sphere_decode(frame, h, ld, es).visited
+                total += sphere_decode(frame[None], h[None], ld, es)[0].visited
             return total / 60
 
     # high SNR shrinks the search radius, so fewer nodes are expanded
@@ -515,7 +516,7 @@ class TestSphere:
         cb = golden_codebook(QPSK)
         h = np.zeros((2, 2, 2), dtype=complex)  # lr x lt all zero: degenerate
         y = np.zeros((2, 2), dtype=complex)
-        res = sphere_decode(y, h, ld, 1.0)
+        res = sphere_decode(y[None], h[None], ld, 1.0)[0]
         assert res.degenerate
         # every word has metric 0; ties resolve to the lowest codeword index
         np.testing.assert_array_equal(res.bits, np.zeros(8, dtype=int))
@@ -525,16 +526,16 @@ class TestSphere:
         ld = golden_dispersion(QPSK)
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[0], 1, 1.0, 1.0, make_rng(11))
-        res_ok = ml_exhaustive_blocks(frame, h, cb, 1.0)
+        res_ok = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
         assert res_ok.bits.shape == (8,)
         with pytest.raises(InputError):
-            sphere_decode(frame, h, ld, 1.0)
+            sphere_decode(frame[None], h[None], ld, 1.0)
 
     def test_rejects_plain_codebook(self):
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[0], 2, 1.0, 1.0, make_rng(12))
         with pytest.raises(InputError):
-            sphere_decode(frame, h, cb, 1.0)
+            sphere_decode(frame[None], h[None], cb, 1.0)
 
 
     CODES = {
@@ -557,12 +558,13 @@ class TestSphere:
             idx = rng.integers(0, cb.size, size=24 // ld.n_uses)
             x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
             frame, h = transmit(x, 2, es, n0, make_rng(32000 + t), fdt=fdt)
-            res = sphere_decode(frame, h, ld, es)
+            res = sphere_decode(frame[None], h[None], ld, es)[0]
             bits, visited, degenerate = per_block_sphere_decode(frame, h, ld, es)
             np.testing.assert_array_equal(res.bits, bits)
             assert res.visited == visited
             assert res.degenerate == degenerate
-            np.testing.assert_array_equal(res.bits, ml_exhaustive_blocks(frame, h, cb, es).bits)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            np.testing.assert_array_equal(res.bits, ml.bits)
             if n0 < 1.0:
                 want = patterns_to_bits(idx, cb.bits_per_codeword)
                 np.testing.assert_array_equal(res.bits, want)
@@ -574,13 +576,14 @@ class TestSphere:
         x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
         frame, h = transmit(x, 2, 3.0, 1.0, make_rng(34), fdt=0.02)
         h[4:6] = 0.0  # block 2 of 5 sees no channel at all
-        res = sphere_decode(frame, h, ld, 3.0)
+        res = sphere_decode(frame[None], h[None], ld, 3.0)[0]
         assert res.degenerate
         blocks = res.bits.reshape(5, 8)
         np.testing.assert_array_equal(blocks[2], np.zeros(8, dtype=int))
         visited = 0
         for b in range(5):
-            one = sphere_decode(frame[2 * b : 2 * b + 2], h[2 * b : 2 * b + 2], ld, 3.0)
+            sl = slice(2 * b, 2 * b + 2)
+            one = sphere_decode(frame[None, sl], h[None, sl], ld, 3.0)[0]
             np.testing.assert_array_equal(blocks[b], one.bits)
             assert one.degenerate == (b == 2)
             visited += one.visited
@@ -590,7 +593,7 @@ class TestSphere:
         ld = golden_dispersion(QPSK)
         frame, h = transmit(np.ones((2, 3), dtype=complex), 2, 1.0, 1.0, make_rng(35))
         with pytest.raises(InputError):
-            sphere_decode(frame, h, ld, 1.0)
+            sphere_decode(frame[None], h[None], ld, 1.0)
 
     def test_rejects_underdetermined_frame(self):
         ld = golden_dispersion(QPSK)
@@ -598,7 +601,7 @@ class TestSphere:
         x = np.concatenate([cb.codewords[n] for n in (0, 1, 2)], axis=1)
         frame, h = transmit(x, 1, 1.0, 1.0, make_rng(36))
         with pytest.raises(InputError):
-            sphere_decode(frame, h, ld, 1.0)
+            sphere_decode(frame[None], h[None], ld, 1.0)
 
 
 class TestAlamoutiCombiner:
@@ -609,7 +612,7 @@ class TestAlamoutiCombiner:
         h = np.ones((2, 1, 2), dtype=complex)
         es = 8.0
         y = np.einsum("kij,jk->ki", h, np.sqrt(es) * x)
-        res = alamouti_combine(y, h, es, QPSK)
+        res = alamouti_combine(y[None], h[None], es, QPSK)[0]
         np.testing.assert_array_equal(res.bits, [0, 0, 1, 1])
 
     def test_noiseless_round_trip(self):
@@ -620,7 +623,7 @@ class TestAlamoutiCombiner:
             [encode_alamouti(syms[2 * b], syms[2 * b + 1]) for b in range(20)], axis=1
         )
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(14))
-        res = alamouti_combine(frame, h, 4.0, QPSK)
+        res = alamouti_combine(frame[None], h[None], 4.0, QPSK)[0]
         want = patterns_to_bits(patterns, 2)
         np.testing.assert_array_equal(res.bits, want)
 
@@ -632,8 +635,8 @@ class TestAlamoutiCombiner:
                 n = int(rng.integers(0, 16))
                 es = 10 ** (rng.uniform(-2, 15) / 10)
                 frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(95000 + 1000 * lr + t))
-                cm = alamouti_combine(frame, h, es, QPSK)
-                ml = ml_exhaustive_blocks(frame, h, cb, es)
+                cm = alamouti_combine(frame[None], h[None], es, QPSK)[0]
+                ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
                 np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_sixteen_qam_matches_ml(self):
@@ -643,8 +646,8 @@ class TestAlamoutiCombiner:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(120000 + t))
-            cm = alamouti_combine(frame, h, es, QAM16)
-            ml = ml_exhaustive_blocks(frame, h, cb, es)
+            cm = alamouti_combine(frame[None], h[None], es, QAM16)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
             np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_nonstatic_block_combines_first_use_channel(self):
@@ -652,15 +655,15 @@ class TestAlamoutiCombiner:
         x = encode_alamouti(s, s)
         h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
         assert not np.array_equal(h[0], h[1])
-        frame = apply_channel(x, h, 1.0, make_rng(16))
-        res = alamouti_combine(frame, h, 1.0, QPSK)
-        first = alamouti_combine(frame, np.repeat(h[:1], 2, axis=0), 1.0, QPSK)
+        frame = apply_channel(x[None], h[None], 1.0, [make_rng(16)])[0]
+        res = alamouti_combine(frame[None], h[None], 1.0, QPSK)[0]
+        first = alamouti_combine(frame[None], h[None, [0, 0]], 1.0, QPSK)[0]
         np.testing.assert_array_equal(res.bits, first.bits)
 
     def test_zero_channel_flags_degenerate(self):
         y = np.zeros((2, 1), dtype=complex)
         h = np.zeros((2, 1, 2), dtype=complex)
-        res = alamouti_combine(y, h, 1.0, QPSK)
+        res = alamouti_combine(y[None], h[None], 1.0, QPSK)[0]
         assert res.degenerate
         np.testing.assert_array_equal(res.bits, [0, 0, 0, 0])
 
@@ -668,7 +671,7 @@ class TestAlamoutiCombiner:
         y = np.zeros((3, 1), dtype=complex)
         h = np.zeros((3, 1, 2), dtype=complex)
         with pytest.raises(InputError):
-            alamouti_combine(y, h, 1.0, QPSK)
+            alamouti_combine(y[None], h[None], 1.0, QPSK)
 
 
 class TestCrossDecoderConsistency:
@@ -676,14 +679,14 @@ class TestCrossDecoderConsistency:
         # scaling y and sqrt(es) together leaves decisions unchanged
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[17], 2, 1.0, 1.0, make_rng(17))
-        a = ml_exhaustive_blocks(frame, h, cb, 1.0)
-        b = ml_exhaustive_blocks(2.0 * frame, h, cb, 4.0)
+        a = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
+        b = ml_exhaustive_blocks((2.0 * frame)[None], h[None], cb, 4.0)[0]
         np.testing.assert_array_equal(a.bits, b.bits)
 
 
 class TestFrameBatches:
     """A batch of frames decodes to one result per frame, each equal in
-    bits, visits and degeneracy to decoding that frame alone."""
+    bits, visits and degeneracy to decoding that frame in a batch of one."""
 
     TRELLIS = load_packaged_trellis()
     PATHS = trellis_path_codebook(TRELLIS, 3)
@@ -710,9 +713,41 @@ class TestFrameBatches:
         batch = decode(y, h)
         assert len(batch) == 5
         for f, got in enumerate(batch):
-            want = decode(y[f], h[f])
+            want = decode(y[f : f + 1], h[f : f + 1])[0]
             np.testing.assert_array_equal(got.bits, want.bits)
             assert (got.visited, got.degenerate) == (want.visited, want.degenerate)
+
+    ONE_FRAME = {
+        "ml_exhaustive_blocks": lambda: ml_exhaustive_blocks(
+            np.zeros((2, 1)), np.zeros((2, 1, 2)), alamouti_codebook(QPSK), 1.0
+        ),
+        "viterbi_decode": lambda: viterbi_decode(
+            np.zeros((3, 1)), np.zeros((3, 1, 2)), TestFrameBatches.TRELLIS, 1.0
+        ),
+        "sphere_decode": lambda: sphere_decode(
+            np.zeros((2, 2)), np.zeros((2, 2, 2)), golden_dispersion(QPSK), 1.0
+        ),
+        "alamouti_combine": lambda: alamouti_combine(
+            np.zeros((2, 1)), np.zeros((2, 1, 2)), 1.0, QPSK
+        ),
+        "apply_channel": lambda: apply_channel(
+            np.zeros((2, 4)), np.zeros((4, 1, 2)), 1.0, [make_rng(0)]
+        ),
+        "encode_trellis": lambda: encode_trellis(
+            np.zeros(4, dtype=int), TestFrameBatches.TRELLIS
+        ),
+    }
+    BATCH_SHAPES = {
+        "apply_channel": "(frames, lt, n_uses)",
+        "encode_trellis": "(frames, n_bits)",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ONE_FRAME))
+    def test_one_frame_arrays_are_refused(self, name):
+        # a one-frame array would otherwise broadcast as a batch of frames
+        shape = self.BATCH_SHAPES.get(name, "(frames, n_uses, lr)")
+        with pytest.raises(InputError, match=re.escape(shape)):
+            self.ONE_FRAME[name]()
 
     def test_batch_shape_checks(self):
         y = np.zeros((3, 4, 2), dtype=complex)

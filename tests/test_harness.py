@@ -23,6 +23,7 @@ from stclab.harness import (
     BATCH_MAX,
     CSV_COLUMNS,
     FRAME_CHANNEL_CAP,
+    PILOT_DESIGN_CAP,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -238,6 +239,18 @@ class TestConfigParsing:
                 replace(cfg, **change)
             assert exc.value.key == "frame_uses"
 
+    def test_pilot_design_cap(self):
+        # the cap counts frame_uses x pilot blocks of lt uses, whichever
+        # factor grows, and only under pilot CSI
+        cfg = SweepConfig(code="alamouti", ebn0_db=(1.0,), csi="pilot",
+                          frame_uses=2048, pilot_count=2048)
+        assert cfg.frame_uses * cfg.pilot_count // cfg.lt == PILOT_DESIGN_CAP
+        for change in (dict(frame_uses=2050), dict(pilot_count=2052)):
+            with pytest.raises(InputError) as exc:
+                replace(cfg, **change)
+            assert exc.value.key == "pilot.count"
+        replace(cfg, csi="perfect", frame_uses=2050)
+
     def test_negative_seed_refused(self):
         with pytest.raises(InputError) as exc:
             SweepConfig(code="alamouti", ebn0_db=(1.0,), seed=-1)
@@ -381,7 +394,7 @@ class TestBuildSetup:
         y = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         h = rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2))
         h[4:6] = 0.0
-        res = setup.decode(y, h, es=2.0)
+        res = setup.decode(y[None], h[None], es=2.0)[0]
         assert res.degenerate
         np.testing.assert_array_equal(res.bits[16:24], np.zeros(8, dtype=int))
 
@@ -609,7 +622,7 @@ def old_simulate_frame(setup, si, fi, es):
     if cfg.code == "trellis":
         with open(cfg.trellis_file, encoding="utf-8") as fh:
             trellis = load_trellis(fh.read())
-        x_data = encode_trellis(bits, trellis)
+        x_data = encode_trellis(bits[None], trellis)[0]
     else:
         cb = {
             "alamouti": alamouti_codebook,
@@ -628,7 +641,7 @@ def old_simulate_frame(setup, si, fi, es):
         x = x_data
     fdt = cfg.fdt if cfg.channel_mode == "clarke_varying" else 0.0
     h = generate_fading(nf, fdt, setup.rtx, setup.rrx, fade_rng)
-    y = apply_channel(x, h, es, noise_rng)
+    y = apply_channel(x[None], h[None], es, [noise_rng])[0]
     if cfg.csi == "pilot":
         h_dec = estimate_channel(y, es, setup.pmap, setup.wiener)
         y_data = y[setup.pmap.data_positions]
@@ -637,18 +650,18 @@ def old_simulate_frame(setup, si, fi, es):
         y_data = y
         h_data = h
     if cfg.decoder == "viterbi":
-        res = viterbi_decode(y_data, h_data, trellis, es)
+        res = viterbi_decode(y_data[None], h_data[None], trellis, es)[0]
     elif cfg.decoder == "combiner":
-        res = alamouti_combine(y_data, h_data, es, c)
+        res = alamouti_combine(y_data[None], h_data[None], es, c)[0]
     elif cfg.decoder == "sphere":
         disp = (
             golden_dispersion(c)
             if cfg.code == "golden"
             else spatial_multiplex_dispersion(c)
         )
-        res = sphere_decode(y_data, h_data, disp, es)
+        res = sphere_decode(y_data[None], h_data[None], disp, es)[0]
     else:
-        res = ml_exhaustive_blocks(y_data, h_data, cb, es)
+        res = ml_exhaustive_blocks(y_data[None], h_data[None], cb, es)[0]
     bit_errors = int(np.count_nonzero(res.bits != bits))
     return bit_errors > 0, bit_errors, setup.info_bits, res.visited
 

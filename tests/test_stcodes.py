@@ -382,7 +382,13 @@ class TestTrellisEncoding:
         for row, x in zip(bits, batch):
             want = sequential_encode(row, code)
             assert x.tobytes() == want.tobytes()
-            assert encode_trellis(row, code).tobytes() == want.tobytes()
+            assert encode_trellis(row[None], code)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_rows_of_partial_steps_are_refused(self, frames):
+        # 3 bits do not fill 2-bit steps, however many rows hold them
+        with pytest.raises(InputError, match=r"\(frames, n_bits\)"):
+            encode_trellis(np.zeros((frames, 3), dtype=int), load_packaged_trellis())
 
     def test_termination_table(self):
         code = load_packaged_trellis()
@@ -391,7 +397,7 @@ class TestTrellisEncoding:
 
     def test_empty_bits_gives_termination_only(self):
         code = load_packaged_trellis()
-        x = encode_trellis(np.array([], dtype=int), code)
+        x = encode_trellis(np.array([], dtype=int)[None], code)[0]
         assert x.shape == (2, 1)
         # from state 0 the termination input is 0: both antennas send point 0
         p0 = QPSK.points[0]
@@ -400,7 +406,7 @@ class TestTrellisEncoding:
     def test_frame_shape(self):
         code = load_packaged_trellis()
         bits = np.zeros(600, dtype=int)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         assert x.shape == (2, 301)
 
     def test_delay_diversity_structure(self):
@@ -408,7 +414,7 @@ class TestTrellisEncoding:
         code = load_packaged_trellis()
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, size=40)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         assert_allclose(x[1, 1:], x[0, :-1], atol=1e-15)
         p0 = QPSK.points[0] / RT2
         assert_allclose(x[1, 0], p0, atol=1e-15)
@@ -417,21 +423,21 @@ class TestTrellisEncoding:
         code = load_packaged_trellis()
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=600)
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         # last antenna-1 use is the termination input from state 0's table
         assert_allclose(x[0, -1], QPSK.points[0] / RT2, atol=1e-15)
 
     def test_energy_per_use(self):
         code = load_packaged_trellis()
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
-        x = encode_trellis(bits, code)
+        x = encode_trellis(bits[None], code)[0]
         assert_allclose(np.sum(np.abs(x) ** 2, axis=0), np.ones(x.shape[1]), atol=1e-12)
 
     @settings(max_examples=20)
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=60).filter(lambda b: len(b) % 2 == 0))
     def test_frame_length_is_uniform(self, bits):
         code = load_packaged_trellis()
-        x = encode_trellis(np.asarray(bits, dtype=int), code)
+        x = encode_trellis(np.asarray(bits, dtype=int)[None], code)[0]
         assert x.shape == (2, len(bits) // 2 + 1)
 
     def test_path_codebook_matches_encoder(self):
@@ -440,7 +446,7 @@ class TestTrellisEncoding:
         assert cb.codewords.shape == (16, 2, 3)
         bits = np.array([1, 0, 0, 1])
         n = int("".join(str(b) for b in bits), 2)
-        assert_allclose(cb.codewords[n], encode_trellis(bits, code), atol=1e-15)
+        assert_allclose(cb.codewords[n], encode_trellis(bits[None], code)[0], atol=1e-15)
 
     @pytest.mark.parametrize("n_steps", [2, 3, 8])
     def test_path_codebook_bitwise_equals_encoder(self, n_steps):
@@ -448,7 +454,7 @@ class TestTrellisEncoding:
         cw = trellis_path_codebook(code, n_steps).codewords
         shifts = np.arange(2 * n_steps - 1, -1, -1)
         want = np.ascontiguousarray(
-            [encode_trellis((n >> shifts) & 1, code) for n in range(cw.shape[0])]
+            [encode_trellis(((n >> shifts) & 1)[None], code)[0] for n in range(cw.shape[0])]
         )
         np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
 
@@ -475,7 +481,7 @@ class TestTrellisEncoding:
             cw = trellis_path_codebook(code, n_steps).codewords
             shifts = np.arange(n_steps - 1, -1, -1)
             want = np.ascontiguousarray(
-                [encode_trellis((n >> shifts) & 1, code) for n in range(2**n_steps)]
+                [encode_trellis(((n >> shifts) & 1)[None], code)[0] for n in range(2**n_steps)]
             )
             np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
         assert {2, 3, 4, 5, 6} <= tails
@@ -501,6 +507,6 @@ class TestSixteenQamTrellis:
         )
         code = load_trellis(text)
         assert code.constellation is QAM16
-        x = encode_trellis(np.array([1, 0, 1, 0]), code)
+        x = encode_trellis(np.array([1, 0, 1, 0])[None], code)[0]
         assert x.shape == (1, 1)
         assert_allclose(x[0, 0], QAM16.points[0b1010], atol=1e-15)
