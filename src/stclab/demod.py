@@ -7,13 +7,13 @@ All decoders minimize the same word metric
 over their codeword set: exhaustive search for block codebooks, a
 full-frame Viterbi pass for trellis codes, depth-first sphere decoding for
 linear-dispersion codes, and the orthogonal fast combiner for Alamouti
-blocks.  Every decoder reports the decoded bits, a visited-node count as
-its search-effort measure, and whether a degenerate channel forced a
-fallback; the metric of the decided word stays inside the decoder.
+blocks.  The metric of the decided word stays inside the decoder.
 
 Every decoder takes a batch of frames, ``y`` (frames, n_uses, lr) and ``h``
-(frames, n_uses, lr, lt), and returns a list of one DecodeResult per frame,
-each equal to the result of decoding that frame in a batch of one.
+(frames, n_uses, lr, lt), and returns one DecodeResult for the batch: the
+(frames, n_bits) decided bits, whose row f equals frame f decoded alone,
+the batch's visited-node count (the search-effort measure) and the number
+of frames whose decode a degenerate channel forced to fall back.
 """
 
 import math
@@ -35,7 +35,7 @@ ML_TILE_ELEMENTS = 2**15
 class DecodeResult(NamedTuple):
     bits: np.ndarray
     visited: int
-    degenerate: bool = False
+    degenerate: int
 
 
 def _frames(y, h):
@@ -48,14 +48,6 @@ def _frames(y, h):
     if h.ndim != 4 or h.shape[:3] != yv.shape:
         raise InputError(f"fading shape {h.shape} does not match frames {yv.shape}")
     return yv, h
-
-
-def _result(bits, visited, degenerate):
-    """One DecodeResult per frame from all frames' bits in frame order, the
-    visit counts (one per frame, or one shared by all) and the flags."""
-    n = len(degenerate)
-    visited = np.broadcast_to(visited, n).tolist()
-    return list(map(DecodeResult, bits.reshape(n, -1), visited, degenerate.tolist()))
 
 
 def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
@@ -80,10 +72,13 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
         raise InputError(
             f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
         )
-    return [_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)]
+    idx = np.array([_ml_frame(yf, hf, cb, es) for yf, hf in zip(yv, h)])
+    bits = patterns_to_bits(idx, cb.bits_per_codeword)
+    return DecodeResult(bits, idx.size * cb.size, 0)
 
 
 def _ml_frame(yv, h, cb, es):
+    """The codeword index decided at each block of one frame."""
     u, lr = cb.n_uses, yv.shape[1]
     nb = yv.shape[0] // u
     yb = yv.reshape(nb, u, lr)
@@ -102,7 +97,7 @@ def _ml_frame(yv, h, cb, es):
         better = found < best
         best[better] = found[better]
         idx[better] = pick[better] + start
-    return DecodeResult(patterns_to_bits(idx, cb.bits_per_codeword), nb * cb.size)
+    return idx
 
 
 def _varying_metrics(yb, hb, words, es, columns=None, column_index=None):
@@ -247,9 +242,8 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         src = back[k, frames, state]
         patterns[:, k] = src % u_count
         state = src // u_count
-    bits = patterns_to_bits(patterns.reshape(-1), code.bits_per_step)
-    visited = data_steps * s_count * u_count + s_count * n_term
-    return _result(bits, visited, np.zeros(n_frames, dtype=bool))
+    visited = n_frames * (data_steps * s_count * u_count + s_count * n_term)
+    return DecodeResult(patterns_to_bits(patterns, code.bits_per_step), visited, 0)
 
 
 def _axis_levels(c: Constellation):
@@ -348,7 +342,7 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     batch (one einsum, one stacked QR); only the search runs per block.
     Requires lr >= lt so the lattice has full column rank; a block with a
     degenerate channel falls back to an exhaustive scan of the product set
-    (ties to the lowest codeword index) and sets its frame's ``degenerate``.
+    (ties to the lowest codeword index) and counts its frame as degenerate.
     """
     if not isinstance(code, LinearDispersionCode):
         raise InputError(
@@ -392,12 +386,11 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
         else:
             v[b], visited[b] = _sphere_search(z[b].tolist(), r[b].tolist(), lv)
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
-    patterns = table[idx[:, :m], idx[:, m:]]
-    bits = patterns_to_bits(patterns.reshape(-1), c.bits_per_symbol)
-    return _result(
-        bits,
-        visited.reshape(n_frames, -1).sum(axis=1),
-        degenerate.reshape(n_frames, -1).any(axis=1),
+    patterns = table[idx[:, :m], idx[:, m:]].reshape(n_frames, -1)
+    return DecodeResult(
+        patterns_to_bits(patterns, c.bits_per_symbol),
+        int(visited.sum()),
+        int(np.count_nonzero(degenerate.reshape(n_frames, -1).any(axis=1))),
     )
 
 
@@ -425,7 +418,7 @@ def alamouti_combine(y, h, es, c: Constellation):
     each point is exact ML when the channel is constant within each block.
     A block whose channel varies (Clarke fading, pilot estimates) is
     combined with the channel of its first use, an approximation.  A
-    zero-gain block is flagged degenerate and decides pattern 0.
+    zero-gain block decides pattern 0 and counts its frame as degenerate.
     """
     yv, h = _frames(y, h)
     n_frames, nf, lr = yv.shape
@@ -451,6 +444,7 @@ def alamouti_combine(y, h, es, c: Constellation):
     idx1 = np.argmin(np.abs(z1[:, :, None] - scaled) ** 2, axis=2)
     idx2 = np.argmin(np.abs(z2[:, :, None] - scaled) ** 2, axis=2)
     # a point's index is its bit pattern
-    pat = np.stack([idx1, idx2], axis=2)
-    bits = patterns_to_bits(pat.reshape(-1), c.bits_per_symbol)
-    return _result(bits, nf * c.size, np.any(gain <= 0.0, axis=1))
+    pat = np.stack([idx1, idx2], axis=2).reshape(n_frames, -1)
+    bits = patterns_to_bits(pat, c.bits_per_symbol)
+    degenerate = int(np.count_nonzero(np.any(gain <= 0.0, axis=1)))
+    return DecodeResult(bits, n_frames * nf * c.size, degenerate)

@@ -11,7 +11,8 @@ decoder, and reads both arrays' correlation matrices from
 Frames run in batches through one kernel, :func:`simulate_frames`.  Only
 the random draws, the fading draw and the pilot estimate run per frame;
 the encoder, the channel and the decoder take only batches, arrays with a
-leading frame axis, and run once per batch, as does the error count.  A
+leading frame axis, and run once per batch, as does the error count: a
+batch gives each frame's bit errors and the batch's decoder node count.  A
 batch holds at most the channel uses of ``BATCH_MAX`` default-length
 frames (at least one frame) and never more frames than the errors still
 missing at the grid point: a frame adds at most one error, so the stopping
@@ -109,6 +110,8 @@ BATCH_MAX = 16
 # Most antennas on either side: an lr x lr correlation matrix and its factor
 # stay at 32 KB, at eight times the largest array the tests run (lr = 8).
 ANTENNA_CAP = 64
+# Most worker threads: a sweep queues up to one batch, one thread, per worker.
+WORKER_CAP = 64
 # Most complex values in one frame's channel array, frame_uses x lr x lt
 # (32 MB); it also bounds the frame's bit draw and received array.
 FRAME_CHANNEL_CAP = 2**21
@@ -192,8 +195,8 @@ class SweepConfig:
                 f"a Clarke-correlated frame must be <= {CLARKE_MAX_USES} uses",
                 key="frame_uses",
             )
-        if self.workers < 1:
-            raise InputError("must be >= 1", key="workers")
+        if not 1 <= self.workers <= WORKER_CAP:
+            raise InputError(f"must be 1 to {WORKER_CAP}", key="workers")
         if self.seed < 0:
             raise InputError("must be >= 0", key="seed")
 
@@ -259,7 +262,7 @@ def wilson_interval(k, n):
 class SweepSetup:
     """What every frame of a sweep shares.  ``encode(bits)`` maps (frames,
     info_bits) bits to (frames, lt, data uses) words, ``decode(y, h, es=es)``
-    gives one DecodeResult per frame; no pilots under perfect CSI."""
+    gives the batch's DecodeResult; no pilots under perfect CSI."""
 
     cfg: SweepConfig
     info_bits: int
@@ -379,8 +382,9 @@ def _frame_generators(seed, si, fi):
 def simulate_frames(setup, si, frame_indices, es):
     """Run frames ``frame_indices`` of grid point ``si`` as one batch.
 
-    Returns one (frame_error, bit_errors, info_bits, nodes) tuple per frame,
-    each equal to what the frame gives when it runs alone.
+    Returns (bit_errors, nodes): the (frames,) bit errors, each equal to
+    what the frame gives when it runs alone, and the batch's decoder node
+    count.
     """
     cfg, pmap = setup.cfg, setup.pmap
     gens = [_frame_generators(cfg.seed, si, fi) for fi in frame_indices]
@@ -402,16 +406,14 @@ def simulate_frames(setup, si, frame_indices, es):
         for hf, yf in zip(h, y):
             hf[...] = estimate_channel(yf, es, pmap, setup.wiener)[pos]
         y = y[:, pos]
-    outcomes = []
-    for res, sent in zip(setup.decode(y, h, es=es), bits):
-        bit_errors = int(np.count_nonzero(res.bits != sent))
-        outcomes.append((bit_errors > 0, bit_errors, setup.info_bits, res.visited))
-    return outcomes
+    res = setup.decode(y, h, es=es)
+    return np.count_nonzero(res.bits != bits, axis=1), res.visited
 
 
 def simulate_frame(setup, si, fi, es):
-    """Run one frame; returns (frame_error, bit_errors, info_bits, nodes)."""
-    return simulate_frames(setup, si, [fi], es)[0]
+    """Replay one frame; returns its (bit_errors, decoder_nodes)."""
+    bit_errors, nodes = simulate_frames(setup, si, [fi], es)
+    return int(bit_errors[0]), nodes
 
 
 def _es_for(setup, ebn0_db):
@@ -437,7 +439,7 @@ def run_sweep(cfg: SweepConfig):
         run = pool.map if cfg.workers > 1 else map
         for si, ebn0 in enumerate(cfg.ebn0_db):
             es = _es_for(setup, ebn0)
-            frames = errors = bits = bit_errors = nodes = 0
+            frames = errors = bit_errors = nodes = 0
             while frames < cfg.max_frames and errors < cfg.min_frame_errors:
                 # every frame adds at most one error, so no frame in flight
                 # lies past the frame the serial scan would stop at
@@ -448,13 +450,12 @@ def run_sweep(cfg: SweepConfig):
                     range(frames + start, frames + min(start + size, room))
                     for start in range(0, room, size)
                 ]
-                for batch in run(partial(simulate_frames, setup, si, es=es), batches):
-                    for fe, be, nb, nv in batch:
-                        frames += 1
-                        errors += int(fe)
-                        bits += nb
-                        bit_errors += be
-                        nodes += nv
+                for errs, nv in run(partial(simulate_frames, setup, si, es=es), batches):
+                    frames += len(errs)
+                    errors += int(np.count_nonzero(errs))
+                    bit_errors += int(errs.sum())
+                    nodes += nv
+            bits = frames * setup.info_bits
             lo, hi = wilson_interval(errors, frames)
             rows.append(
                 SweepRow(

@@ -138,7 +138,9 @@ def bits_to_patterns(bits, bits_per_symbol):
 
 
 def patterns_to_bits(patterns, bits_per_symbol):
-    """Inverse of :func:`bits_to_patterns` (MSB first)."""
+    """Inverse of :func:`bits_to_patterns` (MSB first) along the last axis:
+    (..., n) patterns give (..., n * bits_per_symbol) bits."""
     patterns = np.asarray(patterns, dtype=int)
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
-    return ((patterns[:, None] >> shifts) & 1).reshape(-1)
+    bits = (patterns[..., None] >> shifts) & 1
+    return bits.reshape(*patterns.shape[:-1], patterns.shape[-1] * bits_per_symbol)

@@ -15,10 +15,11 @@ from stclab.channel import apply_channel, generate_fading, spatial_correlation
 from stclab.demod import ml_exhaustive_blocks, sphere_decode, viterbi_decode
 from stclab.designmetrics import codebook_report
 from stclab.harness import (
+    BATCH_MAX,
     SweepConfig,
     build_setup,
     run_sweep,
-    simulate_frame,
+    simulate_frames,
     _es_for,
 )
 from stclab.mathcore import QPSK, bessel_j0
@@ -71,8 +72,8 @@ def test_oracle_equivalence(capsys):
             n = int(rng.integers(0, cb.size))
             h = generate_fading(2, 0.0, np.eye(2), np.eye(2), rng)
             frame = apply_channel(cb.codewords[n][None], h[None], es, [rng])[0]
-            sd = sphere_decode(frame[None], h[None], ld, es)[0]
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            sd = sphere_decode(frame[None], h[None], ld, es)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             sphere_trials += 1
             if not np.array_equal(sd.bits, ml.bits):
                 sphere_mismatches += 1
@@ -89,8 +90,8 @@ def test_oracle_equivalence(capsys):
         es = 10.0 ** (float(rng.choice([0.0, 10.0, 20.0])) / 10.0)
         h = generate_fading(x.shape[1], 0.0, np.eye(2), np.eye(2), rng)
         frame = apply_channel(x[None], h[None], es, [rng])[0]
-        vd = viterbi_decode(frame[None], h[None], code, es)[0]
-        ml = ml_exhaustive_blocks(frame[None], h[None], path_cb, es)[0]
+        vd = viterbi_decode(frame[None], h[None], code, es)
+        ml = ml_exhaustive_blocks(frame[None], h[None], path_cb, es)
         vit_trials += 1
         if not np.array_equal(vd.bits, ml.bits):
             vit_mismatches += 1
@@ -168,10 +169,10 @@ def _alamouti_ber_with_ci(ebn0_db, n_frames, grid_index):
     )
     setup = build_setup(cfg)
     es = _es_for(setup, ebn0_db)
-    errs = np.empty(n_frames)
-    for f in range(n_frames):
-        _, bit_errors, info_bits, _ = simulate_frame(setup, grid_index, f, es)
-        errs[f] = bit_errors
+    errs = np.concatenate([
+        simulate_frames(setup, grid_index, range(f, min(f + BATCH_MAX, n_frames)), es)[0]
+        for f in range(0, n_frames, BATCH_MAX)
+    ])
     bits_per_frame = setup.info_bits
     ber = errs.mean() / bits_per_frame
     half = Z95 * errs.std(ddof=1) / np.sqrt(n_frames) / bits_per_frame

@@ -1,8 +1,11 @@
-"""The benchmark's span tracer wraps stclab names that still exist.
+"""The benchmark's span tracer wraps stclab names that still exist, and
+reads what they return.
 
 ``perfbench/tracing.py`` skips a wrapped name that is gone and reports it
 as a missing span instead of failing, so a deletion in ``src/stclab`` would
 only show as a changed count in a benchmark run; this test fails instead.
+The tracer also reads each decode call's node count; a sweep run under it
+must give it the nodes the sweep's CSV counts.
 """
 
 import importlib.util
@@ -10,16 +13,44 @@ from pathlib import Path
 
 import pytest
 
+from stclab import harness
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def load_targets():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracing().TARGETS
 
 
 @pytest.mark.parametrize("module, attr", [t[:2] for t in load_targets()])
 def test_target_is_callable(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+@pytest.mark.parametrize(
+    "code, decoder, lr, frame_uses",
+    [("alamouti", "combiner", 1, 60), ("golden", "sphere", 2, 20), ("golden", "ml", 2, 20)],
+)
+def test_tracer_counts_the_sweeps_decoder_nodes(code, decoder, lr, frame_uses):
+    cfg = harness.SweepConfig(
+        code=code,
+        decoder=decoder,
+        lr=lr,
+        ebn0_db=(0.0, 8.0),
+        frame_uses=frame_uses,
+        min_frame_errors=1000,
+        max_frames=40 if decoder == "combiner" else 20,
+        seed=3,
+    )
+    with load_tracing().Tracer() as tracer:
+        rows = harness.run_sweep(cfg).rows
+    want = sum(round(r.mean_decoder_nodes * r.frames) for r in rows)
+    assert want > 0
+    assert tracer.nodes == want

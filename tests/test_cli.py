@@ -424,6 +424,18 @@ class TestRefusalsBeforeAllocation:
         assert self.traced_main(["sweep", "--config", str(p)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
+    def test_worker_flag_above_the_cap_names_the_key(self, config_file, monkeypatch, capsys):
+        # one thread per queued batch: no sweep runs with this many workers
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(harness.concurrent.futures, "ThreadPoolExecutor", no_pool)
+        argv = ["sweep", "--config", str(config_file), "--workers", str(harness.WORKER_CAP + 1)]
+        assert self.traced_main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: workers: ")
+
     def test_huge_depth_names_the_flag(self, capsys):
         # the reference path alone would be 7.45 GiB
         argv = ["metrics", "--code", "delay_diversity", "--depth", "1000000000"]

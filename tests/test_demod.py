@@ -158,9 +158,9 @@ class TestMlExhaustive:
         for n in (0, 1, 77, 255):
             x = cb.codewords[n]
             frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(n))
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, 4.0)[0]
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 4.0)
             want = patterns_to_bits(np.array([n]), 8)
-            np.testing.assert_array_equal(res.bits, want)
+            np.testing.assert_array_equal(res.bits[0], want)
             assert res.visited == 256
 
     def test_metric_is_word_distance(self):
@@ -169,8 +169,8 @@ class TestMlExhaustive:
         cb = alamouti_codebook(QPSK)
         x = np.concatenate([cb.codewords[n] for n in (5, 0, 15, 9)], axis=1)
         frame, h = transmit(x, 2, 1.0, 0.5, make_rng(1), fdt=0.05)
-        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
-        for b, bits in enumerate(res.bits.reshape(4, 4)):
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
+        for b, bits in enumerate(res.bits[0].reshape(4, 4)):
             sl = slice(2 * b, 2 * b + 2)
             metrics = [word_metric(frame[sl], h[sl], w, 1.0) for w in cb.codewords]
             n = int("".join(str(v) for v in bits), 2)
@@ -179,18 +179,18 @@ class TestMlExhaustive:
     def test_metric_is_minimum(self):
         cb = alamouti_codebook(QPSK)
         frame, h = transmit(cb.codewords[9], 1, 1.0, 1.0, make_rng(2))
-        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
         metrics = [word_metric(frame, h, w, 1.0) for w in cb.codewords]
         # np.argmin takes the first index of equal minima
         want = patterns_to_bits(np.array([np.argmin(metrics)]), cb.bits_per_codeword)
-        np.testing.assert_array_equal(res.bits, want)
+        np.testing.assert_array_equal(res.bits[0], want)
 
     def test_single_word_codebook(self):
         from stclab.stcodes import BlockCodebook
 
         cb = BlockCodebook("one", np.eye(2)[None], 0)
         frame, h = transmit(np.eye(2, dtype=complex), 1, 1.0, 1.0, make_rng(3))
-        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
+        res = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
         assert res.bits.size == 0
 
     def test_blocks_match_per_block_ml(self):
@@ -199,12 +199,12 @@ class TestMlExhaustive:
         idx = rng.integers(0, 256, size=5)
         x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
         frame, h = transmit(x, 2, 2.0, 1.0, make_rng(5))
-        whole = ml_exhaustive_blocks(frame[None], h[None], cb, 2.0)[0]
+        whole = ml_exhaustive_blocks(frame[None], h[None], cb, 2.0)
         bits = []
         for b in range(5):
             sl = slice(2 * b, 2 * b + 2)
-            bits.append(ml_exhaustive_blocks(frame[None, sl], h[None, sl], cb, 2.0)[0].bits)
-        np.testing.assert_array_equal(whole.bits, np.concatenate(bits))
+            bits.append(ml_exhaustive_blocks(frame[None, sl], h[None, sl], cb, 2.0).bits[0])
+        np.testing.assert_array_equal(whole.bits[0], np.concatenate(bits))
 
     def test_tie_breaks_to_lowest_index(self):
         from stclab.stcodes import BlockCodebook
@@ -215,8 +215,8 @@ class TestMlExhaustive:
         cb = BlockCodebook("pair", w, 1)
         y = np.zeros((1, 1), dtype=complex)  # equidistant from both words
         h = np.ones((1, 1, 1), dtype=complex)
-        res = ml_exhaustive_blocks(y[None], h[None], cb, 1.0)[0]
-        np.testing.assert_array_equal(res.bits, [0])
+        res = ml_exhaustive_blocks(y[None], h[None], cb, 1.0)
+        np.testing.assert_array_equal(res.bits[0], [0])
 
 
 class TestSlicedKernel:
@@ -246,8 +246,8 @@ class TestSlicedKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(x, lr, es, 1.0, make_rng(8000 + t), fdt=fdt)
             assert np.all(h == h[0]) == (fdt == 0.0)
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
-            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)
+            np.testing.assert_array_equal(res.bits[0], one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 12 * cb.size
 
     def test_sum_terms_adds_in_np_sum_order(self):
@@ -268,8 +268,8 @@ class TestSlicedKernel:
         y = make_rng(21).standard_normal((2 * nb, 2)) + 0j
         h = np.zeros((2 * nb, 2, 2), dtype=complex)
         # 64 // (10 blocks * 2 uses * 2 antennas) = 1 word per slice
-        res = ml_exhaustive_blocks(y[None], h[None], cb, 3.0)[0]
-        np.testing.assert_array_equal(res.bits, np.zeros(8 * nb, dtype=int))
+        res = ml_exhaustive_blocks(y[None], h[None], cb, 3.0)
+        np.testing.assert_array_equal(res.bits[0], np.zeros(8 * nb, dtype=int))
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
         # 150 blocks x 65,536 words: the one-shot einsum needed ~1.5 GB
@@ -280,12 +280,12 @@ class TestSlicedKernel:
         frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(23))
         tracemalloc.start()
         try:
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)[0]
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20
-        np.testing.assert_array_equal(res.bits, patterns_to_bits(idx, 16))
+        np.testing.assert_array_equal(res.bits[0], patterns_to_bits(idx, 16))
 
 
 class TestVaryingKernel:
@@ -318,8 +318,8 @@ class TestVaryingKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(x, lr, es, 1.0, make_rng(9100 + t), fdt=0.05)
             assert not np.all(h == h[0])
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
-            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)
+            np.testing.assert_array_equal(res.bits[0], one_shot_ml_blocks(frame, h, cb, es))
             assert res.visited == 7 * cb.size
 
     @pytest.mark.parametrize("h_kind", ["per block", "static", "per use"])
@@ -368,8 +368,8 @@ class TestVaryingKernel:
             es = 10 ** (rng.uniform(-2, 15) / 10)
             frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(9300 + t), fdt=0.05)
             assert not np.all(h == h[0])
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
-            np.testing.assert_array_equal(res.bits, one_shot_ml_blocks(frame, h, cb, es))
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)
+            np.testing.assert_array_equal(res.bits[0], one_shot_ml_blocks(frame, h, cb, es))
 
     def test_long_sixteen_qam_golden_frame_stays_under_memory_cap(self):
         # 40 blocks x 65,536 words: one einsum over them needed ~170 MB
@@ -380,12 +380,12 @@ class TestVaryingKernel:
         frame, h = transmit(x, 2, 10.0, 1e-20, make_rng(25), fdt=0.01)
         tracemalloc.start()
         try:
-            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)[0]
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 100 * 2**20
-        np.testing.assert_array_equal(res.bits, patterns_to_bits(idx, 16))
+        np.testing.assert_array_equal(res.bits[0], patterns_to_bits(idx, 16))
 
 
 class TestViterbi:
@@ -395,8 +395,8 @@ class TestViterbi:
         bits = rng.integers(0, 2, size=60)
         x = encode_trellis(bits[None], code)[0]
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(7))
-        res = viterbi_decode(frame[None], h[None], code, 4.0)[0]
-        np.testing.assert_array_equal(res.bits, bits)
+        res = viterbi_decode(frame[None], h[None], code, 4.0)
+        np.testing.assert_array_equal(res.bits[0], bits)
 
     def test_matches_path_codebook_ml_noisy(self):
         # brute force over all 4^6 terminated paths is the ML oracle
@@ -410,8 +410,8 @@ class TestViterbi:
             x = encode_trellis(bits[None], code)[0]
             es = 10 ** (rng.uniform(-2, 12) / 10)
             frame, h = transmit(x, 2, es, 1.0, make_rng(5000 + t))
-            vd = viterbi_decode(frame[None], h[None], code, es)[0]
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            vd = viterbi_decode(frame[None], h[None], code, es)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             if not np.array_equal(vd.bits, ml.bits):
                 mismatch += 1
         assert mismatch == 0
@@ -439,7 +439,7 @@ class TestViterbi:
         code = load_packaged_trellis()
         x = encode_trellis(np.array([], dtype=int)[None], code)[0]
         frame, h = transmit(x, 1, 1.0, 1.0, make_rng(8))
-        res = viterbi_decode(frame[None], h[None], code, 1.0)[0]
+        res = viterbi_decode(frame[None], h[None], code, 1.0)
         assert res.bits.size == 0
 
     def test_time_varying_channel(self):
@@ -448,8 +448,8 @@ class TestViterbi:
         bits = rng.integers(0, 2, size=40)
         x = encode_trellis(bits[None], code)[0]
         frame, h = transmit(x, 2, 100.0, 1e-18, make_rng(10), fdt=0.01)
-        res = viterbi_decode(frame[None], h[None], code, 100.0)[0]
-        np.testing.assert_array_equal(res.bits, bits)
+        res = viterbi_decode(frame[None], h[None], code, 100.0)
+        np.testing.assert_array_equal(res.bits[0], bits)
 
     def test_length_check(self):
         code = load_packaged_trellis()
@@ -465,8 +465,8 @@ class TestSphere:
         cb = golden_codebook(QPSK)
         for n in (0, 3, 200):
             frame, h = transmit(cb.codewords[n], 2, 4.0, 1e-20, make_rng(20 + n))
-            res = sphere_decode(frame[None], h[None], ld, 4.0)[0]
-            np.testing.assert_array_equal(res.bits, patterns_to_bits(np.array([n]), 8))
+            res = sphere_decode(frame[None], h[None], ld, 4.0)
+            np.testing.assert_array_equal(res.bits[0], patterns_to_bits(np.array([n]), 8))
 
     def test_matches_ml_noisy(self):
         ld = golden_dispersion(QPSK)
@@ -476,8 +476,8 @@ class TestSphere:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(-2, 20) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(40000 + t))
-            sd = sphere_decode(frame[None], h[None], ld, es)[0]
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            sd = sphere_decode(frame[None], h[None], ld, es)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_sixteen_qam_matches_ml(self):
@@ -488,8 +488,8 @@ class TestSphere:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(60000 + t))
-            sd = sphere_decode(frame[None], h[None], ld, es)[0]
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            sd = sphere_decode(frame[None], h[None], ld, es)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_visited_falls_with_snr(self):
@@ -503,7 +503,7 @@ class TestSphere:
                 n = int(rng.integers(0, 256))
                 es = 10 ** (es_db / 10)
                 frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(seed0 + 500 + t))
-                total += sphere_decode(frame[None], h[None], ld, es)[0].visited
+                total += sphere_decode(frame[None], h[None], ld, es).visited
             return total / 60
 
     # high SNR shrinks the search radius, so fewer nodes are expanded
@@ -516,18 +516,18 @@ class TestSphere:
         cb = golden_codebook(QPSK)
         h = np.zeros((2, 2, 2), dtype=complex)  # lr x lt all zero: degenerate
         y = np.zeros((2, 2), dtype=complex)
-        res = sphere_decode(y[None], h[None], ld, 1.0)[0]
-        assert res.degenerate
+        res = sphere_decode(y[None], h[None], ld, 1.0)
+        assert res.degenerate == 1
         # every word has metric 0; ties resolve to the lowest codeword index
-        np.testing.assert_array_equal(res.bits, np.zeros(8, dtype=int))
+        np.testing.assert_array_equal(res.bits[0], np.zeros(8, dtype=int))
 
     def test_rejects_underdetermined_receiver(self):
         # 1 rx antenna, 4 real unknowns per 2 real observations: need lr >= lt
         ld = golden_dispersion(QPSK)
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[0], 1, 1.0, 1.0, make_rng(11))
-        res_ok = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
-        assert res_ok.bits.shape == (8,)
+        res_ok = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
+        assert res_ok.bits.shape == (1, 8)
         with pytest.raises(InputError):
             sphere_decode(frame[None], h[None], ld, 1.0)
 
@@ -558,16 +558,16 @@ class TestSphere:
             idx = rng.integers(0, cb.size, size=24 // ld.n_uses)
             x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
             frame, h = transmit(x, 2, es, n0, make_rng(32000 + t), fdt=fdt)
-            res = sphere_decode(frame[None], h[None], ld, es)[0]
+            res = sphere_decode(frame[None], h[None], ld, es)
             bits, visited, degenerate = per_block_sphere_decode(frame, h, ld, es)
-            np.testing.assert_array_equal(res.bits, bits)
+            np.testing.assert_array_equal(res.bits[0], bits)
             assert res.visited == visited
             assert res.degenerate == degenerate
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             np.testing.assert_array_equal(res.bits, ml.bits)
             if n0 < 1.0:
                 want = patterns_to_bits(idx, cb.bits_per_codeword)
-                np.testing.assert_array_equal(res.bits, want)
+                np.testing.assert_array_equal(res.bits[0], want)
 
     def test_degenerate_block_inside_frame(self):
         ld = golden_dispersion(QPSK)
@@ -576,15 +576,15 @@ class TestSphere:
         x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
         frame, h = transmit(x, 2, 3.0, 1.0, make_rng(34), fdt=0.02)
         h[4:6] = 0.0  # block 2 of 5 sees no channel at all
-        res = sphere_decode(frame[None], h[None], ld, 3.0)[0]
-        assert res.degenerate
-        blocks = res.bits.reshape(5, 8)
+        res = sphere_decode(frame[None], h[None], ld, 3.0)
+        assert res.degenerate == 1
+        blocks = res.bits[0].reshape(5, 8)
         np.testing.assert_array_equal(blocks[2], np.zeros(8, dtype=int))
         visited = 0
         for b in range(5):
             sl = slice(2 * b, 2 * b + 2)
-            one = sphere_decode(frame[None, sl], h[None, sl], ld, 3.0)[0]
-            np.testing.assert_array_equal(blocks[b], one.bits)
+            one = sphere_decode(frame[None, sl], h[None, sl], ld, 3.0)
+            np.testing.assert_array_equal(blocks[b], one.bits[0])
             assert one.degenerate == (b == 2)
             visited += one.visited
         assert res.visited == visited
@@ -612,8 +612,8 @@ class TestAlamoutiCombiner:
         h = np.ones((2, 1, 2), dtype=complex)
         es = 8.0
         y = np.einsum("kij,jk->ki", h, np.sqrt(es) * x)
-        res = alamouti_combine(y[None], h[None], es, QPSK)[0]
-        np.testing.assert_array_equal(res.bits, [0, 0, 1, 1])
+        res = alamouti_combine(y[None], h[None], es, QPSK)
+        np.testing.assert_array_equal(res.bits[0], [0, 0, 1, 1])
 
     def test_noiseless_round_trip(self):
         rng = make_rng(13)
@@ -623,9 +623,9 @@ class TestAlamoutiCombiner:
             [encode_alamouti(syms[2 * b], syms[2 * b + 1]) for b in range(20)], axis=1
         )
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(14))
-        res = alamouti_combine(frame[None], h[None], 4.0, QPSK)[0]
+        res = alamouti_combine(frame[None], h[None], 4.0, QPSK)
         want = patterns_to_bits(patterns, 2)
-        np.testing.assert_array_equal(res.bits, want)
+        np.testing.assert_array_equal(res.bits[0], want)
 
     def test_matches_ml_noisy(self):
         cb = alamouti_codebook(QPSK)
@@ -635,8 +635,8 @@ class TestAlamoutiCombiner:
                 n = int(rng.integers(0, 16))
                 es = 10 ** (rng.uniform(-2, 15) / 10)
                 frame, h = transmit(cb.codewords[n], lr, es, 1.0, make_rng(95000 + 1000 * lr + t))
-                cm = alamouti_combine(frame[None], h[None], es, QPSK)[0]
-                ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+                cm = alamouti_combine(frame[None], h[None], es, QPSK)
+                ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
                 np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_sixteen_qam_matches_ml(self):
@@ -646,8 +646,8 @@ class TestAlamoutiCombiner:
             n = int(rng.integers(0, 256))
             es = 10 ** (rng.uniform(0, 18) / 10)
             frame, h = transmit(cb.codewords[n], 2, es, 1.0, make_rng(120000 + t))
-            cm = alamouti_combine(frame[None], h[None], es, QAM16)[0]
-            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)[0]
+            cm = alamouti_combine(frame[None], h[None], es, QAM16)
+            ml = ml_exhaustive_blocks(frame[None], h[None], cb, es)
             np.testing.assert_array_equal(cm.bits, ml.bits)
 
     def test_nonstatic_block_combines_first_use_channel(self):
@@ -656,16 +656,16 @@ class TestAlamoutiCombiner:
         h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
         assert not np.array_equal(h[0], h[1])
         frame = apply_channel(x[None], h[None], 1.0, [make_rng(16)])[0]
-        res = alamouti_combine(frame[None], h[None], 1.0, QPSK)[0]
-        first = alamouti_combine(frame[None], h[None, [0, 0]], 1.0, QPSK)[0]
+        res = alamouti_combine(frame[None], h[None], 1.0, QPSK)
+        first = alamouti_combine(frame[None], h[None, [0, 0]], 1.0, QPSK)
         np.testing.assert_array_equal(res.bits, first.bits)
 
     def test_zero_channel_flags_degenerate(self):
         y = np.zeros((2, 1), dtype=complex)
         h = np.zeros((2, 1, 2), dtype=complex)
-        res = alamouti_combine(y[None], h[None], 1.0, QPSK)[0]
-        assert res.degenerate
-        np.testing.assert_array_equal(res.bits, [0, 0, 0, 0])
+        res = alamouti_combine(y[None], h[None], 1.0, QPSK)
+        assert res.degenerate == 1
+        np.testing.assert_array_equal(res.bits[0], [0, 0, 0, 0])
 
     def test_odd_frame_rejected(self):
         y = np.zeros((3, 1), dtype=complex)
@@ -679,14 +679,15 @@ class TestCrossDecoderConsistency:
         # scaling y and sqrt(es) together leaves decisions unchanged
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[17], 2, 1.0, 1.0, make_rng(17))
-        a = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)[0]
-        b = ml_exhaustive_blocks((2.0 * frame)[None], h[None], cb, 4.0)[0]
+        a = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
+        b = ml_exhaustive_blocks((2.0 * frame)[None], h[None], cb, 4.0)
         np.testing.assert_array_equal(a.bits, b.bits)
 
 
 class TestFrameBatches:
-    """A batch of frames decodes to one result per frame, each equal in
-    bits, visits and degeneracy to decoding that frame in a batch of one."""
+    """A batch of frames decodes to one result: row f of its bits is frame f
+    decoded in a batch of one, and its visits and degenerate count are the
+    sums over those one-frame decodes."""
 
     TRELLIS = load_packaged_trellis()
     PATHS = trellis_path_codebook(TRELLIS, 3)
@@ -711,11 +712,15 @@ class TestFrameBatches:
         h[3] = 0.0  # a degenerate frame among regular ones
         y = 2.0 * (rng.standard_normal((5, n, 2)) + 1j * rng.standard_normal((5, n, 2)))
         batch = decode(y, h)
-        assert len(batch) == 5
-        for f, got in enumerate(batch):
-            want = decode(y[f : f + 1], h[f : f + 1])[0]
-            np.testing.assert_array_equal(got.bits, want.bits)
-            assert (got.visited, got.degenerate) == (want.visited, want.degenerate)
+        alone = [decode(y[f : f + 1], h[f : f + 1]) for f in range(5)]
+        assert batch.bits.shape[0] == 5
+        for got, want in zip(batch.bits, alone):
+            np.testing.assert_array_equal(got, want.bits[0])
+        assert batch.visited == sum(a.visited for a in alone)
+        assert batch.degenerate == sum(a.degenerate for a in alone)
+        assert (type(batch.visited), type(batch.degenerate)) == (int, int)
+        if name in ("combiner", "sphere-golden"):
+            assert batch.degenerate == 1  # frame 3's zero channel
 
     ONE_FRAME = {
         "ml_exhaustive_blocks": lambda: ml_exhaustive_blocks(

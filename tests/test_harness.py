@@ -24,6 +24,7 @@ from stclab.harness import (
     CSV_COLUMNS,
     FRAME_CHANNEL_CAP,
     PILOT_DESIGN_CAP,
+    WORKER_CAP,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -230,6 +231,16 @@ class TestConfigParsing:
             SweepConfig(code="spatial_multiplex", ebn0_db=(1.0,), **{key: ANTENNA_CAP + 1})
         assert exc.value.key == key
 
+    def test_worker_cap(self, monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(harness.concurrent.futures, "ThreadPoolExecutor", no_pool)
+        SweepConfig(code="alamouti", ebn0_db=(1.0,), workers=WORKER_CAP)
+        with pytest.raises(InputError) as exc:
+            SweepConfig(code="alamouti", ebn0_db=(1.0,), workers=WORKER_CAP + 1)
+        assert exc.value.key == "workers"
+
     def test_frame_channel_cap(self):
         # the cap counts frame_uses x lr x lt, whichever factor grows
         uses = FRAME_CHANNEL_CAP // 8
@@ -394,9 +405,9 @@ class TestBuildSetup:
         y = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
         h = rng.standard_normal((10, 2, 2)) + 1j * rng.standard_normal((10, 2, 2))
         h[4:6] = 0.0
-        res = setup.decode(y[None], h[None], es=2.0)[0]
-        assert res.degenerate
-        np.testing.assert_array_equal(res.bits[16:24], np.zeros(8, dtype=int))
+        res = setup.decode(y[None], h[None], es=2.0)
+        assert res.degenerate == 1
+        np.testing.assert_array_equal(res.bits[0, 16:24], np.zeros(8, dtype=int))
 
     def test_odd_data_span_rejected(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=61)
@@ -608,7 +619,8 @@ def old_simulate_frame(setup, si, fi, es):
 
     It builds its own codebook or trellis and calls the decoders itself, so
     the sweep's bound encoder and decoder are checked against it; only the
-    pilot map and interpolator come from the setup.
+    pilot map and interpolator come from the setup.  Returns the frame's
+    (bit_errors, decoder_nodes).
     """
     cfg = setup.cfg
     ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(si, fi))
@@ -650,20 +662,19 @@ def old_simulate_frame(setup, si, fi, es):
         y_data = y
         h_data = h
     if cfg.decoder == "viterbi":
-        res = viterbi_decode(y_data[None], h_data[None], trellis, es)[0]
+        res = viterbi_decode(y_data[None], h_data[None], trellis, es)
     elif cfg.decoder == "combiner":
-        res = alamouti_combine(y_data[None], h_data[None], es, c)[0]
+        res = alamouti_combine(y_data[None], h_data[None], es, c)
     elif cfg.decoder == "sphere":
         disp = (
             golden_dispersion(c)
             if cfg.code == "golden"
             else spatial_multiplex_dispersion(c)
         )
-        res = sphere_decode(y_data[None], h_data[None], disp, es)[0]
+        res = sphere_decode(y_data[None], h_data[None], disp, es)
     else:
-        res = ml_exhaustive_blocks(y_data[None], h_data[None], cb, es)[0]
-    bit_errors = int(np.count_nonzero(res.bits != bits))
-    return bit_errors > 0, bit_errors, setup.info_bits, res.visited
+        res = ml_exhaustive_blocks(y_data[None], h_data[None], cb, es)
+    return int(np.count_nonzero(res.bits[0] != bits)), res.visited
 
 
 def serial_sweep(cfg):
@@ -674,10 +685,10 @@ def serial_sweep(cfg):
         es = _es_for(setup, ebn0)
         frames = errors = bits = bit_errors = nodes = 0
         for fi in range(cfg.max_frames):
-            fe, be, nb, nv = old_simulate_frame(setup, si, fi, es)
+            be, nv = old_simulate_frame(setup, si, fi, es)
             frames += 1
-            errors += int(fe)
-            bits += nb
+            errors += int(be > 0)
+            bits += setup.info_bits
             bit_errors += be
             nodes += nv
             if errors >= cfg.min_frame_errors:
@@ -742,10 +753,13 @@ class TestFrameBatches:
         for si, ebn0 in enumerate(setup.cfg.ebn0_db):
             es = _es_for(setup, ebn0)
             want = [old_simulate_frame(setup, si, fi, es) for fi in range(9)]
-            got = simulate_frames(setup, si, range(9), es)
-            assert got == want
+            errs, nodes = simulate_frames(setup, si, range(9), es)
+            assert errs.tolist() == [be for be, _ in want]
+            assert nodes == sum(nv for _, nv in want)
             assert simulate_frame(setup, si, 4, es) == want[4]
-            assert simulate_frames(setup, si, [7, 2], es) == [want[7], want[2]]
+            errs, nodes = simulate_frames(setup, si, [7, 2], es)
+            assert errs.tolist() == [want[7][0], want[2][0]]
+            assert nodes == want[7][1] + want[2][1]
 
     @pytest.mark.parametrize("channel", ["perfect-static", "pilot-clarke"])
     @pytest.mark.parametrize("code, decoder, lr", PAIRS)
