@@ -5,9 +5,10 @@ All decoders minimize the same word metric
     sum_k || Y(k) - sqrt(Es) H(k) x(k) ||^2
 
 over their codeword set: exhaustive search for block codebooks, a
-full-frame Viterbi pass for trellis codes, depth-first sphere decoding for
-linear-dispersion codes, and the orthogonal fast combiner for Alamouti
-blocks.  The metric of the decided word stays inside the decoder.
+full-frame Viterbi pass for trellis codes, depth-first sphere decoding of
+all the blocks of a batch in lockstep for linear-dispersion codes, and the
+orthogonal fast combiner for Alamouti blocks.  The metric of the decided
+word stays inside the decoder.
 
 Every decoder takes a batch of frames, ``y`` (frames, n_uses, lr) and ``h``
 (frames, n_uses, lr, lt), and returns one DecodeResult for the batch: the
@@ -285,50 +286,75 @@ def _dispersion_system(yv, h, code: LinearDispersionCode, es):
     return yr, gr
 
 
-def _sphere_search(z, r, levels):
-    """Depth-first closest-first search of one triangular system.
+def _lockstep_search(z, r, levels):
+    """Depth-first closest-first search of many triangular systems at once.
 
-    ``z`` and the rows of the upper-triangular ``r`` are lists of Python
-    floats, searched from the last dimension down with the Babai point as
-    the first leaf.  Children are tried closest-first (a stable sort, so
-    equidistant levels keep ascending order) and a child whose cost is not
-    strictly below the best leaf ends its sibling loop.  Returns the
-    closest point as a list and the number of nodes visited.
+    ``z`` is (nb, d) and ``r`` the (nb, d, d) upper-triangular systems.
+    Each block searches from the last dimension down with the Babai point
+    as the first leaf.  Children are tried closest-first (a stable sort,
+    so equidistant levels keep ascending order) and a child whose cost is
+    not strictly below the best leaf ends its sibling loop.  Each pass of
+    the loop advances every unfinished block by one node: it visits a
+    child, which is pruned (the block returns a level up), descends or
+    records a leaf, or finds its children used up and returns a level up.
+    Returns the closest points (nb, d) and each block's visited nodes.
 
-    Each residual's partial dot accumulates in index order.  Where numpy's
-    dot fuses each multiply-add (FMA hardware) a residual can differ from
-    it in the last bit, which can move a decision or a visit count only
-    at a tie to within that bit.
+    Each residual's partial dot accumulates in index order; numpy's dot
+    may fuse each multiply-add (FMA hardware) and differ in the last bit.
+    Squares are correctly rounded, where Python's ``x ** 2`` (C pow, glibc
+    2.36) is a bit off for about one random square in 1,200.  Either can
+    move a decision or a visit count only at a tie to within that bit.
     """
-    d = len(z)
-    v = [0.0] * d
-    best_cost = math.inf
-    best_v = None
-    visited = 0
+    nb, d = z.shape
+    n_lv = levels.size
+    rs = np.triu(r, 1).reshape(nb * d, d)
+    rd = np.diagonal(r, axis1=1, axis2=2).reshape(-1, 1)
+    zf = z.reshape(-1, 1)
+    v, best_v = np.zeros((nb, d)), np.zeros((nb, d))
+    vf = v.reshape(-1)
+    visited = np.zeros(nb, dtype=int)
+    # per node (block, level): its children closest-first, their costs and
+    # the next one to try; the extra last column costs inf, so a block
+    # whose children are used up returns a level up
+    kids = np.zeros((nb * d, n_lv + 1))
+    costs = np.full((nb * d, n_lv + 1), np.inf)
+    pos = np.zeros(nb * d, dtype=int)
 
-    def expand(i, above):
-        nonlocal best_cost, best_v, visited
-        row = r[i]
-        acc = 0.0
-        for j in range(i + 1, d):
-            acc += row[j] * v[j]
-        resid = z[i] - acc
-        rd = row[i]
-        center = resid / rd
-        for s in sorted(levels, key=lambda s: abs(s - center)):
-            visited += 1
-            cost = above + (resid - rd * s) ** 2
-            if not cost < best_cost:
-                # children are sorted by distance, so siblings only get worse
-                return
-            v[i] = s
-            if i:
-                expand(i - 1, cost)
-            else:
-                best_cost = cost
-                best_v = v.copy()
+    def expand(b, k, above):
+        resid, rdk = zf[k] - (rs[k] * v[b]).cumsum(axis=1)[:, -1:], rd[k]
+        order = np.abs(levels - resid / rdk).argsort(axis=1, kind="stable")
+        kids[k, :n_lv] = s = levels[order]
+        costs[k, :n_lv] = above + (resid - rdk * s) ** 2
+        pos[k] = 0
 
-    expand(d - 1, 0.0)
+    # the unfinished blocks, their levels, nodes, visits and best leaf costs
+    act = np.arange(nb)
+    lev = np.full(nb, d - 1)
+    node = act * d + lev
+    vis, best = np.zeros(nb, dtype=int), np.full(nb, np.inf)
+    expand(act, node, np.zeros((nb, 1)))
+    while act.size:
+        p = pos[node]
+        cost = costs[node, p]
+        vis += p < n_lv
+        pos[node] = p + 1
+        go = cost < best
+        leaf = go & (lev == 0)
+        down = go ^ leaf
+        g = node[go]
+        vf[g] = kids[g, p[go]]
+        if leaf.any():
+            best[leaf] = cost[leaf]
+            best_v[act[leaf]] = v[act[leaf]]
+        # a prune or a used-up node moves its block one level up, a descent down
+        step = 1 - go - down
+        lev += step
+        node += step
+        expand(act[down], node[down], cost[down, None])
+        live = lev < d
+        if not live.all():
+            visited[act[~live]] = vis[~live]
+            act, lev, node, vis, best = act[live], lev[live], node[live], vis[live], best[live]
     return best_v, visited
 
 
@@ -339,7 +365,8 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     vectorized into y_eff = G s + n, expanded to a real lattice and
     searched depth-first in closest-first child order with the Babai point
     as the initial radius.  The lattice algebra runs once for the whole
-    batch (one einsum, one stacked QR); only the search runs per block.
+    batch (one einsum, one stacked QR), and one lockstep search covers
+    every block whose lattice is not degenerate.
     Requires lr >= lt so the lattice has full column rank; a block with a
     degenerate channel falls back to an exhaustive scan of the product set
     (ties to the lowest codeword index) and counts its frame as degenerate.
@@ -377,14 +404,11 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     z = signs * (q.transpose(0, 2, 1) @ yr[:, :, None])[:, :, 0]
     rdiag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     degenerate = rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0)
-    lv = levels.tolist()
-    v = np.empty((yr.shape[0], d))
-    visited = np.empty(yr.shape[0], dtype=int)
-    for b in range(yr.shape[0]):
-        if degenerate[b]:
-            v[b], visited[b] = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
-        else:
-            v[b], visited[b] = _sphere_search(z[b].tolist(), r[b].tolist(), lv)
+    v, visited = np.empty((yr.shape[0], d)), np.empty(yr.shape[0], dtype=int)
+    ok = ~degenerate
+    v[ok], visited[ok] = _lockstep_search(z[ok], r[ok], levels)
+    for b in np.flatnonzero(degenerate):
+        v[b], visited[b] = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
     patterns = table[idx[:, :m], idx[:, m:]].reshape(n_frames, -1)
     return DecodeResult(

@@ -2,14 +2,17 @@
 Alamouti combiner.  The exhaustive search is the reference the others must
 match decision-for-decision."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stclab import demod
-from stclab.channel import apply_channel, generate_fading
+from stclab.channel import apply_channel, generate_fading, spatial_correlation
 from stclab.demod import (
     alamouti_combine,
     ml_exhaustive_blocks,
@@ -65,7 +68,7 @@ def per_block_sphere_decode(y, h, code, es):
     u = code.n_uses
     c = code.constellation
     reals = np.unique(np.round(c.points.real, 12))
-    table = {}
+    table = np.full((reals.size, reals.size), -1)
     for pattern in range(c.size):
         pt = c.points[pattern]
         i_re = int(np.argmin(np.abs(reals - pt.real)))
@@ -139,9 +142,60 @@ def _per_block_search(yr, gr, levels, d):
     return best_v, visited
 
 
-def transmit(x, lr, es, n0, rng, fdt=0.0):
+def _sphere_search(z, r, levels):
+    """Depth-first closest-first search of one triangular system.
+
+    The Python recursion that ``demod._lockstep_search`` replaced, kept
+    here as its block-by-block reference.
+
+    ``z`` and the rows of the upper-triangular ``r`` are lists of Python
+    floats, searched from the last dimension down with the Babai point as
+    the first leaf.  Children are tried closest-first (a stable sort, so
+    equidistant levels keep ascending order) and a child whose cost is not
+    strictly below the best leaf ends its sibling loop.  Returns the
+    closest point as a list and the number of nodes visited.
+
+    Each residual's partial dot accumulates in index order.  Where numpy's
+    dot fuses each multiply-add (FMA hardware) a residual can differ from
+    it in the last bit, which can move a decision or a visit count only
+    at a tie to within that bit.
+    """
+    d = len(z)
+    v = [0.0] * d
+    best_cost = math.inf
+    best_v = None
+    visited = 0
+
+    def expand(i, above):
+        nonlocal best_cost, best_v, visited
+        row = r[i]
+        acc = 0.0
+        for j in range(i + 1, d):
+            acc += row[j] * v[j]
+        resid = z[i] - acc
+        rd = row[i]
+        center = resid / rd
+        for s in sorted(levels, key=lambda s: abs(s - center)):
+            visited += 1
+            cost = above + (resid - rd * s) ** 2
+            if not cost < best_cost:
+                # children are sorted by distance, so siblings only get worse
+                return
+            v[i] = s
+            if i:
+                expand(i - 1, cost)
+            else:
+                best_cost = cost
+                best_v = v.copy()
+
+    expand(d - 1, 0.0)
+    return best_v, visited
+
+
+def transmit(x, lr, es, n0, rng, fdt=0.0, geometry="white"):
     lt = x.shape[0]
-    h = generate_fading(x.shape[1], fdt, np.eye(lt), np.eye(lr), rng)
+    rtx, rrx = spatial_correlation(geometry, lt), spatial_correlation(geometry, lr)
+    h = generate_fading(x.shape[1], fdt, rtx, rrx, rng)
     frame = apply_channel(x[None], h[None], es, [rng], n0=n0)[0]
     return frame, h
 
@@ -589,6 +643,47 @@ class TestSphere:
             visited += one.visited
         assert res.visited == visited
 
+    MIXED = {
+        "golden_16qam_compact_pair": lambda: (golden_dispersion(QAM16), 2, "0,0; 0.05,0"),
+        "spatial_multiplex_16qam_3x3": lambda: (
+            spatial_multiplex_dispersion(QAM16, lt=3), 3, "white"
+        ),
+    }
+
+    @pytest.mark.parametrize("snr_db", [0.0, 12.0])
+    @pytest.mark.parametrize("name", sorted(MIXED))
+    def test_mixed_depth_batch_matches_per_block_decoder(self, name, snr_db, monkeypatch):
+        # the blocks of one batch finish far apart: golden 16QAM at 0 dB
+        # visits 20,026 nodes in its deepest block and 2,339 on average
+        ld, lr, geometry = self.MIXED[name]()
+        c = ld.constellation
+        es = 10 ** (snr_db / 10)
+        idx = make_rng(37).integers(0, c.size, size=(20, 4, ld.n_syms))
+        x = np.einsum("fbm,mjk->fjbk", c.points[idx], ld.basis)
+        sent = [
+            transmit(xf.reshape(xf.shape[0], -1), lr, es, 1e-20 if f == 7 else 1.0,
+                     make_rng(3800 + f), geometry=geometry)
+            for f, xf in enumerate(x)
+        ]
+        y = np.array([frame for frame, _ in sent])
+        h = np.array([hf for _, hf in sent])
+        h[3, : ld.n_uses] = 0.0  # frame 3's first block sees no channel
+        searches = []
+        search = demod._lockstep_search
+        monkeypatch.setattr(
+            demod, "_lockstep_search", lambda *a: searches.append(search(*a)) or searches[-1]
+        )
+        res = sphere_decode(y, h, ld, es)
+        # the searched blocks' visits, with the full scan of frame 3's first block
+        nodes = np.insert(searches[0][1], 3 * 4, c.size**ld.n_syms).reshape(20, 4)
+        for f in range(20):
+            bits, visited, degenerate = per_block_sphere_decode(y[f], h[f], ld, es)
+            np.testing.assert_array_equal(res.bits[f], bits)
+            assert (nodes[f].sum(), degenerate) == (visited, f == 3)
+        assert (res.visited, res.degenerate) == (nodes.sum(), 1)
+        want = patterns_to_bits(idx[7].reshape(-1), c.bits_per_symbol)
+        np.testing.assert_array_equal(res.bits[7], want)  # the noise-free frame
+
     def test_frame_length_must_hold_whole_words(self):
         ld = golden_dispersion(QPSK)
         frame, h = transmit(np.ones((2, 3), dtype=complex), 2, 1.0, 1.0, make_rng(35))
@@ -602,6 +697,79 @@ class TestSphere:
         frame, h = transmit(x, 1, 1.0, 1.0, make_rng(36))
         with pytest.raises(InputError):
             sphere_decode(frame[None], h[None], ld, 1.0)
+
+
+LATTICE_LEVELS = {
+    "qpsk": demod._axis_levels(QPSK)[0],
+    "16qam": demod._axis_levels(QAM16)[0],
+    "qpsk_integer": np.array([-1.0, 1.0]),
+    "16qam_integer": np.array([-3.0, -1.0, 1.0, 3.0]),
+}
+
+
+@st.composite
+def triangular_systems(draw):
+    """A batch of small upper-triangular systems whose centers often sit on
+    a level or halfway between two, so that children and leaves tie."""
+    levels = LATTICE_LEVELS[draw(st.sampled_from(sorted(LATTICE_LEVELS)))]
+    half = levels[-1] / (levels.size - 1)  # half the level spacing
+    nb, d = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+
+    def values(elements, n):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    off = values(st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0]), nb * d * d)
+    diag = values(st.sampled_from([0.5, 1.0, 2.0]), nb * d)
+    r = np.triu(off.reshape(nb, d, d), 1) + diag.reshape(nb, d)[:, :, None] * np.eye(d)
+    z = half * values(st.integers(-6, 6), nb * d).reshape(nb, d)
+    return z, r, levels
+
+
+class TestLockstepSearch:
+    """The batch search visits what the scalar recursion visits, block by
+    block: closest-first children in a stable order (equidistant levels
+    ascending), and a child whose cost is not strictly below the best leaf
+    ends its sibling loop."""
+
+    @staticmethod
+    def assert_matches_scalar(z, r, levels):
+        v, visited = demod._lockstep_search(z, r, levels)
+        for b in range(z.shape[0]):
+            want_v, want_visited = _sphere_search(z[b].tolist(), r[b].tolist(), levels.tolist())
+            np.testing.assert_array_equal(v[b], want_v)
+            assert visited[b] == want_visited
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_LEVELS))
+    def test_hand_built_ties(self, name):
+        levels = LATTICE_LEVELS[name]
+        mid = (levels[0] + levels[1]) / 2  # halfway between the two lowest levels
+        for d in (2, 3, 5):
+            eye, ones = np.eye(d), np.triu(np.ones((d, d)))
+            # every center halfway: both children and all leaves tie
+            self.assert_matches_scalar(np.zeros((1, d)), eye[None], levels)
+            self.assert_matches_scalar(np.full((1, d), mid), eye[None], levels)
+            # off-diagonal feedback: the first leaf and later siblings tie
+            self.assert_matches_scalar(np.zeros((1, d)), ones[None], levels)
+            self.assert_matches_scalar(np.full((1, d), mid), 2.0 * ones[None], levels)
+        # d = 2 on identity with both centers at 0, a the smallest positive level:
+        # the first leaf v = (-a, -a) costs 2a^2; the tied sibling v[0] = +a
+        # and the later leaf v = (-a, +a) cost the same, so both are visited
+        # and pruned: 5 visits, one more (v[1] = -3a, pruned) with 4 levels
+        v, visited = demod._lockstep_search(np.zeros((1, 2)), np.eye(2)[None], levels)
+        np.testing.assert_array_equal(v[0], levels[levels.size // 2 - 1])
+        assert visited[0] == (5 if levels.size == 2 else 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(triangular_systems())
+    def test_drawn_systems_match_scalar_search(self, system):
+        self.assert_matches_scalar(*system)
+
+    def test_random_batch_matches_scalar_search(self):
+        rng = make_rng(41)
+        for levels in (LATTICE_LEVELS["qpsk"], LATTICE_LEVELS["16qam"]):
+            _, r = np.linalg.qr(rng.standard_normal((30, 10, 6)))
+            r *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, :, None]  # positive diagonal
+            self.assert_matches_scalar(2.0 * rng.standard_normal((30, 6)), r, levels)
 
 
 class TestAlamoutiCombiner:
