@@ -29,11 +29,17 @@ noise generators from SeedSequence(seed, spawn_key=(snr_index,
 frame_index, k)) for k = 0, 1, 2 (the children SeedSequence(seed,
 spawn_key=(snr_index, frame_index)).spawn(3) would give), so the output
 is byte-identical for any batch size and worker count, and
-:func:`simulate_frame` replays any single frame in isolation.
+:func:`simulate_frame` replays any single frame in isolation.  No
+SeedSequence is built per frame: :func:`_frame_generators` runs numpy's
+SeedSequence hash itself, with the part shared by every frame of a grid
+point cached per (seed, point), and seeds each PCG64 with the same state
+words; ``tests/test_harness.py`` pins every stream against numpy's.
 """
 
 import concurrent.futures
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -373,10 +379,82 @@ def build_setup(cfg: SweepConfig):
     return setup
 
 
-def _frame_generators(seed, si, fi):
-    """The bit, fading and noise generators of frame (si, fi)."""
-    keys = [np.random.SeedSequence(seed, spawn_key=(si, fi, k)) for k in range(3)]
-    return [np.random.Generator(np.random.PCG64(key)) for key in keys]
+# numpy's SeedSequence hash, on 32-bit words
+_M32 = 0xFFFFFFFF
+
+
+def _hash_steps(init, mult, start, n):
+    """Hash steps start to start + n - 1 as (xor, multiply) pairs: step i
+    xors with init * mult**i and multiplies by init * mult**(i + 1)."""
+    c = [init * pow(mult, i, 1 << 32) & _M32 for i in range(start, start + n + 1)]
+    return list(zip(c, c[1:]))
+
+
+def _hashmix(v, step):
+    v = (v ^ step[0]) * step[1] & _M32
+    return v ^ v >> 16
+
+
+def _mix(a, b):
+    r = (0xCA01F9DD * a - 0x4973F715 * b) & _M32
+    return r ^ r >> 16
+
+
+def _words(n):
+    """The 32-bit words SeedSequence reads from an int, low word first."""
+    n = operator.index(n)
+    if n < 0:
+        raise InputError("seeds and indices must be >= 0")
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.lru_cache(maxsize=64)
+def _point_hash(seed, si, n_fi_words):
+    """What the streams of every frame at grid point si whose index has
+    n_fi_words words share: the pool after the seed (padded to four words)
+    and si, the hash steps that mix each frame-index word into each pool
+    word, and each stream number k hashed for its last mix.  A step
+    depends only on its position, four per entropy word before it."""
+    done = 4 * (max(len(_words(seed)), 4) + len(_words(si)))
+    steps = _hash_steps(0x43B0D7E5, 0x931E8875, done, 4 * n_fi_words + 4)
+    k_words = np.array([[_hashmix(k, s) for s in steps[-4:]] for k in range(3)], np.uint64)
+    k_words.flags.writeable = False
+    pool = np.random.SeedSequence(seed, spawn_key=(si,)).pool
+    return tuple(map(int, pool)), tuple(steps[:-4]), k_words
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """Gives PCG64 precomputed state words in place of a SeedSequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+# generate_state(4, uint64) hashes pool word i % 4 into 32-bit word i
+_STATE_STEPS = np.array(_hash_steps(0x8B51F9DD, 0x58F38DED, 0, 8), dtype=np.uint64).T
+
+
+def _frame_generators(seed, si, frame_indices):
+    """Each frame's bit, fading and noise generators, bit for bit those of
+    Generator(PCG64(SeedSequence(seed, spawn_key=(si, fi, k)))), k = 0, 1, 2.
+    The frame index is mixed in per frame, k and the state words per batch."""
+    pools, k_words = [], []
+    for fi in frame_indices:
+        words = _words(fi)
+        pool, steps, kw = _point_hash(seed, si, len(words))
+        pool = list(pool)
+        for j, step in enumerate(steps):
+            pool[j & 3] = _mix(pool[j & 3], _hashmix(words[j >> 2], step))
+        pools.append(pool)
+        k_words.append(kw)
+    pools = _mix(np.array(pools, dtype=np.uint64)[:, None], np.array(k_words))
+    out = _hashmix(pools[..., [0, 1, 2, 3] * 2], _STATE_STEPS)
+    # PCG64 reads its four words from each row's memory
+    state = np.ascontiguousarray(out[..., 0::2] | out[..., 1::2] << 32)
+    return [[np.random.Generator(np.random.PCG64(_StateWords(w))) for w in f] for f in state]
 
 
 def simulate_frames(setup, si, frame_indices, es):
@@ -387,7 +465,7 @@ def simulate_frames(setup, si, frame_indices, es):
     count.
     """
     cfg, pmap = setup.cfg, setup.pmap
-    gens = [_frame_generators(cfg.seed, si, fi) for fi in frame_indices]
+    gens = _frame_generators(cfg.seed, si, frame_indices)
     bits = np.array([g[0].integers(0, 2, size=setup.info_bits) for g in gens])
     x = setup.encode(bits)
     nf = cfg.frame_uses

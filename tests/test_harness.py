@@ -831,3 +831,29 @@ class TestFrameBatches:
         rows = run_sweep(replace(cfg, workers=workers)).rows
         assert len(shapes) == sum(r.frames for r in rows) > 0
         assert set(shapes) == {(cfg.frame_uses, cfg.lr, cfg.lt)}
+
+
+class TestFrameStreams:
+    """The frame generators, derived from a per-point hash, against
+    numpy's own SeedSequence streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7])
+    def test_generators_equal_seed_sequence_streams(self, seed):
+        # one- and two-word frame indices in one batch
+        fis = [0, 15, 2**32 - 1, 2**32 + 3]
+        for si in (0, 7, 2**32 + 1):
+            for fi, gens in zip(fis, harness._frame_generators(seed, si, fis)):
+                for k, g in enumerate(gens):
+                    ss = np.random.SeedSequence(seed, spawn_key=(si, fi, k))
+                    assert g.bit_generator.state == np.random.PCG64(ss).state
+
+    def test_one_frame_batch_equals_sixteen_frame_batch(self):
+        batch = harness._frame_generators(29, 2, range(16))
+        for fi in (0, 9, 15):
+            (alone,) = harness._frame_generators(29, 2, [fi])
+            want = [g.bit_generator.state for g in batch[fi]]
+            assert [g.bit_generator.state for g in alone] == want
+
+    def test_negative_frame_index_refused(self):
+        with pytest.raises(InputError):
+            harness._frame_generators(0, 0, [-1])
