@@ -23,7 +23,7 @@ from .designmetrics import (
     trellis_error_events,
 )
 from .errors import InputError, NumericError
-from .harness import FAMILIES, parse_config, run_sweep
+from .harness import FAMILIES, csv_cell, parse_config, run_sweep
 from .mathcore import CONSTELLATIONS
 from .stcodes import load_packaged_trellis, load_trellis
 
@@ -112,7 +112,7 @@ def _cmd_metrics(args):
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_header + "\n")
             for row in rows_for_csv:
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+                fh.write(",".join(map(csv_cell, row)) + "\n")
     return EXIT_OK
 
 

@@ -229,20 +229,20 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+def csv_cell(v):
+    """A CSV cell: the repr of a float (numpy floats included), else str."""
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
 
     def to_csv(self):
-        """Header, then one line per row: counts as integers, the other
-        columns as the repr of a float."""
+        """Header, then one line of :func:`csv_cell` cells per row."""
         lines = [",".join(CSV_COLUMNS)]
         for r in self.rows:
-            cells = []
-            for f in fields(r):
-                v = getattr(r, f.name)
-                cells.append(str(int(v)) if f.type is int else repr(float(v)))
-            lines.append(",".join(cells))
+            lines.append(",".join(csv_cell(getattr(r, k)) for k in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 

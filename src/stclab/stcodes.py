@@ -6,12 +6,15 @@ over antennas averages 1 per channel use across a uniform codebook, which
 keeps code comparisons at fixed total radiated power.
 
 Block codes: Alamouti (orthogonal, 2 antennas), the golden code (full rate,
-full diversity, 2 antennas) and plain spatial multiplexing.  Trellis codes
-are loaded from a small line-oriented definition format; see
-:func:`load_trellis`.
+full diversity, 2 antennas) and plain spatial multiplexing.  Each has one
+batch encoder; its codebook and dispersion basis are that encoder applied
+to every point tuple and to the unit symbol vectors.  Trellis codes are
+loaded from a small line-oriented definition format (see
+:func:`load_trellis`); frames and path codebooks share one stepper.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,35 +40,58 @@ DUPLICATE_SLICE_ELEMENTS = 2**18
 
 
 def encode_alamouti(s1, s2):
-    """Alamouti codeword [[s1, -s2*], [s2, s1*]] / sqrt(2)."""
-    return np.array(
-        [[s1, -np.conj(s2)], [s2, np.conj(s1)]], dtype=complex
-    ) / np.sqrt(2.0)
+    """Alamouti codeword [[s1, -s2*], [s2, s1*]] / sqrt(2); symbols of
+    shape (...) give words (..., 2, 2)."""
+    x = np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]], dtype=complex)
+    return np.moveaxis(x, (0, 1), (-2, -1)) / np.sqrt(2.0)
+
+
+def _cmul(ar, ai, br, bi):
+    """Complex product on split parts, rounded like Python's scalar product.
+
+    Numpy's complex-array multiply may fuse the multiply-add, which moves
+    some golden-code entries by one ulp against Python's complex scalars.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def encode_golden(s):
-    """Golden codeword for four symbols s = (s1, s2, s3, s4)."""
-    s1, s2, s3, s4 = (complex(v) for v in s)
+    """Golden codewords (..., 2, 2) of symbols s (..., 4) = (s1, s2, s3, s4):
+    [[a(s1 + s2 th), a(s3 + s4 th)], [i ab(s3 + s4 tb), ab(s1 + s2 tb)]]
+    times ``GOLDEN_SCALE``, on split parts so that each entry rounds as it
+    does in Python's complex scalars."""
+    s = np.asarray(s, dtype=complex)
+    if s.shape[-1:] != (4,):
+        raise InputError(f"symbols {s.shape} must be a (..., 4) array")
+    sr, si = s.real, s.imag
+
+    def entry(factor, m, t):
+        # factor * (s_m + s_{m+1} * t), in the scalar formula's operation order
+        pr, pi = _cmul(sr[..., m + 1], si[..., m + 1], t, 0.0)
+        return _cmul(factor.real, factor.imag, sr[..., m] + pr, si[..., m] + pi)
+
     th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
     a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
-    x = np.array(
-        [
-            [a * (s1 + s2 * th), a * (s3 + s4 * th)],
-            [1j * ab * (s3 + s4 * tb), ab * (s1 + s2 * tb)],
-        ],
-        dtype=complex,
-    )
-    return GOLDEN_SCALE * x
+    parts = [
+        entry(a, 0, th), entry(a, 2, th), entry(1j * ab, 2, tb), entry(ab, 0, tb)
+    ]
+    x = np.empty(s.shape[:-1] + (2, 2), dtype=complex)
+    for n, (re, im) in enumerate(parts):  # row-major entries
+        x.real[..., n // 2, n % 2] = GOLDEN_SCALE * re
+        x.imag[..., n // 2, n % 2] = GOLDEN_SCALE * im
+    return x
 
 
 def encode_spatial_multiplex(symbols, lt):
-    """Fill symbols column-wise, lt per channel use, scaled 1/sqrt(lt)."""
+    """Fill symbols column-wise, lt per channel use, scaled 1/sqrt(lt);
+    symbols (..., n) give words (..., lt, n / lt)."""
     symbols = np.asarray(symbols, dtype=complex)
-    if symbols.ndim != 1 or symbols.size % lt:
+    if symbols.ndim == 0 or symbols.shape[-1] % lt:
         raise InputError(
-            f"symbol count {symbols.size} is not divisible by lt={lt}"
+            f"symbols {symbols.shape} are not (..., n) with n divisible by lt={lt}"
         )
-    return symbols.reshape(-1, lt).T / np.sqrt(lt)
+    words = symbols.reshape(symbols.shape[:-1] + (-1, lt))
+    return words.swapaxes(-1, -2) / np.sqrt(lt)
 
 
 def rounded_row_bytes(rows):
@@ -173,54 +199,37 @@ def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
     return (index[:, None] // c.size ** np.arange(n_syms - 1, -1, -1)) % c.size
 
 
-def alamouti_codebook(c: Constellation):
-    patterns = _enumerate_symbol_tuples(c, 2)
-    words = encode_alamouti(*c.points[patterns.T]).transpose(2, 0, 1)
-    return BlockCodebook("alamouti", words, 2 * c.bits_per_symbol)
+def _block_codebook(name, c: Constellation, n_syms, encode):
+    """Codebook of ``encode`` over every tuple of n_syms points of c.
 
-
-def _cmul(ar, ai, br, bi):
-    """Complex product on split parts, rounded like Python's scalar product.
-
-    Numpy's complex-array multiply may fuse the multiply-add, which moves
-    some golden-code entries by one ulp against :func:`encode_golden`.
+    ``encode`` maps symbols (..., n_syms) to words (..., lt, n_uses).  A
+    codebook of more than DUPLICATE_SLICE_ELEMENTS symbols is encoded and
+    written slice by slice, so temporaries stay small next to it; a smaller
+    one is the encoder's own output, with no copy.
     """
-    return ar * br - ai * bi, ar * bi + ai * br
+    n = _codebook_size(c, n_syms)
+    step = max(1, DUPLICATE_SLICE_ELEMENTS // n_syms)
+    if n <= step:
+        words = encode(c.points[_enumerate_symbol_tuples(c, n_syms)])
+    else:
+        words = np.empty((n,) + encode(np.zeros(n_syms)).shape, dtype=complex)
+        for start in range(0, n, step):
+            patterns = _enumerate_symbol_tuples(c, n_syms, start, start + step)
+            words[start : start + step] = encode(c.points[patterns])
+    return BlockCodebook(name, words, n_syms * c.bits_per_symbol)
+
+
+def alamouti_codebook(c: Constellation):
+    return _block_codebook("alamouti", c, 2, lambda s: encode_alamouti(s[..., 0], s[..., 1]))
 
 
 def golden_codebook(c: Constellation):
-    patterns = _enumerate_symbol_tuples(c, 4)
-    sr, si = c.points.real[patterns], c.points.imag[patterns]
-
-    def entry(factor, m, t):
-        # factor * (s_m + s_{m+1} * t), in encode_golden's operation order
-        pr, pi = _cmul(sr[:, m + 1], si[:, m + 1], t, 0.0)
-        return _cmul(factor.real, factor.imag, sr[:, m] + pr, si[:, m] + pi)
-
-    th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
-    a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
-    # row-major entries of [[a(s1 + s2 th), a(s3 + s4 th)],
-    #                       [i ab(s3 + s4 tb), ab(s1 + s2 tb)]]
-    parts = [
-        entry(a, 0, th), entry(a, 2, th), entry(1j * ab, 2, tb), entry(ab, 0, tb)
-    ]
-    words = np.empty((patterns.shape[0], 2, 2), dtype=complex)
-    for n, (re, im) in enumerate(parts):
-        words.real[:, n // 2, n % 2] = GOLDEN_SCALE * re
-        words.imag[:, n // 2, n % 2] = GOLDEN_SCALE * im
-    return BlockCodebook("golden", words, 4 * c.bits_per_symbol)
+    return _block_codebook("golden", c, 4, encode_golden)
 
 
 def spatial_multiplex_codebook(c: Constellation, lt=2):
-    pts = c.points / np.sqrt(lt)
-    # encode_spatial_multiplex on every word, bitwise the same, written into
-    # the codebook slice by slice so that temporaries stay small
-    words = np.empty((_codebook_size(c, lt), lt, 1), dtype=complex)
-    step = max(1, DUPLICATE_SLICE_ELEMENTS // lt)
-    for start in range(0, words.shape[0], step):
-        patterns = _enumerate_symbol_tuples(c, lt, start, start + step)
-        words[start : start + step, :, 0] = pts[patterns]
-    return BlockCodebook("spatial_multiplex", words, lt * c.bits_per_symbol)
+    encode = partial(encode_spatial_multiplex, lt=lt)
+    return _block_codebook("spatial_multiplex", c, lt, encode)
 
 
 @dataclass(frozen=True)
@@ -246,32 +255,17 @@ class LinearDispersionCode:
         return self.basis.shape[0]
 
     @property
-    def lt(self):
-        return self.basis.shape[1]
-
-    @property
     def n_uses(self):
         return self.basis.shape[2]
 
 
 def golden_dispersion(c: Constellation):
-    th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
-    a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
-    basis = GOLDEN_SCALE * np.array(
-        [
-            [[a, 0], [0, ab]],
-            [[a * th, 0], [0, ab * tb]],
-            [[0, a], [1j * ab, 0]],
-            [[0, a * th], [1j * ab * tb, 0]],
-        ],
-        dtype=complex,
-    )
-    return LinearDispersionCode("golden", basis, c)
+    # A_m is the encoder on unit vector m; + 0.0 turns -0.0 into 0.0
+    return LinearDispersionCode("golden", encode_golden(np.eye(4)) + 0.0, c)
 
 
 def spatial_multiplex_dispersion(c: Constellation, lt=2):
-    # symbol a goes to antenna a of the single use
-    basis = np.eye(lt)[:, :, None] / np.sqrt(lt)
+    basis = encode_spatial_multiplex(np.eye(lt), lt) + 0.0
     return LinearDispersionCode("spatial_multiplex", basis, c)
 
 
@@ -310,9 +304,7 @@ def _termination_table(next_state):
     Finds the smallest T such that every state has a length-T path to state
     0, then picks the lexicographically smallest input sequence per state.
     """
-    n_states, n_inputs = next_state.shape
-    if n_states == 1:
-        return np.zeros((1, 0), dtype=int)
+    n_states = next_state.shape[0]
     max_steps = max(2 * n_states, 8)
     # reach[t][s] is True when state s has an exact-t-step path to state 0
     reach = [np.zeros(n_states, dtype=bool)]
@@ -324,23 +316,15 @@ def _termination_table(next_state):
             raise InputError(
                 "trellis cannot be driven to state 0 with a uniform-length tail"
             )
-        nxt = np.zeros(n_states, dtype=bool)
-        for s in range(n_states):
-            nxt[s] = reach[t - 1][next_state[s]].any()
-        reach.append(nxt)
-    n_term = t
-    term = np.zeros((n_states, n_term), dtype=int)
-    for s in range(n_states):
-        cur = s
-        for step in range(n_term):
-            remaining = n_term - step - 1
-            for u in range(n_inputs):
-                if reach[remaining][next_state[cur, u]]:
-                    term[s, step] = u
-                    cur = next_state[cur, u]
-                    break
-        if cur != 0:
-            raise InputError("termination table construction failed")
+        reach.append(reach[t - 1][next_state].any(axis=1))
+    # each step takes the smallest input that can still reach state 0 in time
+    term = np.zeros((n_states, t), dtype=int)
+    cur = np.arange(n_states)
+    for step in range(t):
+        term[:, step] = reach[t - step - 1][next_state[cur]].argmax(axis=1)
+        cur = next_state[cur, term[:, step]]
+    if np.any(cur != 0):
+        raise InputError("termination table construction failed")
     return term
 
 
@@ -453,18 +437,25 @@ def encode_trellis(bits, code: TrellisCode):
     if bits.ndim != 2 or bits.shape[1] % code.bits_per_step:
         raise InputError(f"bits {bits.shape} must be a (frames, n_bits) batch of whole steps")
     patterns = bits_to_patterns(bits.reshape(-1), code.bits_per_step)
-    state = np.zeros(bits.shape[0], dtype=int)
+    cols = _trellis_steps(code, patterns.reshape(bits.shape[0], -1))
+    return code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
+
+
+def _trellis_steps(code: TrellisCode, patterns):
+    """Point indices (steps + tail, n, lt) of n rows of input patterns
+    (n, steps), each stepped from state 0 and then through the tail of its
+    end-of-data state back to state 0."""
+    state = np.zeros(patterns.shape[0], dtype=int)
     cols = []
-    for u in patterns.reshape(bits.shape[0], -1).T:
+    for u in patterns.T:
         cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
-    for u in code.term_inputs[state].T:  # the tail of each end-of-data state
+    for u in code.term_inputs[state].T:
         cols.append(code.out_idx[state, u])
         state = code.next_state[state, u]
     if np.any(state != 0):
         raise InputError("termination tail did not reach state 0")
-    cols = np.array(cols, dtype=int).reshape(-1, bits.shape[0], code.lt)
-    return code.constellation.points[cols].transpose(1, 2, 0) / np.sqrt(code.lt)
+    return np.array(cols, dtype=int).reshape(-1, patterns.shape[0], code.lt)
 
 
 def load_packaged_trellis(name="delay_diversity_4state_qpsk"):
@@ -484,30 +475,19 @@ def trellis_path_codebook(code: TrellisCode, n_steps):
 
     Only usable for small codes and short frames; exists as the brute-force
     oracle for the Viterbi decoder.  Every path is stepped through the
-    trellis at once, with the same table lookups as :func:`encode_trellis`.
+    trellis at once, by the stepper :func:`encode_trellis` uses.
     """
     n_words = code.n_inputs**n_steps
     bits_per_word = n_steps * code.bits_per_step
     shifts = np.arange(n_steps - 1, -1, -1) * code.bits_per_step
     patterns = (np.arange(n_words)[:, None] >> shifts) & (code.n_inputs - 1)
-    n_cols = n_steps + code.n_term_steps
-    cols = np.zeros((n_words, n_cols, code.lt), dtype=int)
-    state = np.zeros(n_words, dtype=int)
-    inputs = patterns
-    for k in range(n_cols):
-        if k == n_steps:
-            # the tail of each end-of-data state, as encode_trellis takes it
-            inputs = np.concatenate([patterns, code.term_inputs[state]], axis=1)
-        u = inputs[:, k]
-        cols[:, k] = code.out_idx[state, u]
-        state = code.next_state[state, u]
-    if np.any(state != 0):
-        raise InputError("termination tail did not reach state 0")
-    # every column is one of the M^lt point tuples, numbered MSB first
-    m = code.constellation.size
-    tuples = _enumerate_symbol_tuples(code.constellation, code.lt)
-    columns = code.constellation.points[tuples] / np.sqrt(code.lt)
-    column_index = cols @ (m ** np.arange(code.lt - 1, -1, -1))
+    cols = _trellis_steps(code, patterns)
+    # every column is one of the M^lt point tuples, numbered MSB first, and
+    # is sent as their spatial-multiplexing word
+    c = code.constellation
+    tuples = c.points[_enumerate_symbol_tuples(c, code.lt)]
+    columns = encode_spatial_multiplex(tuples, code.lt)[..., 0]
+    column_index = cols.transpose(1, 0, 2) @ (c.size ** np.arange(code.lt - 1, -1, -1))
     words = columns[column_index].transpose(0, 2, 1)
     return BlockCodebook(
         f"{code.name}_paths", words, bits_per_word, columns, column_index

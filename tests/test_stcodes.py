@@ -3,6 +3,7 @@ machinery (parser, termination, frame encoding)."""
 
 import hashlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from stclab.stcodes import (
     CODEBOOK_CAP,
     GOLDEN_ALPHA,
     GOLDEN_ALPHA_BAR,
+    GOLDEN_SCALE,
     GOLDEN_THETA,
     GOLDEN_THETA_BAR,
     BlockCodebook,
@@ -36,6 +38,25 @@ from stclab.stcodes import (
 )
 
 RT2 = np.sqrt(2.0)
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def scalar_encode_golden(s):
+    """Golden codeword for four symbols s = (s1, s2, s3, s4)."""
+    s1, s2, s3, s4 = (complex(v) for v in s)
+    th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
+    a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
+    x = np.array(
+        [
+            [a * (s1 + s2 * th), a * (s3 + s4 * th)],
+            [1j * ab * (s3 + s4 * tb), ab * (s1 + s2 * tb)],
+        ],
+        dtype=complex,
+    )
+    return GOLDEN_SCALE * x
 
 
 class TestAlamouti:
@@ -85,6 +106,14 @@ class TestAlamouti:
         s = QPSK.points[bits_to_patterns(np.array([0, 1, 1, 1]), 2)]
         assert_allclose(cb.codewords[n], encode_alamouti(s[0], s[1]), atol=1e-15)
 
+    def test_batch_equals_one_word_at_a_time(self):
+        rng = np.random.default_rng(4)
+        s1, s2 = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))
+        x = encode_alamouti(s1, s2)
+        assert x.shape == (3, 5, 2, 2)
+        for k in np.ndindex(3, 5):
+            assert x[k].tobytes() == encode_alamouti(s1[k], s2[k]).tobytes()
+
 
 class TestGolden:
     def test_hand_formula(self):
@@ -115,15 +144,26 @@ class TestGolden:
         assert cb.codewords.shape == (256, 2, 2)
 
     @pytest.mark.parametrize("c", [QPSK, QAM16], ids=lambda c: c.name)
-    def test_codebook_bitwise_equals_encoder(self, c):
-        cw = golden_codebook(c).codewords
-        want = np.stack(
-            [
-                encode_golden([c.points[p] for p in pats])
-                for pats in np.ndindex(*(c.size,) * 4)
-            ]
-        )
-        np.testing.assert_array_equal(cw.view(np.uint64), want.view(np.uint64))
+    def test_codebook_bitwise_equals_scalar_encoder(self, c):
+        tuples = c.points[_enumerate_symbol_tuples(c, 4)]
+        want = np.stack([scalar_encode_golden(s) for s in tuples])
+        np.testing.assert_array_equal(encode_golden(tuples).view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(golden_codebook(c).codewords.view(np.uint64), want.view(np.uint64))
+
+    def test_batch_bitwise_equals_scalar_encoder(self):
+        # 2,000 tuples off the constellations, in two leading batch axes
+        rng = np.random.default_rng(8)
+        s = rng.normal(size=(40, 50, 4)) + 1j * rng.normal(size=(40, 50, 4))
+        x = encode_golden(s)
+        assert x.shape == (40, 50, 2, 2)
+        want = np.stack([scalar_encode_golden(v) for v in s.reshape(-1, 4)])
+        np.testing.assert_array_equal(x.reshape(-1, 2, 2).view(np.uint64), want.view(np.uint64))
+        assert encode_golden(s[3, 7]).tobytes() == want[3 * 50 + 7].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 5), ()])
+    def test_symbols_not_in_fours_are_refused(self, shape):
+        with pytest.raises(InputError, match=r"\(\.\.\., 4\)"):
+            encode_golden(np.zeros(shape))
 
     def test_mean_energy_per_use(self):
         cw = golden_codebook(QPSK).codewords
@@ -150,6 +190,12 @@ class TestGolden:
     def test_dispersion_shape(self):
         ld = golden_dispersion(QPSK)
         assert ld.basis.shape == (4, 2, 2)
+
+    @pytest.mark.parametrize("c", [QPSK, QAM16], ids=lambda c: c.name)
+    def test_dispersion_bytes_are_pinned(self, c):
+        # the hand-written basis's digest; no entry is -0.0
+        basis = golden_dispersion(c).basis
+        assert sha256(basis) == "8b84058c515148226a6aa35a4ece05b814c440b27e10cf383c02df87668afb86"
 
 
 class TestSpatialMultiplex:
@@ -184,6 +230,28 @@ class TestSpatialMultiplex:
         assert x.shape == (3, 2)
         assert_allclose(x[:, 0], s[:3] / np.sqrt(3.0))
 
+    def test_batch_equals_one_row_at_a_time(self):
+        s = np.random.default_rng(5).normal(size=(2, 3, 6)) + 0.5j
+        x = encode_spatial_multiplex(s, 3)
+        assert x.shape == (2, 3, 3, 2)
+        for k in np.ndindex(2, 3):
+            assert x[k].tobytes() == encode_spatial_multiplex(s[k], 3).tobytes()
+        with pytest.raises(InputError, match="divisible by lt=4"):
+            encode_spatial_multiplex(s, 4)
+
+    @pytest.mark.parametrize(
+        "lt, sha",
+        [
+            (1, "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65"),
+            (2, "37fe4d07afc183c37066a83fb1e1ccff488c19a4bd0fe73a2ea8233dfe0ae1a0"),
+            (3, "1ce781d032115d267292780a13f3512adbf8ff74b628e1b7c2014fb3794ab9bb"),
+            (4, "389ac99cda7879e591a62fec5965bbe1e2c2b0c32351b1f044be81bdf292f39a"),
+        ],
+    )
+    def test_dispersion_bytes_are_pinned(self, lt, sha):
+        # digests of the eye(lt) / sqrt(lt) basis
+        assert sha256(spatial_multiplex_dispersion(QPSK, lt).basis) == sha
+
     @pytest.mark.parametrize("c, lt", [(QPSK, 2), (QPSK, 3), (QPSK, 1), (QAM16, 2), (QAM16, 3)])
     def test_codebook_bitwise_equals_encoder(self, c, lt):
         cb = spatial_multiplex_codebook(c, lt=lt)
@@ -215,11 +283,20 @@ class TestSpatialMultiplex:
         cb = spatial_multiplex_codebook(c, lt=lt)
         assert hashlib.sha256(cb.codewords.tobytes()).hexdigest() == sha
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            partial(spatial_multiplex_codebook, QPSK, lt=4),
+            partial(golden_codebook, QPSK),
+            partial(alamouti_codebook, QAM16),
+        ],
+        ids=["spatial_multiplex", "golden", "alamouti"],
+    )
     @pytest.mark.parametrize("slice_elements", [1, 7, 100])
-    def test_codebook_slices_join_seamlessly(self, monkeypatch, slice_elements):
-        want = spatial_multiplex_codebook(QPSK, lt=4).codewords
+    def test_codebook_slices_join_seamlessly(self, monkeypatch, slice_elements, build):
+        want = build().codewords
         monkeypatch.setattr(stcodes, "DUPLICATE_SLICE_ELEMENTS", slice_elements)
-        got = spatial_multiplex_codebook(QPSK, lt=4).codewords
+        got = build().codewords
         assert got.tobytes() == want.tobytes()
 
     def test_largest_codebook_builds_in_bounded_memory(self):
@@ -350,6 +427,58 @@ class TestTrellisParsing:
         text = "trellis 2 1 1 QPSK\n0 0 0 0\n0 1 1 1\n1 0 1 2\n1 1 1 3\n"
         with pytest.raises(InputError):
             load_trellis(text)
+
+    def test_termination_table_equals_per_state_loop(self):
+        # random 1- to 8-state tables with 1, 2 or 4 inputs: the same tails,
+        # or the same refusal, as the per-state loop
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            n_states = int(rng.integers(1, 9))
+            next_state = rng.integers(0, n_states, (n_states, int(2 ** rng.integers(0, 3))))
+            try:
+                want = loop_termination_table(next_state)
+            except InputError as e:
+                with pytest.raises(InputError, match=str(e)):
+                    stcodes._termination_table(next_state)
+                continue
+            got = stcodes._termination_table(next_state)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def loop_termination_table(next_state):
+    """The per-state loop that the array form of the termination table
+    replaced."""
+    n_states, n_inputs = next_state.shape
+    if n_states == 1:
+        return np.zeros((1, 0), dtype=int)
+    max_steps = max(2 * n_states, 8)
+    reach = [np.zeros(n_states, dtype=bool)]
+    reach[0][0] = True
+    t = 0
+    while not reach[t].all():
+        t += 1
+        if t > max_steps:
+            raise InputError(
+                "trellis cannot be driven to state 0 with a uniform-length tail"
+            )
+        nxt = np.zeros(n_states, dtype=bool)
+        for s in range(n_states):
+            nxt[s] = reach[t - 1][next_state[s]].any()
+        reach.append(nxt)
+    n_term = t
+    term = np.zeros((n_states, n_term), dtype=int)
+    for s in range(n_states):
+        cur = s
+        for step in range(n_term):
+            remaining = n_term - step - 1
+            for u in range(n_inputs):
+                if reach[remaining][next_state[cur, u]]:
+                    term[s, step] = u
+                    cur = next_state[cur, u]
+                    break
+        if cur != 0:
+            raise InputError("termination table construction failed")
+    return term
 
 
 def sequential_encode(bits, code):
