@@ -26,16 +26,15 @@ from .stcodes import (
     LinearDispersionCode,
     TrellisCode,
     alamouti_codebook,
+    dispersion_code,
     encode_alamouti,
     encode_golden,
     encode_spatial_multiplex,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_packaged_trellis,
     load_trellis,
     spatial_multiplex_codebook,
-    spatial_multiplex_dispersion,
 )
 from .designmetrics import (
     DesignMetricsReport,

@@ -62,12 +62,14 @@ from .errors import InputError
 from .mathcore import CONSTELLATIONS, bits_to_patterns
 from .stcodes import (
     alamouti_codebook,
+    dispersion_code,
+    encode_alamouti,
+    encode_golden,
+    encode_spatial_multiplex,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_trellis,
     spatial_multiplex_codebook,
-    spatial_multiplex_dispersion,
 )
 
 Z_95 = 1.959963984540054
@@ -79,31 +81,26 @@ CSI_MODES = ("perfect", "pilot")
 @dataclass(frozen=True)
 class Family:
     """A code family: the decoders it accepts (the first is what "auto"
-    picks), its codebook and lattice-form builders, each called as
-    ``(constellation, lt)``, and the lt it requires (None: any).  A family
-    without a codebook reads a trellis code-definition file.  The builders
-    look their functions up on this module when they run, so a wrapper put
-    on its names (a tracer, a test double) sees every call."""
+    picks), its encoder ``lt -> (symbols per word, batch encoder)``, whose
+    word shape sets the lt it requires, and its codebook builder, called as
+    ``(constellation, lt)`` for exhaustive ML only.  A family without an
+    encoder reads a trellis code-definition file.  The builders look their
+    functions up on this module when they run, so a wrapper put on its
+    names (a tracer, a test double) sees every call."""
 
     decoders: tuple
+    encoder: object = None
     codebook: object = None
-    lattice: object = None
-    lt: int = None
 
 
 FAMILIES = {
-    "alamouti": Family(("combiner", "ml"), lambda c, lt: alamouti_codebook(c), lt=2),
-    "golden": Family(
-        ("ml", "sphere"),
-        lambda c, lt: golden_codebook(c),
-        lambda c, lt: golden_dispersion(c),
-        lt=2,
-    ),
-    "spatial_multiplex": Family(
-        ("ml", "sphere"),
-        lambda c, lt: spatial_multiplex_codebook(c, lt),
-        lambda c, lt: spatial_multiplex_dispersion(c, lt),
-    ),
+    "alamouti": Family(("combiner", "ml"), lambda lt: (2, encode_alamouti),
+                       lambda c, lt: alamouti_codebook(c)),
+    "golden": Family(("ml", "sphere"), lambda lt: (4, encode_golden),
+                     lambda c, lt: golden_codebook(c)),
+    "spatial_multiplex": Family(("ml", "sphere"),
+                                lambda lt: (lt, partial(encode_spatial_multiplex, lt=lt)),
+                                lambda c, lt: spatial_multiplex_codebook(c, lt)),
     "trellis": Family(("viterbi",)),
 }
 
@@ -153,7 +150,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.code not in FAMILIES:
             raise InputError(f"must be one of {tuple(FAMILIES)}", key="code")
-        if FAMILIES[self.code].codebook is None and not self.trellis_file:
+        if FAMILIES[self.code].encoder is None and not self.trellis_file:
             raise InputError("required when code = trellis", key="trellis_file")
         if self.constellation not in CONSTELLATIONS:
             raise InputError(
@@ -280,11 +277,12 @@ class SweepSetup:
     wiener: object = None
 
 
-def _encode_blocks(bits, cb):
-    """(frames, lt, data uses) block-code words for (frames, info_bits) bits."""
-    idx = bits_to_patterns(bits.reshape(-1), cb.bits_per_codeword)
-    words = cb.codewords[idx.reshape(bits.shape[0], -1)]
-    return words.transpose(0, 2, 1, 3).reshape(bits.shape[0], cb.lt, -1)
+def _encode_blocks(bits, c, n_syms, encode):
+    """(frames, lt, data uses) block-code words for (frames, info_bits) bits,
+    each word ``encode`` of its n_syms points of c."""
+    idx = bits_to_patterns(bits.reshape(-1), c.bits_per_symbol)
+    words = encode(c.points[idx.reshape(bits.shape[0], -1, n_syms)])
+    return words.transpose(0, 2, 1, 3).reshape(bits.shape[0], words.shape[-2], -1)
 
 
 def build_setup(cfg: SweepConfig):
@@ -319,7 +317,7 @@ def build_setup(cfg: SweepConfig):
             raise InputError(str(e), key="pilot.taps") from None
         data_uses = int(pmap.data_positions.size)
 
-    if family.codebook is None:
+    if family.encoder is None:
         try:
             with open(cfg.trellis_file, "r", encoding="utf-8") as fh:
                 code = load_trellis(fh.read(), name=cfg.trellis_file)
@@ -342,25 +340,26 @@ def build_setup(cfg: SweepConfig):
         info_bits = steps * code.bits_per_step
         encode = partial(encode_trellis, code=code)
     else:
-        if family.lt not in (None, cfg.lt):
-            raise InputError(f"{cfg.code} requires lt = {family.lt}", key="lt")
-        code = family.codebook(c, cfg.lt)
-        if data_uses % code.n_uses:
+        n_syms, encoder = family.encoder(cfg.lt)
+        word_lt, n_uses = encoder(np.zeros(n_syms)).shape
+        if word_lt != cfg.lt:
+            raise InputError(f"{cfg.code} requires lt = {word_lt}", key="lt")
+        if data_uses % n_uses:
             raise InputError(
                 f"data span {data_uses} is not a multiple of the"
-                f" {code.n_uses}-use codeword",
+                f" {n_uses}-use codeword",
                 key="frame_uses",
             )
-        info_bits = (data_uses // code.n_uses) * code.bits_per_codeword
-        encode = partial(_encode_blocks, cb=code)
+        info_bits = (data_uses // n_uses) * n_syms * c.bits_per_symbol
+        encode = partial(_encode_blocks, c=c, n_syms=n_syms, encode=encoder)
     if decoder == "viterbi":
         decode = partial(viterbi_decode, code=code)
     elif decoder == "combiner":
         decode = partial(alamouti_combine, c=c)
     elif decoder == "sphere":
-        decode = partial(sphere_decode, code=family.lattice(c, cfg.lt))
+        decode = partial(sphere_decode, code=dispersion_code(c, n_syms, encoder))
     else:
-        decode = partial(ml_exhaustive_blocks, cb=code)
+        decode = partial(ml_exhaustive_blocks, cb=family.codebook(c, cfg.lt))
 
     corr = []
     for key, count in (("tx_geometry", cfg.lt), ("rx_geometry", cfg.lr)):

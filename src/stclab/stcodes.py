@@ -7,8 +7,8 @@ keeps code comparisons at fixed total radiated power.
 
 Block codes: Alamouti (orthogonal, 2 antennas), the golden code (full rate,
 full diversity, 2 antennas) and plain spatial multiplexing.  Each has one
-batch encoder; its codebook and dispersion basis are that encoder applied
-to every point tuple and to the unit symbol vectors.  Trellis codes are
+batch encoder, which encodes frames; its codebook and lattice basis apply
+it to every point tuple and to the unit symbol vectors.  Trellis codes are
 loaded from a small line-oriented definition format (see
 :func:`load_trellis`); frames and path codebooks share one stepper.
 """
@@ -29,6 +29,12 @@ GOLDEN_ALPHA_BAR = 1.0 + 1j - 1j * GOLDEN_THETA_BAR
 # 1/sqrt(5) from the lattice generator, a further 1/sqrt(2) so the two
 # antennas radiate unit total energy per use instead of unit energy each.
 GOLDEN_SCALE = 1.0 / np.sqrt(10.0)
+# The Alamouti word's real parts, row-major, as a real-linear map of the
+# symbols' (re s1, im s1, re s2, im s2).  Each part has one weight +-1/sqrt(2),
+# so it is one rounded product, the one numpy's complex x / sqrt(2) computes.
+ALAMOUTI_PARTS = np.zeros((4, 8))
+ALAMOUTI_PARTS[[0, 1, 2, 3, 2, 3, 0, 1], range(8)] = [1, 1, -1, 1, 1, 1, 1, -1]
+ALAMOUTI_PARTS /= np.sqrt(2.0)
 
 # Largest block codebook that is enumerated: 2^20 words, about 84 MB of
 # codewords for spatial multiplexing over 5 antennas with 16QAM.  The next
@@ -39,11 +45,13 @@ CODEBOOK_CAP = 2**20
 DUPLICATE_SLICE_ELEMENTS = 2**18
 
 
-def encode_alamouti(s1, s2):
-    """Alamouti codeword [[s1, -s2*], [s2, s1*]] / sqrt(2); symbols of
-    shape (...) give words (..., 2, 2)."""
-    x = np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]], dtype=complex)
-    return np.moveaxis(x, (0, 1), (-2, -1)) / np.sqrt(2.0)
+def encode_alamouti(s):
+    """Alamouti codewords (..., 2, 2) [[s1, -s2*], [s2, s1*]] / sqrt(2) of
+    finite symbols s (..., 2) = (s1, s2), as one real matrix product."""
+    s = np.ascontiguousarray(s, dtype=complex)
+    if s.shape[-1:] != (2,):
+        raise InputError(f"symbols {s.shape} must be a (..., 2) array")
+    return (s.view(float) @ ALAMOUTI_PARTS).view(complex).reshape(*s.shape[:-1], 2, 2)
 
 
 def _cmul(ar, ai, br, bi):
@@ -168,10 +176,6 @@ class BlockCodebook:
         return self.codewords.shape[0]
 
     @property
-    def lt(self):
-        return self.codewords.shape[1]
-
-    @property
     def n_uses(self):
         return self.codewords.shape[2]
 
@@ -220,7 +224,7 @@ def _block_codebook(name, c: Constellation, n_syms, encode):
 
 
 def alamouti_codebook(c: Constellation):
-    return _block_codebook("alamouti", c, 2, lambda s: encode_alamouti(s[..., 0], s[..., 1]))
+    return _block_codebook("alamouti", c, 2, encode_alamouti)
 
 
 def golden_codebook(c: Constellation):
@@ -237,10 +241,11 @@ class LinearDispersionCode:
     """Codeword as a linear map X = sum_m s_m A_m over complex symbols.
 
     ``basis`` has shape (n_syms, lt, n_uses).  Symbol order matches the
-    codebook bit order: symbol 0 carries the most significant bits.
+    codebook bit order: symbol 0 carries the most significant bits.  A
+    code past ``CODEBOOK_CAP`` words is refused like its codebook, since
+    a degenerate block is decided by scanning every word.
     """
 
-    name: str
     basis: np.ndarray
     constellation: Constellation
 
@@ -249,6 +254,7 @@ class LinearDispersionCode:
         object.__setattr__(self, "basis", b)
         if b.ndim != 3:
             raise InputError("basis must be (n_syms, lt, n_uses)")
+        _codebook_size(self.constellation, self.n_syms)
 
     @property
     def n_syms(self):
@@ -259,14 +265,10 @@ class LinearDispersionCode:
         return self.basis.shape[2]
 
 
-def golden_dispersion(c: Constellation):
-    # A_m is the encoder on unit vector m; + 0.0 turns -0.0 into 0.0
-    return LinearDispersionCode("golden", encode_golden(np.eye(4)) + 0.0, c)
-
-
-def spatial_multiplex_dispersion(c: Constellation, lt=2):
-    basis = encode_spatial_multiplex(np.eye(lt), lt) + 0.0
-    return LinearDispersionCode("spatial_multiplex", basis, c)
+def dispersion_code(c: Constellation, n_syms, encode):
+    """The linear-dispersion form of ``encode`` over n_syms points of c:
+    A_m is the encoder on unit vector m; + 0.0 turns -0.0 into 0.0."""
+    return LinearDispersionCode(encode(np.eye(n_syms)) + 0.0, c)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ from stclab.harness import (
 from stclab.mathcore import QPSK, bessel_j0
 from stclab.stcodes import (
     alamouti_codebook,
+    dispersion_code,
+    encode_golden,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_packaged_trellis,
     spatial_multiplex_codebook,
     trellis_path_codebook,
@@ -61,7 +62,7 @@ def closed_form_two_branch_ber(ebn0_db):
 def test_oracle_equivalence(capsys):
     t0 = time.time()
     # sphere vs exhaustive ML: 2x2 Golden QPSK words at 0 / 10 / 20 dB
-    ld = golden_dispersion(QPSK)
+    ld = dispersion_code(QPSK, 4, encode_golden)
     cb = golden_codebook(QPSK)
     sphere_trials = 0
     sphere_mismatches = 0

@@ -5,7 +5,8 @@ reads what they return.
 as a missing span instead of failing, so a deletion in ``src/stclab`` would
 only show as a changed count in a benchmark run; this test fails instead.
 The tracer also reads each decode call's node count; a sweep run under it
-must give it the nodes the sweep's CSV counts.
+must give it the nodes the sweep's CSV counts.  Its codebook span opens
+only in a sweep that decodes by exhaustive ML.
 """
 
 import importlib.util
@@ -54,3 +55,16 @@ def test_tracer_counts_the_sweeps_decoder_nodes(code, decoder, lr, frame_uses):
     want = sum(round(r.mean_decoder_nodes * r.frames) for r in rows)
     assert want > 0
     assert tracer.nodes == want
+
+
+@pytest.mark.parametrize("decoder, codebook_spans", [("ml", 1), ("sphere", 0)])
+def test_only_ml_sweeps_build_a_codebook(decoder, codebook_spans):
+    cfg = harness.SweepConfig(
+        code="golden", decoder=decoder, lr=2, ebn0_db=(8.0,), frame_uses=20,
+        min_frame_errors=1000, max_frames=4, seed=3,
+    )
+    with load_tracing().Tracer() as tracer:
+        harness.run_sweep(cfg)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("stcodes.codebook") == codebook_spans
+    assert names.count("harness.setup") == 1

@@ -81,13 +81,17 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(p)])
         assert rc == EXIT_CONFIG
 
-    def test_codebook_cap_refuses_six_sixteen_qam_antennas(self, tmp_path, capsys):
+    # sphere decoding builds no codebook, but its degenerate-block fallback
+    # scans as many candidates as the codebook has words
+    @pytest.mark.parametrize("decoder", ["auto", "sphere"])
+    def test_codebook_cap_refuses_six_sixteen_qam_antennas(self, decoder, tmp_path, capsys):
         p = tmp_path / "big.cfg"
         p.write_text(
             SWEEP_CONFIG.replace("code = alamouti", "code = spatial_multiplex")
             .replace("QPSK", "16QAM")
             .replace("lt = 2", "lt = 6")
             .replace("lr = 1", "lr = 6")
+            + f"decoder = {decoder}\n"
         )
         t0 = time.perf_counter()
         rc = main(["sweep", "--config", str(p)])

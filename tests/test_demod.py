@@ -5,6 +5,7 @@ match decision-for-decision."""
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from stclab.errors import InputError
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, patterns_to_bits
 from stclab.stcodes import (
     alamouti_codebook,
+    dispersion_code,
     encode_alamouti,
+    encode_golden,
+    encode_spatial_multiplex,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_packaged_trellis,
     spatial_multiplex_codebook,
-    spatial_multiplex_dispersion,
     trellis_path_codebook,
 )
 
@@ -515,7 +517,7 @@ class TestViterbi:
 
 class TestSphere:
     def test_noiseless_recovery(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         for n in (0, 3, 200):
             frame, h = transmit(cb.codewords[n], 2, 4.0, 1e-20, make_rng(20 + n))
@@ -523,7 +525,7 @@ class TestSphere:
             np.testing.assert_array_equal(res.bits[0], patterns_to_bits(np.array([n]), 8))
 
     def test_matches_ml_noisy(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         for t in range(400):
             rng = make_rng(30000 + t)
@@ -535,7 +537,7 @@ class TestSphere:
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_sixteen_qam_matches_ml(self):
-        ld = spatial_multiplex_dispersion(QAM16, lt=2)
+        ld = dispersion_code(QAM16, 2, partial(encode_spatial_multiplex, lt=2))
         cb = spatial_multiplex_codebook(QAM16, lt=2)
         for t in range(100):
             rng = make_rng(50000 + t)
@@ -547,7 +549,7 @@ class TestSphere:
             np.testing.assert_array_equal(sd.bits, ml.bits)
 
     def test_visited_falls_with_snr(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
 
         def mean_visited(es_db, seed0):
@@ -566,7 +568,7 @@ class TestSphere:
         assert hi < 256  # beats enumerating the codebook
 
     def test_rank_deficient_channel_falls_back(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         h = np.zeros((2, 2, 2), dtype=complex)  # lr x lt all zero: degenerate
         y = np.zeros((2, 2), dtype=complex)
@@ -577,7 +579,7 @@ class TestSphere:
 
     def test_rejects_underdetermined_receiver(self):
         # 1 rx antenna, 4 real unknowns per 2 real observations: need lr >= lt
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         frame, h = transmit(cb.codewords[0], 1, 1.0, 1.0, make_rng(11))
         res_ok = ml_exhaustive_blocks(frame[None], h[None], cb, 1.0)
@@ -593,10 +595,14 @@ class TestSphere:
 
 
     CODES = {
-        "golden_qpsk": lambda: (golden_dispersion(QPSK), golden_codebook(QPSK)),
-        "golden_16qam": lambda: (golden_dispersion(QAM16), golden_codebook(QAM16)),
+        "golden_qpsk": lambda: (
+            dispersion_code(QPSK, 4, encode_golden), golden_codebook(QPSK)
+        ),
+        "golden_16qam": lambda: (
+            dispersion_code(QAM16, 4, encode_golden), golden_codebook(QAM16)
+        ),
         "spatial_multiplex_16qam": lambda: (
-            spatial_multiplex_dispersion(QAM16, lt=2),
+            dispersion_code(QAM16, 2, partial(encode_spatial_multiplex, lt=2)),
             spatial_multiplex_codebook(QAM16, lt=2),
         ),
     }
@@ -624,7 +630,7 @@ class TestSphere:
                 np.testing.assert_array_equal(res.bits[0], want)
 
     def test_degenerate_block_inside_frame(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         idx = make_rng(33).integers(0, cb.size, size=5)
         x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
@@ -644,9 +650,11 @@ class TestSphere:
         assert res.visited == visited
 
     MIXED = {
-        "golden_16qam_compact_pair": lambda: (golden_dispersion(QAM16), 2, "0,0; 0.05,0"),
+        "golden_16qam_compact_pair": lambda: (
+            dispersion_code(QAM16, 4, encode_golden), 2, "0,0; 0.05,0"
+        ),
         "spatial_multiplex_16qam_3x3": lambda: (
-            spatial_multiplex_dispersion(QAM16, lt=3), 3, "white"
+            dispersion_code(QAM16, 3, partial(encode_spatial_multiplex, lt=3)), 3, "white"
         ),
     }
 
@@ -685,13 +693,13 @@ class TestSphere:
         np.testing.assert_array_equal(res.bits[7], want)  # the noise-free frame
 
     def test_frame_length_must_hold_whole_words(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         frame, h = transmit(np.ones((2, 3), dtype=complex), 2, 1.0, 1.0, make_rng(35))
         with pytest.raises(InputError):
             sphere_decode(frame[None], h[None], ld, 1.0)
 
     def test_rejects_underdetermined_frame(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         cb = golden_codebook(QPSK)
         x = np.concatenate([cb.codewords[n] for n in (0, 1, 2)], axis=1)
         frame, h = transmit(x, 1, 1.0, 1.0, make_rng(36))
@@ -776,7 +784,7 @@ class TestAlamoutiCombiner:
     def test_unit_channel_outputs(self):
         # h = [1, 1]: z1 = g s1', z2 = g s2' with g = 2, amp = sqrt(es/2) g
         s1, s2 = QPSK.points[0], QPSK.points[3]
-        x = encode_alamouti(s1, s2)
+        x = encode_alamouti([s1, s2])
         h = np.ones((2, 1, 2), dtype=complex)
         es = 8.0
         y = np.einsum("kij,jk->ki", h, np.sqrt(es) * x)
@@ -788,7 +796,7 @@ class TestAlamoutiCombiner:
         patterns = rng.integers(0, 4, size=40)
         syms = np.array([QPSK.points[int(p)] for p in patterns])
         x = np.concatenate(
-            [encode_alamouti(syms[2 * b], syms[2 * b + 1]) for b in range(20)], axis=1
+            [encode_alamouti(syms[2 * b : 2 * b + 2]) for b in range(20)], axis=1
         )
         frame, h = transmit(x, 2, 4.0, 1e-20, make_rng(14))
         res = alamouti_combine(frame[None], h[None], 4.0, QPSK)
@@ -820,7 +828,7 @@ class TestAlamoutiCombiner:
 
     def test_nonstatic_block_combines_first_use_channel(self):
         s = QPSK.points[0]
-        x = encode_alamouti(s, s)
+        x = encode_alamouti([s, s])
         h = generate_fading(2, 0.2, np.eye(2), np.eye(1), make_rng(15))
         assert not np.array_equal(h[0], h[1])
         frame = apply_channel(x[None], h[None], 1.0, [make_rng(16)])[0]
@@ -863,7 +871,9 @@ class TestFrameBatches:
         "combiner": (2, lambda y, h: alamouti_combine(y, h, 3.0, QAM16)),
         "ml-alamouti": (2, lambda y, h: ml_exhaustive_blocks(y, h, alamouti_codebook(QPSK), 3.0)),
         "ml-golden": (2, lambda y, h: ml_exhaustive_blocks(y, h, golden_codebook(QPSK), 3.0)),
-        "sphere-golden": (2, lambda y, h: sphere_decode(y, h, golden_dispersion(QPSK), 3.0)),
+        "sphere-golden": (
+            2, lambda y, h: sphere_decode(y, h, dispersion_code(QPSK, 4, encode_golden), 3.0)
+        ),
         "ml-paths": (2, lambda y, h: ml_exhaustive_blocks(y, h, TestFrameBatches.PATHS, 3.0)),
         "viterbi": (2, lambda y, h: viterbi_decode(y, h, TestFrameBatches.TRELLIS, 3.0)),
     }
@@ -898,7 +908,7 @@ class TestFrameBatches:
             np.zeros((3, 1)), np.zeros((3, 1, 2)), TestFrameBatches.TRELLIS, 1.0
         ),
         "sphere_decode": lambda: sphere_decode(
-            np.zeros((2, 2)), np.zeros((2, 2, 2)), golden_dispersion(QPSK), 1.0
+            np.zeros((2, 2)), np.zeros((2, 2, 2)), dispersion_code(QPSK, 4, encode_golden), 1.0
         ),
         "alamouti_combine": lambda: alamouti_combine(
             np.zeros((2, 1)), np.zeros((2, 1, 2)), 1.0, QPSK

@@ -30,7 +30,7 @@ from stclab.stcodes import (
 
 def report_oracle(cb):
     """Slow double-loop reference for codebook_report."""
-    lt = cb.lt
+    lt = cb.codewords.shape[1]
     best = None
     min_euc = None
     n = 0

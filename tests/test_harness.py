@@ -3,6 +3,7 @@ parsing, the batched frame kernel, and sweep execution."""
 
 import importlib.resources
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,12 +40,13 @@ from stclab.harness import (
 from stclab.mathcore import CONSTELLATIONS, bessel_j0, bits_to_patterns
 from stclab.stcodes import (
     alamouti_codebook,
+    dispersion_code,
+    encode_golden,
+    encode_spatial_multiplex,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_trellis,
     spatial_multiplex_codebook,
-    spatial_multiplex_dispersion,
 )
 
 BASE_CONFIG = """
@@ -320,17 +322,61 @@ class TestGeometrySpecs:
 
 class TestBuildSetup:
     def test_family_builders_are_looked_up_per_setup(self, monkeypatch):
-        # the names a tracer wraps on the harness module see every call
+        # the names a tracer wraps on the harness module see every call;
+        # only exhaustive ML builds a codebook, only sphere decoding a lattice
         calls = []
 
         def counted(name):
             fn = getattr(harness, name)
             monkeypatch.setattr(harness, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
 
-        for name in ("golden_codebook", "golden_dispersion", "spatial_correlation"):
+        builders = ("alamouti_codebook", "golden_codebook", "spatial_multiplex_codebook")
+        for name in builders + ("dispersion_code", "spatial_correlation"):
             counted(name)
-        build_setup(SweepConfig(code="golden", ebn0_db=(1.0,), lr=2, decoder="sphere"))
-        assert calls == ["golden_codebook", "golden_dispersion"] + ["spatial_correlation"] * 2
+        for code, decoder, built in (
+            ("golden", "ml", ["golden_codebook"]),
+            ("golden", "sphere", ["dispersion_code"]),
+            ("alamouti", "combiner", []),
+            ("alamouti", "ml", ["alamouti_codebook"]),
+            ("spatial_multiplex", "ml", ["spatial_multiplex_codebook"]),
+            ("spatial_multiplex", "sphere", ["dispersion_code"]),
+        ):
+            calls.clear()
+            build_setup(SweepConfig(code=code, ebn0_db=(1.0,), lr=2, decoder=decoder))
+            assert calls == built + ["spatial_correlation"] * 2, (code, decoder)
+
+    @pytest.mark.parametrize("code", ["alamouti", "golden"])
+    @pytest.mark.parametrize("decoder", ["auto", "ml"])
+    def test_two_antenna_codes_refuse_other_lt(self, code, decoder):
+        cfg = SweepConfig(code=code, ebn0_db=(1.0,), lt=3, lr=3, decoder=decoder)
+        with pytest.raises(InputError, match=f"^lt: {code} requires lt = 2$") as exc:
+            build_setup(cfg)
+        assert exc.value.key == "lt"
+
+    @pytest.mark.parametrize("constellation", ["QPSK", "16QAM"])
+    @pytest.mark.parametrize(
+        "code, lt",
+        [("alamouti", 2), ("golden", 2)] + [("spatial_multiplex", lt) for lt in range(1, 6)],
+    )
+    def test_encode_equals_the_codebook_gather(self, code, lt, constellation):
+        # frames were once the codebook's words gathered by bit pattern
+        c = CONSTELLATIONS[constellation]
+        cb = {
+            "alamouti": alamouti_codebook,
+            "golden": golden_codebook,
+            "spatial_multiplex": partial(spatial_multiplex_codebook, lt=lt),
+        }[code](c)
+        decoder = "combiner" if code == "alamouti" else "sphere"
+        cfg = SweepConfig(code=code, ebn0_db=(1.0,), lt=lt, lr=lt, decoder=decoder,
+                          constellation=constellation, frame_uses=60)
+        setup = build_setup(cfg)
+        bits = np.random.default_rng(lt).integers(0, 2, size=(5, setup.info_bits))
+        idx = bits_to_patterns(bits.reshape(-1), cb.bits_per_codeword)
+        words = cb.codewords[idx.reshape(5, -1)]
+        want = words.transpose(0, 2, 1, 3).reshape(5, lt, -1)
+        got = setup.encode(bits)
+        assert got.shape == want.shape == (5, lt, 60)
+        assert got.tobytes() == want.tobytes()
 
     def test_pilot_overhead_charged_to_info_bits(self):
         cfg = SweepConfig(
@@ -642,7 +688,7 @@ def old_simulate_frame(setup, si, fi, es):
             "spatial_multiplex": spatial_multiplex_codebook,
         }[cfg.code](c)
         idx = bits_to_patterns(bits, cb.bits_per_codeword)
-        x_data = cb.codewords[idx].transpose(1, 0, 2).reshape(cb.lt, -1)
+        x_data = cb.codewords[idx].transpose(1, 0, 2).reshape(cfg.lt, -1)
     nf = cfg.frame_uses
     if cfg.csi == "pilot":
         x = np.zeros((cfg.lt, nf), dtype=complex)
@@ -667,9 +713,9 @@ def old_simulate_frame(setup, si, fi, es):
         res = alamouti_combine(y_data[None], h_data[None], es, c)
     elif cfg.decoder == "sphere":
         disp = (
-            golden_dispersion(c)
+            dispersion_code(c, 4, encode_golden)
             if cfg.code == "golden"
-            else spatial_multiplex_dispersion(c)
+            else dispersion_code(c, 2, partial(encode_spatial_multiplex, lt=2))
         )
         res = sphere_decode(y_data[None], h_data[None], disp, es)
     else:

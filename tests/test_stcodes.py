@@ -23,16 +23,15 @@ from stclab.stcodes import (
     GOLDEN_THETA_BAR,
     BlockCodebook,
     alamouti_codebook,
+    dispersion_code,
     encode_alamouti,
     encode_golden,
     encode_spatial_multiplex,
     encode_trellis,
     golden_codebook,
-    golden_dispersion,
     load_packaged_trellis,
     load_trellis,
     spatial_multiplex_codebook,
-    spatial_multiplex_dispersion,
     _enumerate_symbol_tuples,
     trellis_path_codebook,
 )
@@ -61,19 +60,19 @@ def scalar_encode_golden(s):
 
 class TestAlamouti:
     def test_unit_symbols(self):
-        x = encode_alamouti(1.0, 0.0)
+        x = encode_alamouti([1.0, 0.0])
         assert_allclose(x, np.eye(2) / RT2, atol=1e-15)
 
     def test_layout(self):
         # column k is channel use k: [s1, s2] then [-s2*, s1*], scaled
         s1, s2 = 0.6 + 0.8j, -1.0 + 0.5j
-        x = encode_alamouti(s1, s2)
+        x = encode_alamouti([s1, s2])
         want = np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]]) / RT2
         assert_allclose(x, want, atol=1e-15)
 
     def test_orthogonality(self):
         s1, s2 = 0.3 - 1.1j, 0.7 + 0.2j
-        x = encode_alamouti(s1, s2)
+        x = encode_alamouti([s1, s2])
         gram = x.conj().T @ x
         scale = (abs(s1) ** 2 + abs(s2) ** 2) / 2
         assert_allclose(gram, scale * np.eye(2), atol=1e-14)
@@ -81,7 +80,7 @@ class TestAlamouti:
     def test_energy_per_use_is_symbol_energy(self):
         for p1 in range(4):
             for p2 in range(4):
-                x = encode_alamouti(QPSK.points[p1], QPSK.points[p2])
+                x = encode_alamouti(QPSK.points[[p1, p2]])
                 assert_allclose(np.sum(np.abs(x) ** 2) / 2, 1.0, atol=1e-12)
 
     def test_codebook_all_pairs_full_rank(self):
@@ -104,15 +103,18 @@ class TestAlamouti:
         cb = alamouti_codebook(QPSK)
         n = 0b0111
         s = QPSK.points[bits_to_patterns(np.array([0, 1, 1, 1]), 2)]
-        assert_allclose(cb.codewords[n], encode_alamouti(s[0], s[1]), atol=1e-15)
+        assert_allclose(cb.codewords[n], encode_alamouti(s), atol=1e-15)
 
     def test_batch_equals_one_word_at_a_time(self):
         rng = np.random.default_rng(4)
         s1, s2 = rng.normal(size=(2, 3, 5)) + 1j * rng.normal(size=(2, 3, 5))
-        x = encode_alamouti(s1, s2)
+        s = np.stack([s1, s2], axis=-1)
+        x = encode_alamouti(s)
         assert x.shape == (3, 5, 2, 2)
         for k in np.ndindex(3, 5):
-            assert x[k].tobytes() == encode_alamouti(s1[k], s2[k]).tobytes()
+            assert x[k].tobytes() == encode_alamouti(s[k]).tobytes()
+        with pytest.raises(InputError, match=r"must be a \(\.\.\., 2\) array"):
+            encode_alamouti(s1)
 
 
 class TestGolden:
@@ -180,7 +182,7 @@ class TestGolden:
         assert_allclose(min_det, 1 / np.sqrt(5.0), atol=1e-12)
 
     def test_linearity_matches_dispersion(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         rng = np.random.default_rng(1)
         for _ in range(10):
             s = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -188,13 +190,13 @@ class TestGolden:
             assert_allclose(encode_golden(s), want, atol=1e-13)
 
     def test_dispersion_shape(self):
-        ld = golden_dispersion(QPSK)
+        ld = dispersion_code(QPSK, 4, encode_golden)
         assert ld.basis.shape == (4, 2, 2)
 
     @pytest.mark.parametrize("c", [QPSK, QAM16], ids=lambda c: c.name)
     def test_dispersion_bytes_are_pinned(self, c):
         # the hand-written basis's digest; no entry is -0.0
-        basis = golden_dispersion(c).basis
+        basis = dispersion_code(c, 4, encode_golden).basis
         assert sha256(basis) == "8b84058c515148226a6aa35a4ece05b814c440b27e10cf383c02df87668afb86"
 
 
@@ -218,7 +220,7 @@ class TestSpatialMultiplex:
                 assert np.linalg.matrix_rank(cw[i] - cw[j]) == 1
 
     def test_dispersion_matches_encoder(self):
-        ld = spatial_multiplex_dispersion(QPSK, lt=2)
+        ld = dispersion_code(QPSK, 2, partial(encode_spatial_multiplex, lt=2))
         rng = np.random.default_rng(2)
         s = rng.normal(size=2) + 1j * rng.normal(size=2)
         x = np.einsum("m,mjk->jk", s, ld.basis)
@@ -250,7 +252,7 @@ class TestSpatialMultiplex:
     )
     def test_dispersion_bytes_are_pinned(self, lt, sha):
         # digests of the eye(lt) / sqrt(lt) basis
-        assert sha256(spatial_multiplex_dispersion(QPSK, lt).basis) == sha
+        assert sha256(dispersion_code(QPSK, lt, partial(encode_spatial_multiplex, lt=lt)).basis) == sha
 
     @pytest.mark.parametrize("c, lt", [(QPSK, 2), (QPSK, 3), (QPSK, 1), (QAM16, 2), (QAM16, 3)])
     def test_codebook_bitwise_equals_encoder(self, c, lt):
@@ -269,6 +271,15 @@ class TestSpatialMultiplex:
             spatial_multiplex_codebook(QAM16, lt=6)
         with pytest.raises(InputError, match="4194304 codewords"):
             spatial_multiplex_codebook(QPSK, lt=11)
+
+    def test_dispersion_code_refuses_past_the_codebook_cap(self):
+        # a degenerate block scans every word, so the lattice form keeps the
+        # codebook's cap, with the codebook's message
+        assert dispersion_code(QAM16, 5, partial(encode_spatial_multiplex, lt=5)).n_syms == 5
+        for c, lt, count in ((QAM16, 6, 16777216), (QPSK, 11, 4194304)):
+            sm = partial(encode_spatial_multiplex, lt=lt)
+            with pytest.raises(InputError, match=f"has {count} codewords, more than the"):
+                dispersion_code(c, lt, sm)
 
     @pytest.mark.parametrize(
         "c, lt, sha",
