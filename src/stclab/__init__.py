@@ -19,7 +19,6 @@ from .mathcore import (
     QPSK,
     Constellation,
     bessel_j0,
-    toeplitz_cholesky,
 )
 from .stcodes import (
     BlockCodebook,

@@ -9,12 +9,13 @@ SNR (the classic mismatched-filter PSAD arrangement).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, NumericError
-from .mathcore import CHOL_JITTER, bessel_j0
+from .errors import InputError
+from .mathcore import bessel_j0, cholesky_psd
 
 
 @dataclass(frozen=True)
@@ -95,21 +96,6 @@ class WienerInterpolator:
         return self.weights.shape[0]
 
 
-def _design_factor(r):
-    """Cholesky factor of a design covariance, with one jitter retry."""
-    try:
-        return scipy.linalg.cho_factor(r, lower=True)
-    except scipy.linalg.LinAlgError:
-        pass
-    jitter = CHOL_JITTER * np.trace(r) / r.shape[0]
-    try:
-        return scipy.linalg.cho_factor(r + jitter * np.eye(r.shape[0]), lower=True)
-    except scipy.linalg.LinAlgError:
-        raise NumericError(
-            "pilot covariance solve failed after jitter"
-        ) from None
-
-
 def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     """MMSE interpolation coefficients w = R^-1 p for every frame position.
 
@@ -131,7 +117,9 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     block_idx = np.zeros((pmap.nf, taps), dtype=int)
     weights = np.zeros((pmap.nf, taps))
     mmse = np.zeros(pmap.nf)
-    # nearby positions share their tap window: factor each window once
+    # nearby positions share their tap window: factor each window once,
+    # with scipy's LAPACK, the one cho_solve uses
+    lower = partial(scipy.linalg.cholesky, lower=True)
     factors = {}
     for k in range(pmap.nf):
         order = np.argsort(np.abs(centers - k), kind="stable")
@@ -140,9 +128,9 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
         if key not in factors:
             dc = centers[sel]
             r = bessel_j0(2.0 * np.pi * fdT_design * (dc[:, None] - dc[None, :]))
-            factors[key] = _design_factor(r + noise_var * np.eye(taps))
+            factors[key] = cholesky_psd(r + noise_var * np.eye(taps), cholesky=lower)
         p = bessel_j0(2.0 * np.pi * fdT_design * (centers[sel] - k))
-        w = scipy.linalg.cho_solve(factors[key], p)
+        w = scipy.linalg.cho_solve((factors[key], True), p)
         block_idx[k] = sel
         weights[k] = w
         mmse[k] = 1.0 - float(p @ w)

@@ -24,9 +24,10 @@ and the fading array, and the Es that produced a frame travels beside it.
 import functools
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError
-from .mathcore import bessel_j0, cholesky_psd, toeplitz_cholesky
+from .mathcore import bessel_j0, cholesky_psd
 
 GEOMETRY_PRESETS = {
     # 4-element square arrays, listed so the first two elements form an
@@ -82,7 +83,7 @@ def _temporal_factor(nf, fdT):
     the real factor for every frame, with the same result bits.
     """
     lags = np.arange(nf)
-    f = toeplitz_cholesky(bessel_j0(2.0 * np.pi * fdT * lags))
+    f = cholesky_psd(scipy.linalg.toeplitz(bessel_j0(2.0 * np.pi * fdT * lags)))
     ft = np.ascontiguousarray(f.T, dtype=complex)
     ft.flags.writeable = False
     return ft
@@ -107,8 +108,8 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     matrices.  Each path is unit power with temporal autocovariance
     J0(2 pi fdt m); vec(H(k)) (row-major) has spatial covariance rrx kron
     rtx.  fdt = 0 is quasi-static fading: a single matrix drawn and held
-    over the frame.  A Clarke frame longer than CLARKE_MAX_USES is refused
-    before anything is drawn or allocated.
+    over the frame.  A Clarke frame shorter than one use or longer than
+    CLARKE_MAX_USES is refused before anything is drawn or allocated.
 
     The white innovations are drawn with the receive-antenna axis leading,
     so truncating a frame to fewer receive antennas reproduces the frame a
@@ -120,8 +121,8 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     if rtx.shape != (lt, lt) or rrx.shape != (lr, lr):
         raise InputError(f"correlation shapes {rtx.shape}/{rrx.shape} are not square")
     static = fdt == 0.0
-    if not static and nf > CLARKE_MAX_USES:
-        raise InputError(f"Clarke frame of {nf} uses exceeds {CLARKE_MAX_USES}")
+    if not static and not 1 <= nf <= CLARKE_MAX_USES:
+        raise InputError(f"Clarke frame of {nf} uses is not 1 to {CLARKE_MAX_USES}")
     n_draws = 1 if static else nf
     w = rng.standard_normal((lr, lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]

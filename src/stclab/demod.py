@@ -451,12 +451,7 @@ def alamouti_combine(y, h, es, c: Constellation):
     if nf % 2:
         raise InputError("frame length must be even (2-use blocks)")
     yb = yv.reshape(n_frames, nf // 2, 2, lr)
-    if np.all(h == h[:, :1]):
-        # quasi-static frames: one channel, gain and scaled point set per
-        # frame, broadcast over its blocks
-        hb = h[:, None, :1]
-    else:
-        hb = h.reshape(n_frames, nf // 2, 2, lr, 2)
+    hb = h.reshape(n_frames, nf // 2, 2, lr, 2)
     h1 = hb[:, :, 0, :, 0]
     h2 = hb[:, :, 0, :, 1]
     y1 = yb[:, :, 0]

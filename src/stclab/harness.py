@@ -14,10 +14,11 @@ the encoder, the channel and the decoder take only batches, arrays with a
 leading frame axis, and run once per batch, as does the error count: a
 batch gives each frame's bit errors and the batch's decoder node count.  A
 batch holds at most the channel uses of ``BATCH_MAX`` default-length
-frames (at least one frame) and never more frames than the errors still
-missing at the grid point: a frame adds at most one error, so the stopping
-rule can fire only on a batch's last frame and no frame past the serial
-stopping frame is ever simulated.
+frames and at most ``FRAME_CHANNEL_CAP`` channel values (at least one
+frame), and never more frames than the errors still missing at the grid
+point: a frame adds at most one error, so the stopping rule can fire only
+on a batch's last frame and no frame past the serial stopping frame is
+ever simulated.  One batch is in flight at a time; workers split it.
 
 Energy accounting: N0 is fixed at 1 and Es = ebn0_linear * info_bits_per
 frame / frame_uses.  Under pilot CSI the frame still spans ``frame_uses``
@@ -108,12 +109,14 @@ DEFAULT_FRAME_USES = 300
 
 # Frames per batch of the frame kernel; frames longer than the default get
 # proportionally fewer, so a batch holds at most BATCH_MAX default frames'
-# worth of channel uses (or one frame).
+# worth of channel uses, and at most FRAME_CHANNEL_CAP channel values (or
+# one frame).  One batch is in flight at a time, whatever the worker count.
 BATCH_MAX = 16
 # Most antennas on either side: an lr x lr correlation matrix and its factor
 # stay at 32 KB, at eight times the largest array the tests run (lr = 8).
 ANTENNA_CAP = 64
-# Most worker threads: a sweep queues up to one batch, one thread, per worker.
+# Most worker threads: the workers split one batch between them, so the
+# cap bounds the threads a sweep starts, not the frames it holds.
 WORKER_CAP = 64
 # Most complex values in one frame's channel array, frame_uses x lr x lt
 # (32 MB); it also bounds the frame's bit draw and received array.
@@ -506,11 +509,13 @@ def run_sweep(cfg: SweepConfig):
     ``min_frame_errors`` errors or ``max_frames`` frames, whichever first.
     They run in batches of at most the errors still missing, so the
     stopping rule can only fire on the last frame in flight.
-    ``cfg.workers`` > 1 runs that many batches at once in a thread pool;
+    ``cfg.workers`` > 1 splits each batch between that many threads;
     counts are sums over frames, so output is identical to serial.
     """
     setup = build_setup(cfg)
-    batch_max = max(1, BATCH_MAX * DEFAULT_FRAME_USES // cfg.frame_uses)
+    channel_values = cfg.frame_uses * cfg.lr * cfg.lt
+    batch_max = max(1, min(BATCH_MAX * DEFAULT_FRAME_USES // cfg.frame_uses,
+                           FRAME_CHANNEL_CAP // channel_values))
     rows = []
     with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
         run = pool.map if cfg.workers > 1 else map
@@ -521,7 +526,7 @@ def run_sweep(cfg: SweepConfig):
                 # every frame adds at most one error, so no frame in flight
                 # lies past the frame the serial scan would stop at
                 missing = min(cfg.max_frames - frames, cfg.min_frame_errors - errors)
-                room = min(missing, batch_max * cfg.workers)
+                room = min(missing, batch_max)
                 size = -(-room // cfg.workers)
                 batches = [
                     range(frames + start, frames + min(start + size, room))

@@ -1,15 +1,15 @@
 """Numerical kernels shared by the whole simulator.
 
-Toeplitz Cholesky factorization for exact Clarke-correlated sample
-generation, the zeroth-order Bessel function, and the two unit-energy
-constellations (QPSK, 16QAM), their points listed in order of their Gray
-bit patterns.
+The one PSD Cholesky factorization, with its one jitter retry, for every
+covariance the simulator factors (the Clarke Toeplitz matrix, the array
+correlations, the Wiener design covariance), the zeroth-order Bessel
+function, and the two unit-energy constellations (QPSK, 16QAM), their
+points listed in order of their Gray bit patterns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .errors import InputError, NumericError
@@ -33,39 +33,29 @@ def bessel_j0(x):
     return out
 
 
-def cholesky_psd(m):
+def cholesky_psd(m, cholesky=np.linalg.cholesky):
     """Lower Cholesky factor of a PSD matrix, with one jitter retry.
 
     On factorization failure a diagonal jitter of CHOL_JITTER * trace/n is
     added once; a second failure raises NumericError.  Used for near-singular
     correlation matrices (e.g. the Clarke Toeplitz matrix at low Doppler).
+    ``cholesky`` is the lower-factor routine; numpy's and scipy's LAPACK
+    builds can differ in the last bits, so a caller that solves with scipy
+    passes scipy's.
     """
     m = np.asarray(m)
     n = m.shape[0]
     try:
-        return np.linalg.cholesky(m)
+        return cholesky(m)
     except np.linalg.LinAlgError:
         pass
     jitter = CHOL_JITTER * np.real(np.trace(m)) / n
     try:
-        return np.linalg.cholesky(m + jitter * np.eye(n))
+        return cholesky(m + jitter * np.eye(n))
     except np.linalg.LinAlgError:
         raise NumericError(
             f"matrix is not positive semidefinite (jitter {jitter:.3e} did not help)"
         ) from None
-
-
-def toeplitz_cholesky(first_row):
-    """Lower Cholesky factor of the symmetric Toeplitz matrix ``T``.
-
-    ``first_row`` is the first row [t_0, t_1, ...] of T.  Satisfies
-    ||L L^T - T|| <= 1e-8 ||T|| after at most one diagonal jitter.
-    """
-    first_row = np.asarray(first_row, dtype=float)
-    if first_row.ndim != 1 or first_row.size == 0:
-        raise InputError("first_row must be a non-empty 1-D sequence")
-    t = scipy.linalg.toeplitz(first_row)
-    return cholesky_psd(t)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from stclab import chanest
 from stclab.chanest import (
     PilotMap,
     build_pilot_map,
@@ -14,7 +15,7 @@ from stclab.chanest import (
     raw_block_estimates,
 )
 from stclab.channel import apply_channel, generate_fading
-from stclab.errors import InputError
+from stclab.errors import InputError, NumericError
 from stclab.mathcore import CHOL_JITTER, bessel_j0
 
 
@@ -187,17 +188,24 @@ class TestWienerDesign:
 
     def test_factors_each_tap_window_once(self, monkeypatch):
         calls = []
-        factor = scipy.linalg.cho_factor
+        factor = chanest.cholesky_psd
 
         def counted(*args, **kwargs):
             calls.append(1)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        monkeypatch.setattr(chanest, "cholesky_psd", counted)
         pm = build_pilot_map(300, 2, 72)
         w = design_wiener(pm, 0.01, 30.0, 20)
         windows = {row.tobytes() for row in w.block_idx}
         assert len(calls) == len(windows) < pm.nf
+
+    def test_indefinite_design_covariance_is_a_numeric_error(self, monkeypatch):
+        # a covariance the jitter cannot rescue: off-diagonal 2, diagonal 1
+        monkeypatch.setattr(chanest, "bessel_j0", lambda x: np.where(x == 0, 1.0, 2.0))
+        pm = build_pilot_map(300, 2, 72)
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            design_wiener(pm, 0.01, np.inf, 4)
 
 
 class TestEstimation:

@@ -3,6 +3,7 @@ signal model."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from stclab.channel import (
@@ -13,7 +14,7 @@ from stclab.channel import (
     spatial_correlation,
 )
 from stclab.errors import InputError
-from stclab.mathcore import bessel_j0, cholesky_psd, toeplitz_cholesky
+from stclab.mathcore import bessel_j0, cholesky_psd
 
 
 def make_rng(seed):
@@ -169,11 +170,12 @@ class TestGenerateFading:
         def no_factor(*_args):
             raise AssertionError("the Toeplitz factor was built")
 
-        monkeypatch.setattr("stclab.channel.toeplitz_cholesky", no_factor)
+        monkeypatch.setattr("stclab.channel._temporal_factor", no_factor)
         with pytest.raises(InputError, match=str(CLARKE_MAX_USES)):
             generate_fading(CLARKE_MAX_USES + 1, 0.01, np.eye(1), np.eye(1), make_rng(4))
-        with pytest.raises(InputError):
-            generate_fading(10**5, 0.01, np.eye(1), np.eye(1), make_rng(4))
+        for nf in (10**5, 0, -3):
+            with pytest.raises(InputError):
+                generate_fading(nf, 0.01, np.eye(1), np.eye(1), make_rng(4))
         # quasi-static frames build no temporal factor and have no cap
         h = generate_fading(CLARKE_MAX_USES + 1, 0.0, np.eye(1), np.eye(1), make_rng(4))
         assert h.shape == (CLARKE_MAX_USES + 1, 1, 1)
@@ -184,7 +186,7 @@ class TestGenerateFading:
         # factor, cast to complex inside g @ f.T on every frame
         rtx = spatial_correlation("tx_linear_1.0", 2)
         rrx = spatial_correlation("rx_square_0.5", 3)
-        f = toeplitz_cholesky(bessel_j0(2 * np.pi * 0.01 * np.arange(nf)))
+        f = cholesky_psd(scipy.linalg.toeplitz(bessel_j0(2 * np.pi * 0.01 * np.arange(nf))))
         for seed in range(3):
             w = make_rng(nf + seed).standard_normal((3, 2, nf, 2))
             g = (w.view(complex)[..., 0] / np.sqrt(2.0)) @ f.T

@@ -2,6 +2,8 @@
 parsing, the batched frame kernel, and sweep execution."""
 
 import importlib.resources
+import threading
+import time
 from dataclasses import replace
 from functools import partial
 
@@ -877,6 +879,59 @@ class TestFrameBatches:
         rows = run_sweep(replace(cfg, workers=workers)).rows
         assert len(shapes) == sum(r.frames for r in rows) > 0
         assert set(shapes) == {(cfg.frame_uses, cfg.lr, cfg.lt)}
+
+
+def count_frames_in_flight(monkeypatch):
+    """Wrap harness.simulate_frames; returns the list of batch sizes it
+    ran and a one-element list holding the most frames in flight at once.
+    Each call pauses briefly, so batches handed out together overlap."""
+    lock = threading.Lock()
+    sizes, in_flight, most = [], [0], [0]
+
+    def counting(setup, si, frame_indices, es):
+        with lock:
+            sizes.append(len(frame_indices))
+            in_flight[0] += len(frame_indices)
+            most[0] = max(most[0], in_flight[0])
+        time.sleep(0.02)
+        try:
+            return simulate_frames(setup, si, frame_indices, es)
+        finally:
+            with lock:
+                in_flight[0] -= len(frame_indices)
+
+    monkeypatch.setattr(harness, "simulate_frames", counting)
+    return sizes, most
+
+
+class TestBatchMemory:
+    """A sweep holds one batch of frames, whatever the worker count and
+    however large each frame's channel array is."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_split_one_batch(self, monkeypatch, workers):
+        sizes, most = count_frames_in_flight(monkeypatch)
+        cfg = SweepConfig(code="alamouti", ebn0_db=(6.0,), min_frame_errors=10**6,
+                          max_frames=4 * BATCH_MAX, seed=3, workers=workers)
+        (row,) = run_sweep(cfg).rows
+        assert row.frames == sum(sizes) == 4 * BATCH_MAX
+        assert most[0] <= BATCH_MAX
+
+    def test_batch_holds_at_most_the_frame_channel_cap(self, monkeypatch, tmp_path):
+        # one-state code on 64 x 64 antennas: 300 x 64 x 64 channel values
+        # a frame, so a batch of two would pass FRAME_CHANNEL_CAP
+        lt = lr = ANTENNA_CAP
+        lines = [f"trellis 1 1 {lt} QPSK"]
+        lines += [f"0 {b} 0 " + " ".join([str(3 * b)] * lt) for b in (0, 1)]
+        path = tmp_path / "one_state_64.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert FRAME_CHANNEL_CAP // (300 * lr * lt) == 1
+        sizes, most = count_frames_in_flight(monkeypatch)
+        cfg = SweepConfig(code="trellis", trellis_file=str(path), ebn0_db=(6.0,), lt=lt,
+                          lr=lr, frame_uses=300, min_frame_errors=10**6, max_frames=3)
+        (row,) = run_sweep(cfg).rows
+        assert row.frames == 3
+        assert sizes == [1, 1, 1] and most[0] == 1
 
 
 class TestFrameStreams:

@@ -1,8 +1,11 @@
-"""Tests for the numerical primitives: Bessel J0, Toeplitz Cholesky
-factors, and the bit-to-symbol mappers."""
+"""Tests for the numerical primitives: Bessel J0, the PSD Cholesky factor
+of a Toeplitz matrix, and the bit-to-symbol mappers."""
+
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,9 +17,15 @@ from stclab.mathcore import (
     QPSK,
     bessel_j0,
     bits_to_patterns,
+    cholesky_psd,
     patterns_to_bits,
-    toeplitz_cholesky,
 )
+
+
+def toeplitz_cholesky(row):
+    """The Clarke frame's factor: cholesky_psd of the symmetric Toeplitz
+    matrix with first row ``row``."""
+    return cholesky_psd(scipy.linalg.toeplitz(row))
 
 
 def j0_series(x, terms=30):
@@ -93,6 +102,22 @@ class TestToeplitzCholesky:
     def test_rejects_indefinite_row(self):
         with pytest.raises(NumericError):
             toeplitz_cholesky(np.array([1.0, 2.0]))
+
+    def test_given_factorizer_gets_the_jitter_retry(self):
+        # the Wiener design factors with scipy's LAPACK through the same rule
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return scipy.linalg.cholesky(m, lower=True)
+
+        f = cholesky_psd(np.ones((5, 5)), cholesky=counted)
+        assert len(calls) == 2
+        assert_allclose(f, np.tril(f), atol=0)
+        assert_allclose(f @ f.T, np.ones((5, 5)), atol=1e-5)
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            cholesky_psd(scipy.linalg.toeplitz([1.0, 2.0]),
+                         cholesky=partial(scipy.linalg.cholesky, lower=True))
 
 
 class TestConstellations:
