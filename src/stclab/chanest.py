@@ -103,7 +103,8 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     blocks: Clarke autocorrelation J0(2 pi fdT delta) between block centers
     plus a noise diagonal 10^(-snr/10) (the raw-estimate error at the design
     SNR).  p is the cross-covariance to the target position.  snr may be
-    numpy.inf for a noise-free design.
+    numpy.inf for a noise-free design; a non-finite fdT and a NaN or -inf
+    snr are refused.
     """
     taps = int(taps)
     if taps < 1:
@@ -112,28 +113,33 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
         raise InputError(
             f"taps={taps} exceeds the {pmap.n_blocks} available pilot blocks"
         )
+    if not (np.isfinite(fdT_design) and snr_design_db > -np.inf):
+        raise InputError(f"need a finite design fdT and an snr above -inf dB,"
+                         f" got {fdT_design} and {snr_design_db}")
     centers = pmap.block_centers
     noise_var = 0.0 if np.isinf(snr_design_db) else 10.0 ** (-snr_design_db / 10.0)
-    block_idx = np.zeros((pmap.nf, taps), dtype=int)
-    weights = np.zeros((pmap.nf, taps))
-    mmse = np.zeros(pmap.nf)
+    scale = 2.0 * np.pi * fdT_design
+    pos = np.arange(pmap.nf)[:, None]
+    # each position's taps nearest blocks, in block order
+    order = np.argsort(np.abs(centers - pos), axis=1, kind="stable")
+    block_idx = np.sort(order[:, :taps], axis=1)
+    p = bessel_j0(scale * (centers[block_idx] - pos))
+    weights = np.empty((pmap.nf, taps))
+    mmse = np.empty(pmap.nf)
     # nearby positions share their tap window: factor each window once,
-    # with scipy's LAPACK, the one cho_solve uses
+    # with scipy's LAPACK, and solve with the potrs that cho_solve calls,
+    # one right-hand side at a time (a multi-column solve gives the same
+    # bits but slows every later zgemm in the process)
     lower = partial(scipy.linalg.cholesky, lower=True)
     factors = {}
-    for k in range(pmap.nf):
-        order = np.argsort(np.abs(centers - k), kind="stable")
-        sel = np.sort(order[:taps])
+    for k, (sel, pk) in enumerate(zip(block_idx, p)):
         key = sel.tobytes()
         if key not in factors:
             dc = centers[sel]
-            r = bessel_j0(2.0 * np.pi * fdT_design * (dc[:, None] - dc[None, :]))
+            r = bessel_j0(scale * (dc[:, None] - dc[None, :]))
             factors[key] = cholesky_psd(r + noise_var * np.eye(taps), cholesky=lower)
-        p = bessel_j0(2.0 * np.pi * fdT_design * (centers[sel] - k))
-        w = scipy.linalg.cho_solve((factors[key], True), p)
-        block_idx[k] = sel
-        weights[k] = w
-        mmse[k] = 1.0 - float(p @ w)
+        weights[k] = scipy.linalg.lapack.dpotrs(factors[key], pk, lower=1)[0]
+        mmse[k] = 1.0 - float(pk @ weights[k])
     return WienerInterpolator(
         block_idx=block_idx,
         weights=weights,
@@ -144,9 +150,9 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
 def raw_block_estimates(y, es, pmap: PilotMap):
     """Per-block estimates H_hat = Y_b P^H / sqrt(Es) from the (nf, lr)
     received frame ``y``, shape (n_blocks, lr, lt)."""
-    if y.shape[0] != pmap.nf:
+    if y.ndim != 2 or y.shape[0] != pmap.nf:
         raise InputError(
-            f"frame length {y.shape[0]} does not match pilot map nf={pmap.nf}"
+            f"frame of shape {y.shape} is not (nf, lr) with pilot map nf={pmap.nf}"
         )
     p = pmap.pilot_matrix
     c = float(np.real((p @ p.conj().T)[0, 0]))
@@ -167,8 +173,12 @@ def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
     if w.nf != pmap.nf:
         raise InputError("interpolator was designed for a different map")
     raw = raw_block_estimates(y, es, pmap)
-    # einsum("ka,kaij->kij", weights, raw[block_idx])'s sums, without the gather
-    est = np.zeros((pmap.nf,) + raw.shape[1:], dtype=complex)
-    for a in range(w.weights.shape[1]):
-        est += w.weights[:, a, None, None] * raw[w.block_idx[:, a]]
-    return est
+    # the real weights scale real and imaginary parts alike: gather both
+    # as (2 lr lt, taps, nf) floats and add the taps in order from 0.0,
+    # the same sums as einsum("ka,kaij->kij", weights, raw[block_idx]).
+    # Contiguous operands keep the gather and the product on fast loops.
+    parts = np.ascontiguousarray(raw.view(float).reshape(raw.shape[0], -1).T)
+    terms = np.take(parts, w.block_idx.T, axis=1)
+    terms *= np.ascontiguousarray(w.weights.T)
+    est = np.add.reduce(terms, axis=1, initial=0.0).T
+    return np.ascontiguousarray(est).view(complex).reshape((pmap.nf,) + raw.shape[1:])

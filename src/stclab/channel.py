@@ -22,6 +22,7 @@ and the fading array, and the Es that produced a frame travels beside it.
 """
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -108,8 +109,9 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     matrices.  Each path is unit power with temporal autocovariance
     J0(2 pi fdt m); vec(H(k)) (row-major) has spatial covariance rrx kron
     rtx.  fdt = 0 is quasi-static fading: a single matrix drawn and held
-    over the frame.  A Clarke frame shorter than one use or longer than
-    CLARKE_MAX_USES is refused before anything is drawn or allocated.
+    over the frame.  A frame shorter than one use, a Clarke frame longer
+    than CLARKE_MAX_USES and a non-finite fdt are refused before anything
+    is drawn or allocated.
 
     The white innovations are drawn with the receive-antenna axis leading,
     so truncating a frame to fewer receive antennas reproduces the frame a
@@ -120,14 +122,21 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     lt, lr = len(rtx), len(rrx)
     if rtx.shape != (lt, lt) or rrx.shape != (lr, lr):
         raise InputError(f"correlation shapes {rtx.shape}/{rrx.shape} are not square")
+    if not math.isfinite(fdt):
+        raise InputError(f"Doppler fdt={fdt} is not finite")
     static = fdt == 0.0
-    if not static and not 1 <= nf <= CLARKE_MAX_USES:
-        raise InputError(f"Clarke frame of {nf} uses is not 1 to {CLARKE_MAX_USES}")
+    if nf < 1 or (not static and nf > CLARKE_MAX_USES):
+        limit = " or more" if static else f" to {CLARKE_MAX_USES}"
+        raise InputError(f"frame of {nf} uses is not 1{limit}")
     n_draws = 1 if static else nf
     w = rng.standard_normal((lr, lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
     if not static:
-        g = g @ _temporal_factor(nf, fdt)  # (lr, lt, nf), Clarke-correlated
+        # (lr, lt, nf), Clarke-correlated.  All lr*lt paths go through one
+        # zgemm; at lt = 1 the stacked form stays, because numpy sends each
+        # one-row product to a vector kernel whose bits differ from gemm rows
+        tf = _temporal_factor(nf, fdt)
+        g = g @ tf if lt == 1 else (g.reshape(lr * lt, nf) @ tf).reshape(lr, lt, nf)
     a = _spatial_factor(lr, rrx.tobytes())
     b = _spatial_factor(lt, rtx.tobytes())
     h = np.einsum("ri,ijk,tj->rtk", a, g, b)

@@ -122,7 +122,8 @@ WORKER_CAP = 64
 # (32 MB); it also bounds the frame's bit draw and received array.
 FRAME_CHANNEL_CAP = 2**21
 # Most frame_uses x pilot blocks under pilot CSI: the Wiener design sorts
-# every block at every use, and its weights and indices stay <= 32 MB.
+# every block at every use in one argsort, whose distances and order take
+# <= 32 MB, and its weights and indices stay <= 32 MB.
 PILOT_DESIGN_CAP = 2**21
 
 

@@ -6,7 +6,9 @@ as a missing span instead of failing, so a deletion in ``src/stclab`` would
 only show as a changed count in a benchmark run; this test fails instead.
 The tracer also reads each decode call's node count; a sweep run under it
 must give it the nodes the sweep's CSV counts.  Its codebook span opens
-only in a sweep that decodes by exhaustive ML.
+only in a sweep that decodes by exhaustive ML.  The benchmark's pilot-MSE
+check listens to the fading and estimation calls and pairs their results
+frame by frame, so a sweep must make one of each per frame.
 """
 
 import importlib.util
@@ -68,3 +70,24 @@ def test_only_ml_sweeps_build_a_codebook(decoder, codebook_spans):
     names = [span[0] for span in tracer.spans]
     assert names.count("stcodes.codebook") == codebook_spans
     assert names.count("harness.setup") == 1
+
+
+def test_pilot_sweep_fades_and_estimates_once_per_frame():
+    cfg = harness.SweepConfig(
+        code="alamouti", lt=2, lr=2, channel_mode="clarke_varying", fdt=0.01,
+        csi="pilot", pilot_design_snr_db=12.0, ebn0_db=(0.0, 10.0),
+        min_frame_errors=1000, max_frames=6, seed=3,
+    )
+    captured = {"channel.fading": [], "chanest.estimate": []}
+    tracing = load_tracing()
+    targets = [t for t in tracing.TARGETS if t[0] == "stclab.harness"
+               and t[1] in ("generate_fading", "estimate_channel")]
+    listeners = {name: calls.append for name, calls in captured.items()}
+    with tracing.Tracer(targets, listeners) as tracer:
+        rows = harness.run_sweep(cfg).rows
+    assert tracer.missing == []
+    frames = sum(r.frames for r in rows)
+    assert frames == 12
+    for calls in captured.values():
+        assert len(calls) == frames
+        assert all(c.shape == (cfg.frame_uses, cfg.lr, cfg.lt) for c in calls)

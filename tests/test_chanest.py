@@ -169,7 +169,8 @@ class TestWienerDesign:
             assert_allclose(w.mmse[k], 1 - p @ wk, atol=1e-9)
 
     # the default frame; a noise-free static design, whose R is singular
-    # and takes the jitter retry; one tap; a short frame of four blocks
+    # and takes the jitter retry; one tap; a short frame of four blocks;
+    # every block as a tap, one window for the whole frame
     @pytest.mark.parametrize(
         "nf, lt, count, fdt, snr, taps",
         [
@@ -177,6 +178,8 @@ class TestWienerDesign:
             (300, 2, 72, 0.0, np.inf, 8),
             (300, 1, 40, 0.02, 12.0, 1),
             (60, 2, 8, 0.02, 15.0, 3),
+            (300, 2, 72, 0.01, 12.0, 36),
+            (60, 3, 12, 0.02, 15.0, 4),
         ],
     )
     def test_bitwise_equal_to_per_position_factoring(self, nf, lt, count, fdt, snr, taps):
@@ -199,6 +202,27 @@ class TestWienerDesign:
         w = design_wiener(pm, 0.01, 30.0, 20)
         windows = {row.tobytes() for row in w.block_idx}
         assert len(calls) == len(windows) < pm.nf
+
+    def test_every_solve_has_one_right_hand_side(self, monkeypatch):
+        # a multi-column solve gives the same bits, but scipy's threaded
+        # BLAS then slows every later fading product in the process
+        shapes = []
+        potrs = scipy.linalg.lapack.dpotrs
+
+        def recorded(c, b, *args, **kwargs):
+            shapes.append(np.shape(b))
+            return potrs(c, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", recorded)
+        pm = build_pilot_map(300, 2, 72)
+        design_wiener(pm, 0.01, 12.0, 20)
+        assert shapes == [(20,)] * pm.nf
+
+    @pytest.mark.parametrize("fdt, snr", [(np.nan, 12.0), (np.inf, 12.0), (0.01, np.nan), (0.01, -np.inf)])
+    def test_non_finite_design_refused(self, fdt, snr):
+        pm = build_pilot_map(300, 2, 72)
+        with pytest.raises(InputError):
+            design_wiener(pm, fdt, snr, 20)
 
     def test_indefinite_design_covariance_is_a_numeric_error(self, monkeypatch):
         # a covariance the jitter cannot rescue: off-diagonal 2, diagonal 1
@@ -255,15 +279,15 @@ class TestEstimation:
         assert mse[d].mean() <= 1.25 * w.mmse[d].mean()
         assert mse[d].mean() >= 0.5 * w.mmse[d].mean()
 
-    @pytest.mark.parametrize("lt", [1, 2, 3])
+    @pytest.mark.parametrize("lt", [1, 2, 3, 4])
     @pytest.mark.parametrize("lr", [1, 2, 3, 4])
     def test_estimate_bitwise_equal_to_einsum(self, lr, lt):
-        # the tap loop against the gather and einsum it replaced
+        # the interpolation against the gather and einsum it replaced
         pm = build_pilot_map(300, lt, 72)
         rng = make_rng(80 + 10 * lr + lt)
         y = rng.standard_normal((300, lr)) + 1j * rng.standard_normal((300, lr))
         raw = raw_block_estimates(y, 2.0, pm)
-        for taps in [1, 20, pm.n_blocks]:
+        for taps in sorted({1, min(20, pm.n_blocks), pm.n_blocks}):
             w = design_wiener(pm, 0.01, 12.0, taps)
             want = np.einsum("ka,kaij->kij", w.weights, raw[w.block_idx])
             got = estimate_channel(y, 2.0, pm, w)
@@ -293,3 +317,13 @@ class TestEstimation:
             raw_block_estimates(frame, 1.0, pm)
         with pytest.raises(InputError):
             estimate_channel(frame, 1.0, pm, w)
+
+    @pytest.mark.parametrize("shape", [(300,), (300, 1, 2), ()])
+    def test_frame_not_nf_by_lr_refused(self, shape):
+        pm = build_pilot_map(300, 2, 72)
+        w = design_wiener(pm, 0.01, 20.0, 4)
+        y = np.ones(shape, dtype=complex)
+        with pytest.raises(InputError):
+            raw_block_estimates(y, 1.0, pm)
+        with pytest.raises(InputError):
+            estimate_channel(y, 1.0, pm, w)

@@ -180,17 +180,31 @@ class TestGenerateFading:
         h = generate_fading(CLARKE_MAX_USES + 1, 0.0, np.eye(1), np.eye(1), make_rng(4))
         assert h.shape == (CLARKE_MAX_USES + 1, 1, 1)
 
-    @pytest.mark.parametrize("nf", [60, 300, 301])
-    def test_cached_complex_factor_bitwise_equals_real_factor(self, nf):
-        # the form the cached complex factor replaced: the real Cholesky
-        # factor, cast to complex inside g @ f.T on every frame
-        rtx = spatial_correlation("tx_linear_1.0", 2)
-        rrx = spatial_correlation("rx_square_0.5", 3)
+    @pytest.mark.parametrize(
+        "nf, fdt", [(0, 0.0), (-3, 0.0), (10, np.nan), (10, np.inf), (10, -np.inf)]
+    )
+    def test_empty_frame_and_non_finite_doppler_refused_before_drawing(self, nf, fdt):
+        class NoDraws:
+            def standard_normal(self, *_args, **_kwargs):
+                raise AssertionError("innovations were drawn")
+
+        with pytest.raises(InputError):
+            generate_fading(nf, fdt, np.eye(2), np.eye(2), NoDraws())
+
+    @pytest.mark.parametrize("nf", [7, 60, 300, 301, 1000])
+    @pytest.mark.parametrize("lt", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lr", [1, 2, 3, 4, 8])
+    def test_cached_complex_factor_bitwise_equals_real_factor(self, lr, lt, nf):
+        # the form the cached complex factor and the one-matrix product
+        # replaced: numpy's stacked per-path (lt, nf) products with the real
+        # Cholesky factor, cast to complex on every frame
+        rtx = spatial_correlation("tx_linear_1.0", lt)
+        rrx = spatial_correlation("; ".join(f"{0.5 * i},0" for i in range(lr)), lr)
         f = cholesky_psd(scipy.linalg.toeplitz(bessel_j0(2 * np.pi * 0.01 * np.arange(nf))))
-        for seed in range(3):
-            w = make_rng(nf + seed).standard_normal((3, 2, nf, 2))
+        a, b = cholesky_psd(rrx), cholesky_psd(rtx)
+        for seed in range(2):
+            w = make_rng(nf + seed).standard_normal((lr, lt, nf, 2))
             g = (w.view(complex)[..., 0] / np.sqrt(2.0)) @ f.T
-            a, b = cholesky_psd(rrx), cholesky_psd(rtx)
             want = np.einsum("ri,ijk,tj->rtk", a, g, b).transpose(2, 0, 1).copy()
             got = generate_fading(nf, 0.01, rtx, rrx, make_rng(nf + seed))
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
