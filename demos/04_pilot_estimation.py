@@ -35,7 +35,7 @@ err2 = np.zeros(nf)
 for _ in range(n_frames):
     h = generate_fading(nf, fdt, np.eye(lt), np.eye(lr), rng)
     frame = apply_channel(x[None], h[None], es, [rng])[0]
-    err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
+    err2 += np.sum(np.abs(estimate_channel(frame, es, w) - h) ** 2, axis=(1, 2))
 mse = err2 / (n_frames * lt * lr)
 
 print(f"=== {pm.n_blocks} pilot blocks in {nf} uses, fdT={fdt}, {snr_db:.0f} dB ===")

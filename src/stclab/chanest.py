@@ -50,11 +50,13 @@ def _orthogonal_pilot_matrix(lt):
 
 def build_pilot_map(nf, lt, n_pilot):
     """Edge-flush plus uniform interior pilot blocks of lt uses each."""
+    if not lt >= 1:
+        raise InputError(f"lt={lt} must be >= 1")
     if n_pilot <= 0 or n_pilot % lt:
         raise InputError(
             f"n_pilot={n_pilot} must be a positive multiple of lt={lt}"
         )
-    if n_pilot >= nf:
+    if not n_pilot < nf:
         raise InputError(f"n_pilot={n_pilot} must be < nf={nf}")
     n_blocks = n_pilot // lt
     if n_blocks < 2:
@@ -80,20 +82,18 @@ def build_pilot_map(nf, lt, n_pilot):
 
 @dataclass(frozen=True)
 class WienerInterpolator:
-    """Per-position FIR MMSE coefficients over the nearest pilot blocks.
+    """Per-position FIR MMSE coefficients over the nearest pilot blocks of
+    the map ``pmap`` they were designed for.
 
     ``weights[k]`` applies to raw block estimates ``block_idx[k]`` to
     estimate the channel at frame position k; ``mmse[k]`` is the analytic
     residual 1 - p^T R^-1 p of that design.
     """
 
+    pmap: PilotMap
     block_idx: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     mmse: np.ndarray = field(repr=False)
-
-    @property
-    def nf(self):
-        return self.weights.shape[0]
 
 
 def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
@@ -106,13 +106,11 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     numpy.inf for a noise-free design; a non-finite fdT and a NaN or -inf
     snr are refused.
     """
-    taps = int(taps)
-    if taps < 1:
-        raise InputError("taps must be >= 1")
-    if taps > pmap.n_blocks:
+    if not 1 <= taps <= pmap.n_blocks:  # NaN fails too
         raise InputError(
-            f"taps={taps} exceeds the {pmap.n_blocks} available pilot blocks"
+            f"taps={taps} must be 1 to the {pmap.n_blocks} available pilot blocks"
         )
+    taps = int(taps)
     if not (np.isfinite(fdT_design) and snr_design_db > -np.inf):
         raise InputError(f"need a finite design fdT and an snr above -inf dB,"
                          f" got {fdT_design} and {snr_design_db}")
@@ -140,11 +138,7 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
             factors[key] = cholesky_psd(r + noise_var * np.eye(taps), cholesky=lower)
         weights[k] = scipy.linalg.lapack.dpotrs(factors[key], pk, lower=1)[0]
         mmse[k] = 1.0 - float(pk @ weights[k])
-    return WienerInterpolator(
-        block_idx=block_idx,
-        weights=weights,
-        mmse=mmse,
-    )
+    return WienerInterpolator(pmap, block_idx, weights, mmse)
 
 
 def raw_block_estimates(y, es, pmap: PilotMap):
@@ -162,17 +156,16 @@ def raw_block_estimates(y, es, pmap: PilotMap):
     return yb @ p.conj().T / (c * np.sqrt(es))
 
 
-def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
+def estimate_channel(y, es, w: WienerInterpolator):
     """PSAD channel estimate at every frame position, shape (nf, lr, lt),
-    from the (nf, lr) received frame ``y`` sent at symbol energy ``es``.
+    from the (nf, lr) received frame ``y`` sent at symbol energy ``es``
+    with the pilots of ``w.pmap``.
 
     Each transmit-receive path is interpolated independently (spatially
     separable processing), so the result for one receive antenna equals the
     joint result restricted to it.
     """
-    if w.nf != pmap.nf:
-        raise InputError("interpolator was designed for a different map")
-    raw = raw_block_estimates(y, es, pmap)
+    raw = raw_block_estimates(y, es, w.pmap)
     # the real weights scale real and imaginary parts alike: gather both
     # as (2 lr lt, taps, nf) floats and add the taps in order from 0.0,
     # the same sums as einsum("ka,kaij->kij", weights, raw[block_idx]).
@@ -181,4 +174,4 @@ def estimate_channel(y, es, pmap: PilotMap, w: WienerInterpolator):
     terms = np.take(parts, w.block_idx.T, axis=1)
     terms *= np.ascontiguousarray(w.weights.T)
     est = np.add.reduce(terms, axis=1, initial=0.0).T
-    return np.ascontiguousarray(est).view(complex).reshape((pmap.nf,) + raw.shape[1:])
+    return np.ascontiguousarray(est).view(complex).reshape((w.pmap.nf,) + raw.shape[1:])

@@ -51,9 +51,11 @@ def spatial_correlation(spec, n):
     ``white`` gives the identity; a preset or ``x,y; x,y; ...`` positions
     give J0(2 pi d_mn) under isotropic scattering: unit diagonal, real
     symmetric, PSD (checked; degenerate geometries that defeat the jitter
-    raise NumericError).  A malformed spec, or one with fewer than n
-    elements, raises InputError.
+    raise NumericError).  A count n below 1, a malformed spec, or one with
+    fewer than n elements, raises InputError.
     """
+    if not n >= 1:
+        raise InputError(f"an array needs at least one element, got n={n}")
     if spec == "white":
         return np.eye(n)
     rows = [chunk.split(",") for chunk in spec.split(";") if chunk.strip()]
@@ -125,7 +127,7 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     if not math.isfinite(fdt):
         raise InputError(f"Doppler fdt={fdt} is not finite")
     static = fdt == 0.0
-    if nf < 1 or (not static and nf > CLARKE_MAX_USES):
+    if not nf >= 1 or (not static and nf > CLARKE_MAX_USES):
         limit = " or more" if static else f" to {CLARKE_MAX_USES}"
         raise InputError(f"frame of {nf} uses is not 1{limit}")
     n_draws = 1 if static else nf

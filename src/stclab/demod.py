@@ -39,15 +39,18 @@ class DecodeResult(NamedTuple):
     degenerate: int
 
 
-def _frames(y, h):
+def _frames(y, h, lt):
     """A batch of frames as (frames, n_uses, lr) received and (frames,
-    n_uses, lr, lt) fading arrays."""
+    n_uses, lr, lt) fading arrays, for a code of lt transmit antennas."""
     yv = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if yv.ndim != 3:
         raise InputError(f"frames {yv.shape} must be a (frames, n_uses, lr) batch")
-    if h.ndim != 4 or h.shape[:3] != yv.shape:
-        raise InputError(f"fading shape {h.shape} does not match frames {yv.shape}")
+    if h.shape != yv.shape + (lt,):
+        raise InputError(
+            f"fading shape {h.shape} does not match frames {yv.shape}"
+            f" of a code with lt={lt}"
+        )
     return yv, h
 
 
@@ -68,7 +71,7 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     to the lowest codeword index, within a slice by argmin and across
     slices by a strict comparison.
     """
-    yv, h = _frames(y, h)
+    yv, h = _frames(y, h, cb.codewords.shape[1])
     if yv.shape[1] % cb.n_uses:
         raise InputError(
             f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
@@ -188,7 +191,7 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     deterministic and reproducible against the exhaustive oracle.  The
     batch runs one add-compare-select pass over all its frames.
     """
-    yv, h = _frames(y, h)
+    yv, h = _frames(y, h, code.lt)
     n_frames, nf, lr = yv.shape
     n_term = code.n_term_steps
     data_steps = nf - n_term
@@ -226,15 +229,14 @@ def viterbi_decode(y, h, code: TrellisCode, es):
         back[k] = gather[np.arange(s_count), pick]
         costs = cand_costs.min(axis=2)
 
-    # deterministic termination tail per end-of-data state (an unreachable
-    # state's cost stays infinite)
+    # deterministic termination tail of every end-of-data state, stepped
+    # together (an unreachable state's cost stays infinite)
     total = costs.copy()
-    for s in range(s_count):
-        cur = s
-        for t in range(n_term):
-            u = int(code.term_inputs[s, t])
-            total[:, s] += bm[:, data_steps + t, cur, u]
-            cur = int(code.next_state[cur, u])
+    cur = np.arange(s_count)
+    for t in range(n_term):
+        u = code.term_inputs[:, t]
+        total += bm[:, data_steps + t, cur, u]
+        cur = code.next_state[cur, u]
 
     best = np.argmin(total, axis=1)
     patterns = np.zeros((n_frames, data_steps), dtype=int)
@@ -375,7 +377,7 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
         raise InputError(
             f"{type(code).__name__} has no linear-dispersion form"
         )
-    yv, h = _frames(y, h)
+    yv, h = _frames(y, h, code.basis.shape[1])
     n_frames, n, lr = yv.shape
     u = code.n_uses
     if n % u:
@@ -444,10 +446,8 @@ def alamouti_combine(y, h, es, c: Constellation):
     combined with the channel of its first use, an approximation.  A
     zero-gain block decides pattern 0 and counts its frame as degenerate.
     """
-    yv, h = _frames(y, h)
+    yv, h = _frames(y, h, 2)
     n_frames, nf, lr = yv.shape
-    if h.shape[3] != 2:
-        raise InputError("alamouti combining requires lt = 2")
     if nf % 2:
         raise InputError("frame length must be even (2-use blocks)")
     yb = yv.reshape(n_frames, nf // 2, 2, lr)

@@ -277,7 +277,6 @@ class SweepSetup:
     decode: object
     rtx: np.ndarray
     rrx: np.ndarray
-    pmap: object = None
     wiener: object = None
 
 
@@ -303,7 +302,7 @@ def build_setup(cfg: SweepConfig):
     if decoder == "sphere" and cfg.lr < cfg.lt:
         raise InputError("sphere decoding requires lr >= lt", key="decoder")
 
-    pmap = wiener = None
+    wiener = None
     data_uses = cfg.frame_uses
     if cfg.csi == "pilot":
         try:
@@ -371,7 +370,7 @@ def build_setup(cfg: SweepConfig):
             corr.append(spatial_correlation(getattr(cfg, key), count))
         except InputError as e:
             raise InputError(str(e), key=key) from None
-    setup = SweepSetup(cfg, info_bits, encode, decode, *corr, pmap, wiener)
+    setup = SweepSetup(cfg, info_bits, encode, decode, *corr, wiener)
     for ebn0 in cfg.ebn0_db:
         try:
             ok = 0.0 < _es_for(setup, ebn0) < math.inf
@@ -467,7 +466,8 @@ def simulate_frames(setup, si, frame_indices, es):
     what the frame gives when it runs alone, and the batch's decoder node
     count.
     """
-    cfg, pmap = setup.cfg, setup.pmap
+    cfg = setup.cfg
+    pmap = None if setup.wiener is None else setup.wiener.pmap
     gens = _frame_generators(cfg.seed, si, frame_indices)
     bits = np.array([g[0].integers(0, 2, size=setup.info_bits) for g in gens])
     x = setup.encode(bits)
@@ -485,7 +485,7 @@ def simulate_frames(setup, si, frame_indices, es):
         pos = pmap.data_positions
         h = np.empty((len(gens), pos.size, cfg.lr, cfg.lt), dtype=complex)
         for hf, yf in zip(h, y):
-            hf[...] = estimate_channel(yf, es, pmap, setup.wiener)[pos]
+            hf[...] = estimate_channel(yf, es, setup.wiener)[pos]
         y = y[:, pos]
     res = setup.decode(y, h, es=es)
     return np.count_nonzero(res.bits != bits, axis=1), res.visited

@@ -40,6 +40,10 @@ ALAMOUTI_PARTS /= np.sqrt(2.0)
 # codewords for spatial multiplexing over 5 antennas with 16QAM.  The next
 # size up (6 antennas) would need about 1.6 GB before its duplicate check.
 CODEBOOK_CAP = 2**20
+# Most transitions (n_states * 2^bits_per_step) a trellis file may declare:
+# a 4-state QPSK code, like the packaged one, has 16, and at the cap a
+# 300-use frame's Viterbi branch metrics take about 10 MB.
+TRELLIS_TRANSITION_CAP = 2**12
 # Rows of a codebook's duplicate check are rounded and hashed this many
 # complex values at a time (4 MB).
 DUPLICATE_SLICE_ELEMENTS = 2**18
@@ -335,7 +339,8 @@ def load_trellis(text, name="trellis"):
 
     Format: a header line ``trellis <n_states> <bits_per_step> <lt>
     <constellation>`` followed by exactly n_states * 2^bits_per_step lines
-    ``<state> <input-bits> <next_state> <idx_ant1> ... <idx_ant_lt>``.
+    ``<state> <input-bits> <next_state> <idx_ant1> ... <idx_ant_lt>``, at
+    most ``TRELLIS_TRANSITION_CAP`` of them.
     ``#`` starts a comment.  Raises InputError on malformed text or a
     semantic violation, keyed ``line N`` when one line is at fault.
     """
@@ -360,6 +365,14 @@ def load_trellis(text, name="trellis"):
                 raise InputError("non-integer header field", key=at) from None
             if n_states < 1 or bits_per_step < 1 or lt < 1:
                 raise InputError("header counts must be positive", key=at)
+            # the bit-length test keeps a huge exponent from being shifted
+            cap = TRELLIS_TRANSITION_CAP
+            if bits_per_step >= cap.bit_length() or n_states << bits_per_step > cap:
+                raise InputError(
+                    f"{n_states} states x 2^{bits_per_step} inputs exceed the"
+                    f" {cap} transitions a trellis may have",
+                    key=at,
+                )
             cname = tokens[4]
             if cname not in CONSTELLATIONS:
                 raise InputError(f"unknown constellation {cname!r}", key=at)

@@ -241,7 +241,7 @@ def test_estimator_accuracy(capsys):
     for f in range(n):
         h = generate_fading(300, fdt, np.eye(2), np.eye(2), make_rng(5_000_000 + f))
         frame = apply_channel(x[None], h[None], es, [make_rng(6_000_000 + f)])[0]
-        err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
+        err2 += np.sum(np.abs(estimate_channel(frame, es, w) - h) ** 2, axis=(1, 2))
     mse = err2 / (n * 4)
     d = pm.data_positions
     ratio = float(mse[d].mean() / w.mmse[d].mean())

@@ -112,6 +112,11 @@ class TestWienerDesign:
         assert w.block_idx.shape == (300, 12)
         assert w.mmse.shape == (300,)
 
+    def test_design_carries_its_map(self):
+        # estimate_channel reads the pilots of the map the design was made for
+        pm = build_pilot_map(300, 2, 72)
+        assert design_wiener(pm, 0.01, 30.0, 12).pmap is pm
+
     def test_taps_bounded_by_blocks(self):
         pm = build_pilot_map(300, 2, 72)
         with pytest.raises(InputError):
@@ -247,7 +252,7 @@ class TestEstimation:
         w = design_wiener(pm, 0.0, np.inf, 8)
         h = generate_fading(300, 0.0, np.eye(2), np.eye(2), make_rng(2))
         frame = pilot_frame(pm, h, 1.0, make_rng(3), n0=1e-20)
-        hh = estimate_channel(frame, 1.0, pm, w)
+        hh = estimate_channel(frame, 1.0, w)
         assert hh.shape == (300, 2, 2)
         assert_allclose(hh, h, atol=1e-6)
 
@@ -259,7 +264,7 @@ class TestEstimation:
         for f in range(n):
             h = generate_fading(100, 0.01, np.eye(2), np.eye(1), make_rng(40000 + f))
             frame = pilot_frame(pm, h, 100.0, make_rng(50000 + f))
-            bias += estimate_channel(frame, 100.0, pm, w) - h
+            bias += estimate_channel(frame, 100.0, w) - h
         assert np.abs(bias / n).max() < 0.02
 
     def test_mse_tracks_analytic(self):
@@ -273,7 +278,7 @@ class TestEstimation:
         for f in range(n):
             h = generate_fading(300, fdt, np.eye(2), np.eye(2), make_rng(60000 + f))
             frame = pilot_frame(pm, h, es, make_rng(70000 + f))
-            err2 += np.sum(np.abs(estimate_channel(frame, es, pm, w) - h) ** 2, axis=(1, 2))
+            err2 += np.sum(np.abs(estimate_channel(frame, es, w) - h) ** 2, axis=(1, 2))
         mse = err2 / (n * 4)
         d = pm.data_positions
         assert mse[d].mean() <= 1.25 * w.mmse[d].mean()
@@ -290,7 +295,7 @@ class TestEstimation:
         for taps in sorted({1, min(20, pm.n_blocks), pm.n_blocks}):
             w = design_wiener(pm, 0.01, 12.0, taps)
             want = np.einsum("ka,kaij->kij", w.weights, raw[w.block_idx])
-            got = estimate_channel(y, 2.0, pm, w)
+            got = estimate_channel(y, 2.0, w)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_antennas_estimated_separately(self):
@@ -303,8 +308,8 @@ class TestEstimation:
         h_masked[:, :, 1] = 0.0
         fa = pilot_frame(pm, h, 1.0, make_rng(5), n0=1e-20)
         fb = pilot_frame(pm, h_masked, 1.0, make_rng(5), n0=1e-20)
-        ha = estimate_channel(fa, 1.0, pm, w)
-        hb = estimate_channel(fb, 1.0, pm, w)
+        ha = estimate_channel(fa, 1.0, w)
+        hb = estimate_channel(fb, 1.0, w)
         assert_allclose(ha[:, :, 0], hb[:, :, 0], atol=1e-8)
         assert_allclose(hb[:, :, 1], np.zeros((40, 1)), atol=1e-8)
 
@@ -316,7 +321,7 @@ class TestEstimation:
         with pytest.raises(InputError):
             raw_block_estimates(frame, 1.0, pm)
         with pytest.raises(InputError):
-            estimate_channel(frame, 1.0, pm, w)
+            estimate_channel(frame, 1.0, w)
 
     @pytest.mark.parametrize("shape", [(300,), (300, 1, 2), ()])
     def test_frame_not_nf_by_lr_refused(self, shape):
@@ -326,4 +331,4 @@ class TestEstimation:
         with pytest.raises(InputError):
             raw_block_estimates(y, 1.0, pm)
         with pytest.raises(InputError):
-            estimate_channel(y, 1.0, pm, w)
+            estimate_channel(y, 1.0, w)

@@ -235,6 +235,28 @@ class TestMetricsCommand:
         rc = main(["metrics", "--code", str(p)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["metrics", "sweep"])
+    def test_oversized_trellis_header_refused(self, command, tmp_path, capsys):
+        # 2^100000000 inputs a state: refused from the header alone
+        code = tmp_path / "huge.txt"
+        code.write_text("trellis 1 100000000 1 QPSK\n")
+        argv = ["metrics", "--code", str(code)]
+        if command == "sweep":
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(
+                SWEEP_CONFIG.replace("code = alamouti", f"code = trellis\ntrellis_file = {code}")
+            )
+            argv = ["sweep", "--config", str(cfg)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_CONFIG
+        assert "line 1: 1 states x 2^100000000 inputs exceed" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
 
 # sha256 of (stdout, --csv file) of `stc-lab metrics`, pinned when the pair
 # and event enumerators were plain Python loops; the array kernels must

@@ -31,6 +31,7 @@ from stclab.stcodes import (
     encode_trellis,
     golden_codebook,
     load_packaged_trellis,
+    load_trellis,
     spatial_multiplex_codebook,
     trellis_path_codebook,
 )
@@ -506,6 +507,35 @@ class TestViterbi:
         frame, h = transmit(x, 2, 100.0, 1e-18, make_rng(10), fdt=0.01)
         res = viterbi_decode(frame[None], h[None], code, 100.0)
         np.testing.assert_array_equal(res.bits[0], bits)
+
+    def test_multi_step_tails_match_path_codebook_ml(self):
+        # random 8-state codes whose end states take different tails of 2
+        # or more steps: every state's tail metric must land on its own
+        # total for the decisions to be the brute-force ML ones
+        tails = set()
+        for seed in range(12):
+            rng = make_rng(300 + seed)
+            lines = ["trellis 8 1 2 QPSK"]
+            for state in range(8):
+                outs = rng.choice(16, size=2, replace=False)
+                for u in range(2):
+                    lines.append(f"{state} {u} {rng.integers(8)} {outs[u] // 4} {outs[u] % 4}")
+            try:
+                code = load_trellis("\n".join(lines))
+            except InputError:  # some state cannot reach state 0
+                continue
+            if code.n_term_steps < 2:
+                continue
+            tails.add(code.n_term_steps)
+            cb = trellis_path_codebook(code, 4)
+            for t in range(8):
+                bits = rng.integers(0, 2, size=4)
+                x = encode_trellis(bits[None], code)[0]
+                frame, h = transmit(x, 2, 3.0, 1.0, make_rng(900 + 10 * seed + t))
+                vd = viterbi_decode(frame[None], h[None], code, 3.0)
+                ml = ml_exhaustive_blocks(frame[None], h[None], cb, 3.0)
+                np.testing.assert_array_equal(vd.bits, ml.bits)
+        assert len(tails) >= 2
 
     def test_length_check(self):
         code = load_packaged_trellis()

@@ -391,13 +391,13 @@ class TestBuildSetup:
             frame_uses=300,
         )
         setup = build_setup(cfg)
-        assert setup.pmap.data_positions.size == 228
+        assert setup.wiener.pmap.data_positions.size == 228
         assert setup.info_bits == 228 // 2 * 4
 
     def test_perfect_csi_uses_whole_frame(self):
         cfg = SweepConfig(code="alamouti", ebn0_db=(10.0,), lt=2, lr=1, frame_uses=300)
         setup = build_setup(cfg)
-        assert setup.pmap is None and setup.wiener is None
+        assert setup.wiener is None
         assert setup.info_bits == 600
 
     def test_trellis_termination_charged(self):
@@ -693,19 +693,20 @@ def old_simulate_frame(setup, si, fi, es):
         x_data = cb.codewords[idx].transpose(1, 0, 2).reshape(cfg.lt, -1)
     nf = cfg.frame_uses
     if cfg.csi == "pilot":
+        pmap = setup.wiener.pmap
         x = np.zeros((cfg.lt, nf), dtype=complex)
-        x[:, setup.pmap.data_positions] = x_data
-        for start in setup.pmap.block_starts:
-            x[:, start : start + cfg.lt] = setup.pmap.pilot_matrix
+        x[:, pmap.data_positions] = x_data
+        for start in pmap.block_starts:
+            x[:, start : start + cfg.lt] = pmap.pilot_matrix
     else:
         x = x_data
     fdt = cfg.fdt if cfg.channel_mode == "clarke_varying" else 0.0
     h = generate_fading(nf, fdt, setup.rtx, setup.rrx, fade_rng)
     y = apply_channel(x[None], h[None], es, [noise_rng])[0]
     if cfg.csi == "pilot":
-        h_dec = estimate_channel(y, es, setup.pmap, setup.wiener)
-        y_data = y[setup.pmap.data_positions]
-        h_data = h_dec[setup.pmap.data_positions]
+        h_dec = estimate_channel(y, es, setup.wiener)
+        y_data = y[pmap.data_positions]
+        h_data = h_dec[pmap.data_positions]
     else:
         y_data = y
         h_data = h

@@ -21,6 +21,7 @@ from stclab.stcodes import (
     GOLDEN_SCALE,
     GOLDEN_THETA,
     GOLDEN_THETA_BAR,
+    TRELLIS_TRANSITION_CAP,
     BlockCodebook,
     alamouti_codebook,
     dispersion_code,
@@ -409,6 +410,30 @@ class TestTrellisParsing:
         with pytest.raises(InputError) as exc:
             load_trellis("trellis 4 2\n")
         assert exc.value.key == "line 1"
+
+    def test_transition_cap(self):
+        # one state with every input at the cap is read; two states are not
+        bits = TRELLIS_TRANSITION_CAP.bit_length() - 1
+        text = f"trellis 1 {bits} 1 QPSK\n" + "".join(
+            f"0 {u:0{bits}b} 0 0\n" for u in range(2**bits)
+        )
+        code = load_trellis(text)
+        assert code.n_states * code.n_inputs == TRELLIS_TRANSITION_CAP
+        with pytest.raises(InputError, match="transitions a trellis may have") as exc:
+            load_trellis(text.replace("trellis 1", "trellis 2", 1))
+        assert exc.value.key == "line 1"
+
+    def test_huge_input_exponent_refused_from_the_header(self):
+        # 2^100000000 would be a 12 MB integer, and printing it fails
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError) as exc:
+                load_trellis("# a comment line\ntrellis 1 100000000 1 QPSK\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.key == "line 2"
+        assert peak < 2**20
 
     def test_missing_transition(self):
         lines = DELAY_DIVERSITY_TEXT.strip().splitlines()
