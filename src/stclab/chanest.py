@@ -10,11 +10,12 @@ SNR (the classic mismatched-filter PSAD arrangement).
 
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError
+from .errors import InputError, check_es
 from .mathcore import bessel_j0, cholesky_psd
 
 
@@ -49,15 +50,16 @@ def _orthogonal_pilot_matrix(lt):
 
 
 def build_pilot_map(nf, lt, n_pilot):
-    """Edge-flush plus uniform interior pilot blocks of lt uses each."""
-    if not lt >= 1:
-        raise InputError(f"lt={lt} must be >= 1")
-    if n_pilot <= 0 or n_pilot % lt:
+    """Edge-flush plus uniform interior pilot blocks of lt uses each; every
+    count must be an integer."""
+    if not (isinstance(lt, Integral) and lt >= 1):
+        raise InputError(f"lt={lt} must be an integer >= 1")
+    if not (isinstance(n_pilot, Integral) and n_pilot > 0) or n_pilot % lt:
         raise InputError(
             f"n_pilot={n_pilot} must be a positive multiple of lt={lt}"
         )
-    if not n_pilot < nf:
-        raise InputError(f"n_pilot={n_pilot} must be < nf={nf}")
+    if not (isinstance(nf, Integral) and n_pilot < nf):
+        raise InputError(f"nf={nf} must be an integer above n_pilot={n_pilot}")
     n_blocks = n_pilot // lt
     if n_blocks < 2:
         raise InputError("need at least two pilot blocks (one per frame edge)")
@@ -106,11 +108,11 @@ def design_wiener(pmap: PilotMap, fdT_design, snr_design_db, taps):
     numpy.inf for a noise-free design; a non-finite fdT and a NaN or -inf
     snr are refused.
     """
-    if not 1 <= taps <= pmap.n_blocks:  # NaN fails too
+    if not (isinstance(taps, Integral) and 1 <= taps <= pmap.n_blocks):
         raise InputError(
-            f"taps={taps} must be 1 to the {pmap.n_blocks} available pilot blocks"
+            f"taps={taps} must be an integer from 1 to the {pmap.n_blocks}"
+            " available pilot blocks"
         )
-    taps = int(taps)
     if not (np.isfinite(fdT_design) and snr_design_db > -np.inf):
         raise InputError(f"need a finite design fdT and an snr above -inf dB,"
                          f" got {fdT_design} and {snr_design_db}")
@@ -165,6 +167,7 @@ def estimate_channel(y, es, w: WienerInterpolator):
     separable processing), so the result for one receive antenna equals the
     joint result restricted to it.
     """
+    check_es(es)
     raw = raw_block_estimates(y, es, w.pmap)
     # the real weights scale real and imaginary parts alike: gather both
     # as (2 lr lt, taps, nf) floats and add the taps in order from 0.0,

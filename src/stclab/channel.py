@@ -23,11 +23,12 @@ and the fading array, and the Es that produced a frame travels beside it.
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError
+from .errors import InputError, check_es
 from .mathcore import bessel_j0, cholesky_psd
 
 GEOMETRY_PRESETS = {
@@ -51,11 +52,11 @@ def spatial_correlation(spec, n):
     ``white`` gives the identity; a preset or ``x,y; x,y; ...`` positions
     give J0(2 pi d_mn) under isotropic scattering: unit diagonal, real
     symmetric, PSD (checked; degenerate geometries that defeat the jitter
-    raise NumericError).  A count n below 1, a malformed spec, or one with
-    fewer than n elements, raises InputError.
+    raise NumericError).  A count n that is not an integer >= 1, a
+    malformed spec, or one with fewer than n elements, raises InputError.
     """
-    if not n >= 1:
-        raise InputError(f"an array needs at least one element, got n={n}")
+    if not (isinstance(n, Integral) and n >= 1):
+        raise InputError(f"an array needs an integer count n >= 1, got n={n}")
     if spec == "white":
         return np.eye(n)
     rows = [chunk.split(",") for chunk in spec.split(";") if chunk.strip()]
@@ -111,9 +112,9 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     matrices.  Each path is unit power with temporal autocovariance
     J0(2 pi fdt m); vec(H(k)) (row-major) has spatial covariance rrx kron
     rtx.  fdt = 0 is quasi-static fading: a single matrix drawn and held
-    over the frame.  A frame shorter than one use, a Clarke frame longer
-    than CLARKE_MAX_USES and a non-finite fdt are refused before anything
-    is drawn or allocated.
+    over the frame.  A frame length that is not an integer from 1 (to
+    CLARKE_MAX_USES for a Clarke frame) and a non-finite fdt are refused
+    before anything is drawn or allocated.
 
     The white innovations are drawn with the receive-antenna axis leading,
     so truncating a frame to fewer receive antennas reproduces the frame a
@@ -127,9 +128,9 @@ def generate_fading(nf, fdt, rtx, rrx, rng):
     if not math.isfinite(fdt):
         raise InputError(f"Doppler fdt={fdt} is not finite")
     static = fdt == 0.0
-    if not nf >= 1 or (not static and nf > CLARKE_MAX_USES):
+    if not (isinstance(nf, Integral) and nf >= 1) or (not static and nf > CLARKE_MAX_USES):
         limit = " or more" if static else f" to {CLARKE_MAX_USES}"
-        raise InputError(f"frame of {nf} uses is not 1{limit}")
+        raise InputError(f"frame of {nf} uses is not an integer from 1{limit}")
     n_draws = 1 if static else nf
     w = rng.standard_normal((lr, lt, n_draws, 2))
     g = w.view(complex)[..., 0] / np.sqrt(2.0)  # w[..., 0] + 1j w[..., 1]
@@ -155,8 +156,10 @@ def apply_channel(x, h, es, rngs, n0=1.0):
     per frame; returns the (frames, n_uses, lr) received frames.  Noise is
     circular complex Gaussian, variance N0/2 per real dimension, drawn with
     the receive axis leading (see generate_fading), each frame's from its
-    own generator, so a frame's slice equals a batch of one.
+    own generator, so a frame's slice equals a batch of one.  ``es`` must
+    be finite and > 0.
     """
+    check_es(es)
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
     frames, lt, nf = x.shape if x.ndim == 3 else (-1, -1, -1)

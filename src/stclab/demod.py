@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_es
 from .mathcore import Constellation, patterns_to_bits
-from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode
+from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode, _block_codebook
 
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
@@ -39,9 +39,11 @@ class DecodeResult(NamedTuple):
     degenerate: int
 
 
-def _frames(y, h, lt):
+def _frames(y, h, lt, es):
     """A batch of frames as (frames, n_uses, lr) received and (frames,
-    n_uses, lr, lt) fading arrays, for a code of lt transmit antennas."""
+    n_uses, lr, lt) fading arrays, for a code of lt transmit antennas,
+    sent at a finite symbol energy es > 0."""
+    check_es(es)
     yv = np.asarray(y, dtype=complex)
     h = np.asarray(h, dtype=complex)
     if yv.ndim != 3:
@@ -71,7 +73,7 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     to the lowest codeword index, within a slice by argmin and across
     slices by a strict comparison.
     """
-    yv, h = _frames(y, h, cb.codewords.shape[1])
+    yv, h = _frames(y, h, cb.codewords.shape[1], es)
     if yv.shape[1] % cb.n_uses:
         raise InputError(
             f"frame length {yv.shape[1]} is not a multiple of {cb.n_uses}"
@@ -191,7 +193,7 @@ def viterbi_decode(y, h, code: TrellisCode, es):
     deterministic and reproducible against the exhaustive oracle.  The
     batch runs one add-compare-select pass over all its frames.
     """
-    yv, h = _frames(y, h, code.lt)
+    yv, h = _frames(y, h, code.lt, es)
     n_frames, nf, lr = yv.shape
     n_term = code.n_term_steps
     data_steps = nf - n_term
@@ -256,19 +258,13 @@ def _axis_levels(c: Constellation):
     the point at those level indices.  Raises InputError when the
     constellation is not a full product of one real level set.
     """
-    reals = np.unique(np.round(c.points.real, 12))
-    imags = np.unique(np.round(c.points.imag, 12))
-    if reals.size != imags.size or not np.allclose(reals, imags, atol=1e-12):
-        raise InputError("constellation axes differ; no lattice form")
-    if reals.size**2 != c.size:
-        raise InputError("constellation is not a per-axis product set")
-    i_re = np.argmin(np.abs(reals - c.points.real[:, None]), axis=1)
-    i_im = np.argmin(np.abs(reals - c.points.imag[:, None]), axis=1)
-    table = np.full((reals.size, reals.size), -1)
-    table[i_re, i_im] = np.arange(c.size)
-    if np.any(table < 0):
-        raise InputError("constellation is not a per-axis product set")
-    return reals, table
+    parts = np.round([c.points.real, c.points.imag], 12)
+    levels, at = np.unique(parts, return_inverse=True)
+    table = np.full((levels.size, levels.size), -1)
+    table[tuple(at.reshape(2, -1))] = np.arange(c.size)
+    if levels.size**2 != c.size or np.any(table < 0):
+        raise InputError(f"{c.name} is not a product of one real level set")
+    return levels, table
 
 
 def _dispersion_system(yv, h, code: LinearDispersionCode, es):
@@ -369,15 +365,17 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     as the initial radius.  The lattice algebra runs once for the whole
     batch (one einsum, one stacked QR), and one lockstep search covers
     every block whose lattice is not degenerate.
-    Requires lr >= lt so the lattice has full column rank; a block with a
-    degenerate channel falls back to an exhaustive scan of the product set
-    (ties to the lowest codeword index) and counts its frame as degenerate.
+    Requires lr >= lt so the lattice has full column rank.  A block with a
+    degenerate channel is decided by exhaustive ML over the codebook of
+    ``code.encode``, built only for a batch that has one: the decisions of
+    :func:`ml_exhaustive_blocks`, ties to the lowest codeword index.  Its
+    frame counts as degenerate.
     """
     if not isinstance(code, LinearDispersionCode):
         raise InputError(
             f"{type(code).__name__} has no linear-dispersion form"
         )
-    yv, h = _frames(y, h, code.basis.shape[1])
+    yv, h = _frames(y, h, code.basis.shape[1], es)
     n_frames, n, lr = yv.shape
     u = code.n_uses
     if n % u:
@@ -406,32 +404,23 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     z = signs * (q.transpose(0, 2, 1) @ yr[:, :, None])[:, :, 0]
     rdiag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     degenerate = rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0)
-    v, visited = np.empty((yr.shape[0], d)), np.empty(yr.shape[0], dtype=int)
+    v, visited = np.zeros((yr.shape[0], d)), np.full(yr.shape[0], c.size**m)
     ok = ~degenerate
     v[ok], visited[ok] = _lockstep_search(z[ok], r[ok], levels)
-    for b in np.flatnonzero(degenerate):
-        v[b], visited[b] = _brute_force_lattice(yr[b], gr[b], levels, m, table, c)
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
-    patterns = table[idx[:, :m], idx[:, m:]].reshape(n_frames, -1)
+    words = table[idx[:, :m], idx[:, m:]] @ c.size ** np.arange(m - 1, -1, -1)
+    if degenerate.any():
+        # exhaustive ML over the encoder's codebook, as one frame of the
+        # degenerate blocks
+        cb = _block_codebook("dispersion", c, m, code.encode)
+        yd = yv.reshape(-1, u, lr)[degenerate].reshape(-1, lr)
+        hd = h.reshape(-1, u, lr, h.shape[3])[degenerate].reshape(-1, lr, h.shape[3])
+        words[degenerate] = _ml_frame(yd, hd, cb, es)
     return DecodeResult(
-        patterns_to_bits(patterns, c.bits_per_symbol),
+        patterns_to_bits(words.reshape(n_frames, -1), m * c.bits_per_symbol),
         int(visited.sum()),
         int(np.count_nonzero(degenerate.reshape(n_frames, -1).any(axis=1))),
     )
-
-
-def _brute_force_lattice(yr, gr, levels, m, table, c):
-    """Exhaustive scan of the real product lattice, lowest index on ties."""
-    grids = np.meshgrid(*([levels] * (2 * m)), indexing="ij")
-    cand = np.stack([g.reshape(-1) for g in grids], axis=1)
-    costs = np.sum((yr[None, :] - cand @ gr.T) ** 2, axis=1)
-    best = costs.min()
-    tied = np.nonzero(costs == best)[0]
-    # each tied candidate's codeword index, symbols MSB first; the smallest wins
-    lv = np.argmin(np.abs(cand[tied][:, :, None] - levels), axis=2)
-    words = table[lv[:, :m], lv[:, m:]] @ c.size ** np.arange(m - 1, -1, -1)
-    pick = tied[np.argmin(words)]
-    return cand[pick], cand.shape[0]
 
 
 def alamouti_combine(y, h, es, c: Constellation):
@@ -446,7 +435,7 @@ def alamouti_combine(y, h, es, c: Constellation):
     combined with the channel of its first use, an approximation.  A
     zero-gain block decides pattern 0 and counts its frame as degenerate.
     """
-    yv, h = _frames(y, h, 2)
+    yv, h = _frames(y, h, 2, es)
     n_frames, nf, lr = yv.shape
     if nf % 2:
         raise InputError("frame length must be even (2-use blocks)")

@@ -11,6 +11,7 @@ Three figures of merit drive the comparisons:
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -166,6 +167,8 @@ def trellis_error_events(code: TrellisCode, max_depth=10, all_reference_states=F
     than ``EVENT_CAP`` events are generated before deduplication, and
     InputError, before any search, when ``max_depth`` exceeds ``DEPTH_CAP``.
     """
+    if not isinstance(max_depth, Integral):
+        raise InputError(f"max_depth={max_depth} is not an integer")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     if max_depth > DEPTH_CAP:

@@ -4,7 +4,10 @@
 definition or argument (exit code 2).  :class:`NumericError` is a numerical
 failure on well-formed input (exit code 3).  Each also derives from a
 builtin (ValueError, RuntimeError), so callers may catch either.
+:func:`check_es` is the symbol-energy refusal that several layers share.
 """
+
+import math
 
 
 class StclabError(Exception):
@@ -22,3 +25,9 @@ class InputError(StclabError, ValueError):
 
 class NumericError(StclabError, RuntimeError):
     """Numerical failure on well-formed input."""
+
+
+def check_es(es):
+    """Refuse a symbol energy that is not finite and > 0."""
+    if not (math.isfinite(es) and es > 0):
+        raise InputError(f"symbol energy es={es} must be finite and > 0")

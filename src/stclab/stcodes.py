@@ -13,6 +13,7 @@ loaded from a small line-oriented definition format (see
 :func:`load_trellis`); frames and path codebooks share one stepper.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -245,13 +246,15 @@ class LinearDispersionCode:
     """Codeword as a linear map X = sum_m s_m A_m over complex symbols.
 
     ``basis`` has shape (n_syms, lt, n_uses).  Symbol order matches the
-    codebook bit order: symbol 0 carries the most significant bits.  A
-    code past ``CODEBOOK_CAP`` words is refused like its codebook, since
-    a degenerate block is decided by scanning every word.
+    codebook bit order: symbol 0 carries the most significant bits.
+    ``encode`` is the batch encoder the basis was derived from; a
+    degenerate block is decided by exhaustive ML over its codebook, so a
+    code past ``CODEBOOK_CAP`` words is refused like that codebook.
     """
 
     basis: np.ndarray
     constellation: Constellation
+    encode: Callable = field(repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex)
@@ -272,7 +275,7 @@ class LinearDispersionCode:
 def dispersion_code(c: Constellation, n_syms, encode):
     """The linear-dispersion form of ``encode`` over n_syms points of c:
     A_m is the encoder on unit vector m; + 0.0 turns -0.0 into 0.0."""
-    return LinearDispersionCode(encode(np.eye(n_syms)) + 0.0, c)
+    return LinearDispersionCode(encode(np.eye(n_syms)) + 0.0, c, encode)
 
 
 @dataclass(frozen=True)

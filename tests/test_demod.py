@@ -21,8 +21,9 @@ from stclab.demod import (
     viterbi_decode,
 )
 from stclab.errors import InputError
-from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, patterns_to_bits
+from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, Constellation, patterns_to_bits
 from stclab.stcodes import (
+    _block_codebook,
     alamouti_codebook,
     dispersion_code,
     encode_alamouti,
@@ -64,9 +65,11 @@ def per_block_sphere_decode(y, h, code, es):
     """The one-block-per-call sphere decoder that the frame kernel replaced.
 
     It redoes the lattice algebra (levels, real system, QR, sign fix) for
-    every block and searches with numpy rows.  Kept here only as the
-    reference the frame kernel must match in bits, visits and degeneracy;
-    returns (bits, visited, degenerate) summed over the frame's blocks.
+    every block and searches with numpy rows; a degenerate block is
+    decided by exhaustive ML over the encoder's codebook.  Kept here only
+    as the reference the frame kernel must match in bits, visits and
+    degeneracy; returns (bits, visited, degenerate) summed over the frame's
+    blocks.
     """
     u = code.n_uses
     c = code.constellation
@@ -90,9 +93,12 @@ def per_block_sphere_decode(y, h, code, es):
         out = _per_block_search(yr, gr, reals, d)
         if out is None:
             degenerate = True
-            v, n = demod._brute_force_lattice(yr, gr, reals, m, table, c)
-        else:
-            v, n = out
+            cb = _block_codebook("dispersion", c, m, code.encode)
+            ml = ml_exhaustive_blocks(yb[None], hb[None], cb, es)
+            visited += ml.visited
+            bits.append(ml.bits[0])
+            continue
+        v, n = out
         visited += n
         re_idx = [int(np.argmin(np.abs(reals - v[i]))) for i in range(m)]
         im_idx = [int(np.argmin(np.abs(reals - v[m + i]))) for i in range(m)]
@@ -678,6 +684,81 @@ class TestSphere:
             assert one.degenerate == (b == 2)
             visited += one.visited
         assert res.visited == visited
+
+    @staticmethod
+    def rank_deficient_batch(cb, es, rng, n_frames=4, n_blocks=25, rank_one=None):
+        """Frames of random words whose blocks each see their own 2 x 2
+        channel, with two identical transmit columns where ``rank_one``
+        (frames, blocks) is true (every block by default)."""
+        u = cb.n_uses
+        h = (rng.standard_normal((n_frames, n_blocks, 2, 2, 2)) @ [1, 1j]) / np.sqrt(2)
+        if rank_one is None:
+            rank_one = np.ones((n_frames, n_blocks), dtype=bool)
+        h[rank_one, :, 1] = h[rank_one, :, 0]
+        h = np.repeat(h, u, axis=1)
+        x = cb.codewords[rng.integers(0, cb.size, size=(n_frames, n_blocks))]
+        x = x.transpose(0, 2, 1, 3).reshape(n_frames, 2, n_blocks * u)
+        y = apply_channel(x, h, es, [make_rng(n) for n in rng.integers(0, 2**32, n_frames)])
+        return y, h
+
+    @pytest.mark.parametrize("es", [1.0, 10.0])
+    @pytest.mark.parametrize("name", ["golden_qpsk", "spatial_multiplex_16qam"])
+    def test_rank_deficient_channels_match_ml(self, name, es):
+        # two identical transmit columns make many words tie to within a
+        # rounding; the degenerate blocks are decided as exhaustive ML does
+        ld, cb = self.CODES[name]()
+        y, h = self.rank_deficient_batch(cb, es, make_rng(41))
+        res = sphere_decode(y, h, ld, es)
+        ml = ml_exhaustive_blocks(y, h, cb, es)
+        np.testing.assert_array_equal(res.bits, ml.bits)
+        assert (res.visited, res.degenerate) == (ml.visited, 4)
+
+    def test_mixed_rank_batch_matches_ml(self):
+        ld, cb = self.CODES["spatial_multiplex_16qam"]()
+        rank_one = make_rng(42).random((4, 25)) < 0.3
+        rank_one[2] = False  # one frame of full-rank blocks only
+        y, h = self.rank_deficient_batch(cb, 3.0, make_rng(43), rank_one=rank_one)
+        res = sphere_decode(y, h, ld, 3.0)
+        np.testing.assert_array_equal(res.bits, ml_exhaustive_blocks(y, h, cb, 3.0).bits)
+        assert res.degenerate == 3
+
+    def test_codebook_is_built_only_for_a_degenerate_block(self, monkeypatch):
+        ld, cb = self.CODES["golden_qpsk"]()
+        built = []
+        build = demod._block_codebook
+        monkeypatch.setattr(
+            demod, "_block_codebook", lambda *a: built.append(a) or build(*a)
+        )
+        rank_one = np.zeros((2, 5), dtype=bool)
+        y, h = self.rank_deficient_batch(cb, 3.0, make_rng(44), 2, 5, rank_one)
+        assert sphere_decode(y, h, ld, 3.0).degenerate == 0
+        assert built == []
+        rank_one[1, 3] = True
+        y, h = self.rank_deficient_batch(cb, 3.0, make_rng(44), 2, 5, rank_one)
+        assert sphere_decode(y, h, ld, 3.0).degenerate == 1
+        assert len(built) == 1
+
+    def test_zero_channel_fallback_stays_small(self):
+        # 2^20 words of spatial multiplexing over 5 antennas: the codebook
+        # is 80 MiB, and exhaustive ML scans it in slices
+        ld = dispersion_code(QAM16, 5, partial(encode_spatial_multiplex, lt=5))
+        y, h = np.zeros((1, 1, 5), complex), np.zeros((1, 1, 5, 5), complex)
+        tracemalloc.start()
+        try:
+            res = sphere_decode(y, h, ld, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        assert (res.visited, res.degenerate) == (2**20, 1)
+        np.testing.assert_array_equal(res.bits, np.zeros((1, 20), dtype=int))
+
+    def test_rejects_constellation_without_lattice_form(self):
+        psk8 = Constellation("8PSK", np.exp(2j * np.pi * np.arange(8) / 8), 3)
+        ld = dispersion_code(psk8, 2, partial(encode_spatial_multiplex, lt=2))
+        y, h = np.ones((1, 1, 2), complex), np.ones((1, 1, 2, 2), complex)
+        with pytest.raises(InputError):
+            sphere_decode(y, h, ld, 1.0)
 
     MIXED = {
         "golden_16qam_compact_pair": lambda: (
