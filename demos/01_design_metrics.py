@@ -15,16 +15,13 @@ error events of the delay-diversity trellis.
 
 import numpy as np
 
-from stclab import (
-    QAM16,
-    QPSK,
+from stclab.designmetrics import codebook_report, event_report, trellis_error_events
+from stclab.mathcore import QAM16, QPSK
+from stclab.stcodes import (
     alamouti_codebook,
-    codebook_report,
-    event_report,
     golden_codebook,
     load_packaged_trellis,
     spatial_multiplex_codebook,
-    trellis_error_events,
 )
 
 

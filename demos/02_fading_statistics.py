@@ -9,11 +9,8 @@ both statistics by Monte Carlo and prints them against the Bessel targets.
 
 import numpy as np
 
-from stclab import (
-    bessel_j0,
-    generate_fading,
-    spatial_correlation,
-)
+from stclab.channel import generate_fading, spatial_correlation
+from stclab.mathcore import bessel_j0
 
 
 def rng_for(seed):

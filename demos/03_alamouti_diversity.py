@@ -14,7 +14,7 @@ approach 2 decades per 10 dB -- the signature of diversity order two.
 
 import numpy as np
 
-from stclab import parse_config, run_sweep
+from stclab.harness import parse_config, run_sweep
 
 
 def closed_form_ber(ebn0_db):

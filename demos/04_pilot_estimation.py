@@ -9,13 +9,8 @@ this script checks that Monte Carlo error actually lands on that curve.
 
 import numpy as np
 
-from stclab import (
-    apply_channel,
-    build_pilot_map,
-    design_wiener,
-    estimate_channel,
-    generate_fading,
-)
+from stclab.chanest import build_pilot_map, design_wiener, estimate_channel
+from stclab.channel import apply_channel, generate_fading
 
 nf, lt, lr = 300, 2, 2
 fdt = 0.005

@@ -13,7 +13,8 @@ with 95 percent intervals for each geometry and which code the intervals
 favour.
 """
 
-from stclab import SweepConfig, run_sweep, spatial_correlation
+from stclab.channel import spatial_correlation
+from stclab.harness import SweepConfig, run_sweep
 
 
 def fer_at_12db(code, constellation, tx, rx, seed):

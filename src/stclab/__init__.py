@@ -12,59 +12,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from .mathcore import (
-    CONSTELLATIONS,
-    QAM16,
-    QPSK,
-    Constellation,
-    bessel_j0,
-)
-from .stcodes import (
-    BlockCodebook,
-    LinearDispersionCode,
-    TrellisCode,
-    alamouti_codebook,
-    dispersion_code,
-    encode_alamouti,
-    encode_golden,
-    encode_spatial_multiplex,
-    encode_trellis,
-    golden_codebook,
-    load_packaged_trellis,
-    load_trellis,
-    spatial_multiplex_codebook,
-)
-from .designmetrics import (
-    DesignMetricsReport,
-    PairMetrics,
-    codebook_report,
-    event_report,
-    pair_metrics,
-    trellis_error_events,
-)
-from .channel import (
-    apply_channel,
-    generate_fading,
-    spatial_correlation,
-)
-from .chanest import (
-    PilotMap,
-    WienerInterpolator,
-    build_pilot_map,
-    design_wiener,
-    estimate_channel,
-)
-from .demod import (
-    DecodeResult,
-    alamouti_combine,
-    sphere_decode,
-    viterbi_decode,
-)
-from .harness import (
-    SweepConfig,
-    SweepResult,
-    parse_config,
-    run_sweep,
-    wilson_interval,
-)

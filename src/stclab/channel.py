@@ -152,21 +152,25 @@ def apply_channel(x, h, es, rngs, n0=1.0):
     """Y(k) = H(k) sqrt(Es) X(k) + N(k) over a batch of frames.
 
     ``x`` holds the (frames, lt, n_uses) transmit matrices, ``h`` the
-    (frames, n_uses, lr, lt) fading realizations and ``rngs`` one generator
-    per frame; returns the (frames, n_uses, lr) received frames.  Noise is
-    circular complex Gaussian, variance N0/2 per real dimension, drawn with
-    the receive axis leading (see generate_fading), each frame's from its
-    own generator, so a frame's slice equals a batch of one.  ``es`` must
-    be finite and > 0.
+    (frames, n_uses, lr, lt) fading realizations and ``rngs`` a list or
+    tuple of one Generator per frame; returns the (frames, n_uses, lr)
+    received frames.  Noise is circular complex Gaussian, variance N0/2 per
+    real dimension, drawn with the receive axis leading (see
+    generate_fading), each frame's from its own generator, so a frame's
+    slice equals a batch of one.  ``es`` must be finite and > 0.
     """
     check_es(es)
     x = np.asarray(x, dtype=complex)
     h = np.asarray(h, dtype=complex)
     frames, lt, nf = x.shape if x.ndim == 3 else (-1, -1, -1)
-    if h.ndim != 4 or h.shape[:2] + h.shape[3:] != (frames, nf, lt) or len(rngs) != frames:
+    one_each = isinstance(rngs, (list, tuple)) and len(rngs) == frames and all(
+        isinstance(g, np.random.Generator) for g in rngs
+    )
+    if h.ndim != 4 or h.shape[:2] + h.shape[3:] != (frames, nf, lt) or not one_each:
         raise InputError(
-            f"x {x.shape}, h {h.shape} and {len(rngs)} generators must be (frames, lt,"
-            " n_uses) and (frames, n_uses, lr, lt) batches with one generator per frame"
+            f"x {x.shape}, h {h.shape} and rngs of type {type(rngs).__name__} must be"
+            " (frames, lt, n_uses) and (frames, n_uses, lr, lt) batches and a list of"
+            " one Generator per frame"
         )
     w = np.empty((frames, h.shape[2], nf, 2))
     for g, wf in zip(rngs, w):

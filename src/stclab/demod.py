@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, check_es
 from .mathcore import Constellation, patterns_to_bits
-from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode, _block_codebook
+from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode
 
 # Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
 ML_SLICE_ELEMENTS = 2**21
@@ -366,10 +366,10 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     batch (one einsum, one stacked QR), and one lockstep search covers
     every block whose lattice is not degenerate.
     Requires lr >= lt so the lattice has full column rank.  A block with a
-    degenerate channel is decided by exhaustive ML over the codebook of
-    ``code.encode``, built only for a batch that has one: the decisions of
-    :func:`ml_exhaustive_blocks`, ties to the lowest codeword index.  Its
-    frame counts as degenerate.
+    degenerate channel is decided by exhaustive ML over ``code.codebook``,
+    built by the first batch that has one and kept with the code: the
+    decisions of :func:`ml_exhaustive_blocks`, ties to the lowest codeword
+    index.  Its frame counts as degenerate.
     """
     if not isinstance(code, LinearDispersionCode):
         raise InputError(
@@ -412,10 +412,9 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     if degenerate.any():
         # exhaustive ML over the encoder's codebook, as one frame of the
         # degenerate blocks
-        cb = _block_codebook("dispersion", c, m, code.encode)
         yd = yv.reshape(-1, u, lr)[degenerate].reshape(-1, lr)
         hd = h.reshape(-1, u, lr, h.shape[3])[degenerate].reshape(-1, lr, h.shape[3])
-        words[degenerate] = _ml_frame(yd, hd, cb, es)
+        words[degenerate] = _ml_frame(yd, hd, code.codebook, es)
     return DecodeResult(
         patterns_to_bits(words.reshape(n_frames, -1), m * c.bits_per_symbol),
         int(visited.sum()),

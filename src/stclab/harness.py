@@ -359,10 +359,14 @@ def build_setup(cfg: SweepConfig):
         decode = partial(viterbi_decode, code=code)
     elif decoder == "combiner":
         decode = partial(alamouti_combine, c=c)
-    elif decoder == "sphere":
-        decode = partial(sphere_decode, code=dispersion_code(c, n_syms, encoder))
     else:
-        decode = partial(ml_exhaustive_blocks, cb=family.codebook(c, cfg.lt))
+        try:  # a code past CODEBOOK_CAP words, which lt sets
+            if decoder == "sphere":
+                decode = partial(sphere_decode, code=dispersion_code(c, n_syms, encoder))
+            else:
+                decode = partial(ml_exhaustive_blocks, cb=family.codebook(c, cfg.lt))
+        except InputError as e:
+            raise InputError(str(e), key="lt") from None
 
     corr = []
     for key, count in (("tx_geometry", cfg.lt), ("rx_geometry", cfg.lr)):

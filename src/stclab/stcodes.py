@@ -15,7 +15,7 @@ loaded from a small line-oriented definition format (see
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -271,6 +271,12 @@ class LinearDispersionCode:
     def n_uses(self):
         return self.basis.shape[2]
 
+    @cached_property
+    def codebook(self):
+        """The BlockCodebook of ``encode``, built on first use and then kept
+        with the code (up to about 84 MB of words at ``CODEBOOK_CAP``)."""
+        return _block_codebook("dispersion", self.constellation, self.n_syms, self.encode)
+
 
 def dispersion_code(c: Constellation, n_syms, encode):
     """The linear-dispersion form of ``encode`` over n_syms points of c:
@@ -425,12 +431,7 @@ def load_trellis(text, name="trellis"):
             )
         next_state[state, pattern] = nxt
         out_idx[state, pattern] = idx
-    if (next_state < 0).any():
-        missing = np.argwhere(next_state < 0)[0]
-        raise InputError(
-            f"missing transition for state {missing[0]},"
-            f" input {missing[1]:0{bits_per_step}b}"
-        )
+    # n_states * n_inputs lines, in range and none repeated: every cell is set
     term = _termination_table(next_state)
     return TrellisCode(
         name=name,

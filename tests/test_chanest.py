@@ -75,8 +75,12 @@ class TestPilotMap:
         np.testing.assert_array_equal(np.sort(both), np.arange(120))
 
     def test_blocks_do_not_overlap(self):
-        pm = build_pilot_map(300, 2, 72)
-        assert np.all(np.diff(pm.block_starts) >= pm.lt)
+        # down to one data use: nf > n_pilot is all a map needs to fit
+        for lt in range(1, 5):
+            for n_blocks in range(2, 41):
+                for nf in range(n_blocks * lt + 1, n_blocks * lt + 41):
+                    pm = build_pilot_map(nf, lt, n_blocks * lt)
+                    assert np.all(np.diff(pm.block_starts) >= lt), (nf, lt, n_blocks)
 
     def test_near_uniform_interior(self):
         pm = build_pilot_map(300, 2, 72)

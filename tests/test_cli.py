@@ -439,6 +439,12 @@ class TestRefusalsBeforeAllocation:
                 "frame_uses = 60": "frame_uses = 2000000",
                 "seed = 11": "csi = pilot\npilot.count = 1000000",
             }),
+            # 16^6 words, past the codebook cap, for exhaustive ML (auto) and
+            # for sphere decoding's degenerate blocks
+            ("lt", {"alamouti": "spatial_multiplex", "QPSK": "16QAM", "lt = 2": "lt = 6",
+                    "lr = 1": "lr = 6"}),
+            ("lt", {"alamouti": "spatial_multiplex", "QPSK": "16QAM", "lt = 2": "lt = 6",
+                    "lr = 1": "lr = 6", "seed = 11": "seed = 11\ndecoder = sphere"}),
         ],
     )
     def test_sweep_refusal_names_the_key(self, key, edits, tmp_path, capsys):

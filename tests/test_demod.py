@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stclab import demod
+from stclab import demod, stcodes
 from stclab.channel import apply_channel, generate_fading, spatial_correlation
 from stclab.demod import (
     alamouti_combine,
@@ -725,9 +725,9 @@ class TestSphere:
     def test_codebook_is_built_only_for_a_degenerate_block(self, monkeypatch):
         ld, cb = self.CODES["golden_qpsk"]()
         built = []
-        build = demod._block_codebook
+        build = stcodes._block_codebook
         monkeypatch.setattr(
-            demod, "_block_codebook", lambda *a: built.append(a) or build(*a)
+            stcodes, "_block_codebook", lambda *a: built.append(a) or build(*a)
         )
         rank_one = np.zeros((2, 5), dtype=bool)
         y, h = self.rank_deficient_batch(cb, 3.0, make_rng(44), 2, 5, rank_one)
@@ -737,6 +737,19 @@ class TestSphere:
         y, h = self.rank_deficient_batch(cb, 3.0, make_rng(44), 2, 5, rank_one)
         assert sphere_decode(y, h, ld, 3.0).degenerate == 1
         assert len(built) == 1
+
+    def test_codebook_is_built_once_per_code(self, monkeypatch):
+        # two degenerate batches on one code build its codebook once
+        ld = dispersion_code(QPSK, 4, encode_golden)
+        built = []
+        check = stcodes.BlockCodebook.__post_init__
+        monkeypatch.setattr(
+            stcodes.BlockCodebook, "__post_init__", lambda cb: built.append(cb.name) or check(cb)
+        )
+        y, h = np.zeros((1, 2, 2), complex), np.zeros((1, 2, 2, 2), complex)
+        for _ in range(2):
+            assert sphere_decode(y, h, ld, 1.0).degenerate == 1
+        assert built == ["dispersion"]
 
     def test_zero_channel_fallback_stays_small(self):
         # 2^20 words of spatial multiplexing over 5 antennas: the codebook

@@ -7,18 +7,22 @@ fails its row.
 """
 
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stclab import stcodes
 from stclab.chanest import build_pilot_map, design_wiener, estimate_channel
 from stclab.channel import apply_channel, generate_fading, spatial_correlation
 from stclab.demod import alamouti_combine, ml_exhaustive_blocks, sphere_decode, viterbi_decode
-from stclab.designmetrics import trellis_error_events
+from stclab.designmetrics import codebook_report, trellis_error_events
 from stclab.errors import InputError
-from stclab.harness import parse_config
-from stclab.mathcore import QPSK, bits_to_patterns
+from stclab.harness import build_setup, parse_config
+from stclab.mathcore import QPSK, Constellation, bits_to_patterns
 from stclab.stcodes import (
+    BlockCodebook,
+    LinearDispersionCode,
     alamouti_codebook,
     dispersion_code,
     encode_golden,
@@ -102,6 +106,7 @@ CASES = {
     "trellis zero states": lambda: load_trellis("trellis 0 1 1 QPSK\n"),
     "trellis short header": lambda: load_trellis("trellis 4 2\n"),
     "trellis empty": lambda: load_trellis(""),
+    "trellis missing transition": lambda: load_trellis("trellis 1 1 1 QPSK\n0 0 0 0\n"),
     "error events max_depth = 2.5": lambda: trellis_error_events(
         load_packaged_trellis(), max_depth=2.5
     ),
@@ -113,6 +118,22 @@ CASES = {
         np.zeros(4, dtype=int), load_packaged_trellis()
     ),
     "bits not binary": lambda: bits_to_patterns([0, 2], 1),
+    "bits not flat": lambda: bits_to_patterns([[0, 1]], 1),
+    "constellation of 3 points for 2 bits": lambda: Constellation("bad", np.ones(3), 2),
+    "constellation of mean energy 4": lambda: Constellation("bad", 2 * QPSK.points, 2),
+    "codebook not (size, lt, n_uses)": lambda: BlockCodebook("flat", np.ones((4, 2)), 2),
+    "codebook of 3 words for 2 bits": lambda: BlockCodebook("three", np.eye(3)[:, :, None], 2),
+    "dispersion basis not 3-D": lambda: LinearDispersionCode(np.ones((4, 2)), QPSK, encode_golden),
+    # decoders and metrics: frames and codebooks they cannot take
+    "exhaustive ML frame of 7 uses, 2-use words": lambda: ml_exhaustive_blocks(
+        np.ones((1, 7, 1)), np.ones((1, 7, 1, 2)), alamouti_codebook(QPSK), 1.0
+    ),
+    "Viterbi frame shorter than its tail": lambda: viterbi_decode(
+        np.ones((1, 0, 1)), np.ones((1, 0, 1, 2)), load_packaged_trellis(), 1.0
+    ),
+    "codebook report of one word": lambda: codebook_report(
+        BlockCodebook("one", np.ones((1, 2, 2)), 0)
+    ),
     # sweep configs
     "config lr = 0": lambda: parse_config("code = alamouti\nlr = 0\nebn0_db = 1\n"),
     "config fdt = nan": lambda: parse_config("code = alamouti\nfdt = nan\nebn0_db = 1\n"),
@@ -127,10 +148,72 @@ for _name, _decode in DECODERS.items():
         )
 
 
+# the channel with right shapes but rngs that are not a list of one
+# generator per frame
+_RNGS = {"a Generator": np.random.default_rng(1), "None": None, "an int": 1, "a list of ints": [1]}
+for _name, _rngs in _RNGS.items():
+    CASES[f"channel rngs {_name}"] = partial(
+        apply_channel, np.ones((1, 2, 8)), np.ones((1, 8, 2, 2)), 1.0, _rngs
+    )
+
+
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
 def test_only_input_error_escapes(call):
     with pytest.raises(InputError):
         call()
+
+
+PACKAGED_TRELLIS = Path(stcodes.__file__).parent / "codes" / "delay_diversity_4state_qpsk.txt"
+
+
+def setup_of(code, *lines):
+    """build_setup of a config of ``code`` and these lines, at one grid point."""
+    return build_setup(parse_config("\n".join((f"code = {code}", "ebn0_db = 1", *lines)) + "\n"))
+
+
+trellis_setup = partial(setup_of, "trellis", f"trellis_file = {PACKAGED_TRELLIS}")
+MISSING_FILE = PACKAGED_TRELLIS.with_name("no_such_code.txt")
+
+# refusals that name where the input is at fault: a config key, or a line
+# of a trellis document
+KEYED_CASES = {
+    # sweep configs
+    "config constellation = 8PSK": ("constellation", partial(
+        setup_of, "alamouti", "constellation = 8PSK")),
+    "config decoder = magic": ("decoder", partial(setup_of, "alamouti", "decoder = magic")),
+    "config min_frame_errors = 0": ("min_frame_errors", partial(
+        setup_of, "alamouti", "min_frame_errors = 0")),
+    "config max_frames = -1": ("max_frames", partial(setup_of, "alamouti", "max_frames = -1")),
+    "config frame_uses = 0": ("frame_uses", partial(setup_of, "alamouti", "frame_uses = 0")),
+    "config grid not numbers": ("ebn0_db", partial(
+        parse_config, "code = alamouti\nebn0_db = 1, x\n")),
+    # sweep set-up
+    "setup Viterbi for Alamouti": ("decoder", partial(setup_of, "alamouti", "decoder = viterbi")),
+    "setup trellis file missing": ("trellis_file", partial(
+        setup_of, "trellis", f"trellis_file = {MISSING_FILE}")),
+    "setup trellis lt 2, config lt 3": ("lt", partial(trellis_setup, "lt = 3")),
+    "setup trellis QPSK, config 16QAM": ("constellation", partial(
+        trellis_setup, "constellation = 16QAM")),
+    "setup frame shorter than the tail": ("frame_uses", partial(trellis_setup, "frame_uses = 1")),
+    # trellis documents
+    "trellis header not integers": ("line 1", partial(load_trellis, "trellis x 1 1 QPSK\n")),
+    "trellis transition not integers": ("line 2", partial(
+        load_trellis, "trellis 1 1 1 QPSK\n0 0 x 0\n0 1 0 0\n")),
+    "trellis state out of range": ("line 3", partial(
+        load_trellis, "trellis 1 1 1 QPSK\n0 0 0 0\n1 1 0 0\n")),
+    "trellis next state out of range": ("line 2", partial(
+        load_trellis, "trellis 1 1 1 QPSK\n0 0 1 0\n0 1 0 0\n")),
+    # the right line count, with one (state, input) pair twice and one missing
+    "trellis duplicate transition": ("line 3", partial(
+        load_trellis, "trellis 1 1 1 QPSK\n0 0 0 0\n0 0 0 1\n")),
+}
+
+
+@pytest.mark.parametrize("key, call", KEYED_CASES.values(), ids=KEYED_CASES.keys())
+def test_refusal_names_its_key(key, call):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert exc.value.key == key
 
 
 def test_numpy_integers_are_counts():

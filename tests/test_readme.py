@@ -1,10 +1,10 @@
-"""README.md's config example, command list and Layout calls match the
-program.
+"""README.md's config example, command list, Layout calls and Python
+examples match the program.
 
 The README is the reference for the sweep config format, the ``stc-lab``
-subcommands and the calls its Layout table quotes, so a key, a subcommand
-or a parameter added, renamed or removed in the package without the README
-fails here.
+subcommands, the calls its Layout table quotes and the library examples, so
+a key, a subcommand or a parameter added, renamed or removed in the package
+without the README fails here, and every ``python`` block runs.
 """
 
 import argparse
@@ -12,6 +12,8 @@ import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 from stclab.cli import build_parser
 from stclab.harness import _CONFIG_KEYS, parse_config
@@ -64,3 +66,20 @@ def test_layout_calls_name_their_parameters():
         params = list(inspect.signature(fn).parameters.values())
         assert [p.name for p in params[: len(quoted)]] == quoted, (module, name)
         assert all(p.default is not p.empty for p in params[len(quoted) :]), (module, name)
+
+
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+
+
+def test_python_blocks_are_found():
+    assert len(PYTHON_BLOCKS) == 3
+
+
+def block_id(block):
+    """The module the block's first ``from ... import`` reads."""
+    return re.search(r"^from (\S+)", block, re.M).group(1)
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=block_id)
+def test_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})
