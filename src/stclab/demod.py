@@ -7,8 +7,11 @@ All decoders minimize the same word metric
 over their codeword set: exhaustive search for block codebooks, a
 full-frame Viterbi pass for trellis codes, depth-first sphere decoding of
 all the blocks of a batch in lockstep for linear-dispersion codes, and the
-orthogonal fast combiner for Alamouti blocks.  The metric of the decided
-word stays inside the decoder.
+orthogonal fast combiner for Alamouti blocks.  The exhaustive search
+screens every word by one real matrix product and computes the metric
+directly only at the blocks whose argmin the screen cannot prove, so its
+decisions are the direct metric's.  The metric of the decided word stays
+inside the decoder.
 
 Every decoder takes a batch of frames, ``y`` (frames, n_uses, lr) and ``h``
 (frames, n_uses, lr, lt), and returns one DecodeResult for the batch: the
@@ -26,7 +29,9 @@ from .errors import InputError, check_es
 from .mathcore import Constellation, patterns_to_bits
 from .stcodes import BlockCodebook, LinearDispersionCode, TrellisCode
 
-# Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB).
+# Largest temporary of the exhaustive-ML kernel, in complex elements (32 MB);
+# the screen's word features and products take an eighth of it in real
+# values each (2 MB).
 ML_SLICE_ELEMENTS = 2**21
 # Values per temporary in one chunk of the metric kernel, or one row of
 # its outer axis when that is longer.
@@ -65,13 +70,15 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     codebook, while a slice across frames would multiply the temporaries
     by the number of frames.
 
-    The codebook is scanned in slices of about ``ML_SLICE_ELEMENTS``
-    (block, word, use, antenna) values, whatever the frame length and
-    codebook size, each scored by :func:`_varying_metrics`, which predicts
-    a quasi-static frame's words once for all its blocks.  The metric is
-    the direct ||Y - sqrt(Es) H X||^2, summed in numpy's order, and ties go
-    to the lowest codeword index, within a slice by argmin and across
-    slices by a strict comparison.
+    A frame is decided in two stages.  :func:`_screen` scores every word
+    at every block by one real matrix product per slice of words and
+    settles each block whose least screened value it proves to be the
+    direct metric's unique minimiser.  The blocks it cannot settle (near
+    ties, zero or rank-deficient channels, non-finite inputs) go to
+    :func:`_direct_scan`, which scores the whole codebook by the direct
+    ||Y - sqrt(Es) H X||^2, summed in numpy's order, with ties to the
+    lowest codeword index.  So every decision is the direct metric's
+    argmin, whichever stage makes it.
     """
     yv, h = _frames(y, h, cb.codewords.shape[1], es)
     if yv.shape[1] % cb.n_uses:
@@ -90,6 +97,19 @@ def _ml_frame(yv, h, cb, es):
     yb = yv.reshape(nb, u, lr)
     # a quasi-static frame's H is one row, shared by every block
     hb = h.reshape(nb, u, lr, h.shape[2])[: 1 if np.all(h == h[:1]) else nb]
+    idx, settled = _screen(yb, hb, cb, es)
+    rest = np.flatnonzero(~settled)
+    if rest.size:
+        idx[rest] = _direct_scan(yb[rest], hb if len(hb) == 1 else hb[rest], cb, es)
+    return idx
+
+
+def _direct_scan(yb, hb, cb, es):
+    """The word of least direct metric at each block, ties to the lowest
+    index: the codebook in slices of about ``ML_SLICE_ELEMENTS`` (block,
+    word, use, antenna) values, each scored by :func:`_varying_metrics`,
+    and a strict comparison across slices."""
+    nb, u, lr = yb.shape
     step = max(1, ML_SLICE_ELEMENTS // max(nb * u * lr, 1))
     best = np.full(nb, np.inf)
     idx = np.zeros(nb, dtype=int)
@@ -104,6 +124,135 @@ def _ml_frame(yv, h, cb, es):
         best[better] = found[better]
         idx[better] = pick[better] + start
     return idx
+
+
+def _screen(yb, hb, cb, es):
+    """The word of least screened value at each block of a frame, and
+    whether the screen proves it the direct metric's argmin there.
+
+    ``yb`` is (nb, u, lr) and ``hb`` (nb, u, lr, lt), or one row shared
+    by every block.  The metric of word x at block b expands as
+
+        ||y_b||^2 - 2 Re sum_k z_bk^H x_k + sum_k x_k^H G_bk x_k
+
+    with z_bk = sqrt(Es) H_bk^H y_bk and G_bk = Es H_bk^H H_bk, so its
+    screened value, the metric less ||y_b||^2, is the product of the
+    block's coefficients (:func:`_screen_coefficients`) and the word's
+    K = 2 u lt + u lt^2 real features (:func:`_word_features`).  The
+    words go in slices of ``ML_SLICE_ELEMENTS // 8`` real values of
+    features and of products; each block keeps its two smallest screened
+    values and the index of the first smallest.
+
+    A block is settled iff second > best + 2 eps_b (:func:`_screen_eps`).
+    Every word's screened value lies within eps_b of its direct metric
+    less ||y_b||^2, so the direct minimiser's screened value is at most
+    best + 2 eps_b; only the screen's argmin lies that low, so the two
+    are one word, and it is the direct metric's unique minimiser.  A NaN
+    fails the comparison, so a block with one is not settled.
+    """
+    left = _screen_coefficients(yb, hb, es)
+    nb, k = left.shape
+    step = max(1, ML_SLICE_ELEMENTS // 8 // max(nb, k))
+    best, second = np.full(nb, np.inf), np.full(nb, np.inf)
+    idx = np.zeros(nb, dtype=int)
+    blocks = np.arange(nb)
+    xi = 0.0
+    for start in range(0, cb.size, step):
+        feats, energy = _word_features(cb.codewords[start : start + step])
+        xi = max(xi, energy)
+        # numpy's @, a BLAS product: the bound holds in any summation order
+        screened = left @ feats
+        pick = np.argmin(screened, axis=1)
+        low = screened[blocks, pick]
+        screened[blocks, pick] = np.inf
+        # the two smallest of the kept pair and this slice's pair
+        second = np.minimum(np.minimum(second, screened.min(axis=1)), np.maximum(best, low))
+        better = low < best
+        idx[better] = pick[better] + start
+        best = np.minimum(best, low)
+    return idx, second > best + 2 * _screen_eps(yb, hb, es, xi)
+
+
+def _screen_coefficients(yb, hb, es):
+    """The (nb, K) coefficients of the word features at each block:
+    -2 Re z, -2 Im z, G_jj, 2 Re G_jl and -2 Im G_jl (j < l), each laid
+    out (feature, use) as in :func:`_word_features`."""
+    nb, u, lr = yb.shape
+    lt = hb.shape[3]
+    jj, ll = np.triu_indices(lt, 1)
+    hs = np.sqrt(es) * hb
+    # numpy's einsum, not a BLAS product, so each complex term is
+    # rounded part by part as the bound of _screen_eps assumes
+    z = np.einsum("bkij,bki->bjk", np.broadcast_to(hs.conj(), (nb,) + hs.shape[1:]), yb)
+    g = np.einsum("bkij,bkil->bjlk", hs.conj(), hs)
+    left = np.empty((nb, 2 * lt + lt * lt, u))
+    np.multiply(-2.0, z.real, out=left[:, :lt])
+    np.multiply(-2.0, z.imag, out=left[:, lt : 2 * lt])
+    left[:, 2 * lt : 3 * lt] = np.diagonal(g.real, axis1=1, axis2=2).transpose(0, 2, 1)
+    pairs = g[:, jj, ll]
+    left[:, 3 * lt : 3 * lt + len(jj)] = 2.0 * pairs.real
+    left[:, 3 * lt + len(jj) :] = -2.0 * pairs.imag
+    return left.reshape(nb, -1)
+
+
+def _word_features(words):
+    """The (K, n) real features of ``words`` (n, lt, u): per use, Re x_j,
+    Im x_j, |x_j|^2 and Re, Im of conj(x_j) x_l (j < l, row-major), laid
+    out (feature, use); and the largest word energy sum |x|^2 among them."""
+    n, lt, u = words.shape
+    feats = np.empty((2 * lt + lt * lt, u, n))
+    feats[:lt] = words.real.transpose(1, 2, 0)
+    feats[lt : 2 * lt] = words.imag.transpose(1, 2, 0)
+    xr, xm, energy = feats[:lt], feats[lt : 2 * lt], feats[2 * lt : 3 * lt]
+    np.add(np.square(xr), np.square(xm), out=energy)
+    at_re, at_im = 3 * lt, 3 * lt + lt * (lt - 1) // 2
+    for j in range(lt - 1):
+        rows = slice(j + 1, lt)
+        m = lt - 1 - j
+        np.add(xr[j] * xr[rows], xm[j] * xm[rows], out=feats[at_re : at_re + m])
+        np.subtract(xr[j] * xm[rows], xm[j] * xr[rows], out=feats[at_im : at_im + m])
+        at_re, at_im = at_re + m, at_im + m
+    return feats.reshape(-1, n), float(energy.sum(axis=(0, 1)).max(initial=0.0))
+
+
+def _screen_eps(yb, hb, es, xi):
+    """eps_b = c u_r (||y_b||^2 + Es max_k ||H_bk||_F^2 xi) at each block,
+    with xi the codebook's largest word energy: a bound on |screened value
+    + ||y_b||^2 - M_bw| for every word w, M_bw being the direct metric as
+    :func:`_varying_metrics` rounds it.
+
+    With u_r the unit roundoff, gamma_n = n u_r / (1 - n u_r), the
+    per-entry forward-error bounds of sums and products (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3) in any summation order,
+    with or without fused multiply-adds, and Y = ||y_b||^2, P = Es max_k
+    ||H_bk||_F^2 xi, tau_ki = sqrt(Es) sum_j |h_kij| |x_kj|:
+
+    - sum_ki tau_ki^2 <= P, and the exact metric D <= 2 (Y + P);
+    - direct metric: each prediction errs by at most 2 gamma_{lt+3} tau,
+      so each difference by u_r |d| + 2 gamma_{lt+3} tau; |d|^2 through
+      hypot and a square adds gamma_5, the sum of u lr terms gamma_{u lr};
+      in all (6 lt + 2 u lr + 30) u_r (Y + P);
+    - screen: z and G err by 2 gamma_{lr+3} of their absolute sums, the
+      features by gamma_2, and the product of K terms by gamma_K of
+      sum |coefficient| |feature| <= Y + 2 P; in all (2 K + 4 lr + 15)
+      u_r (Y + P).
+
+    The sum, up to O(u_r^2), is below (2 K + 2 u lr + 4 lr + 6 lt + 48)
+    u_r (Y + P); c is 4 times that, a safety factor for the second-order
+    terms, the rounding of eps itself and of best + 2 eps.  The bounds
+    leave out overflow and underflow, so a block whose Y, Es max ||H||^2
+    or xi exceeds 2^300, or whose Y + P is below 2^-300, gets eps = inf
+    and is never settled; so does one with a NaN.
+    """
+    nb, u, lr = yb.shape
+    lt = hb.shape[3]
+    k = u * (2 * lt + lt * lt)
+    c = 4 * (2 * k + 2 * u * lr + 4 * lr + 6 * lt + 48)
+    y_energy = np.sum(yb.real**2 + yb.imag**2, axis=(1, 2))
+    es_eta = es * np.max(np.sum(hb.real**2 + hb.imag**2, axis=(2, 3)), axis=1, initial=0.0)
+    scale = y_energy + es_eta * xi
+    in_range = (scale >= 2.0**-300) & (np.maximum(np.maximum(y_energy, es_eta), xi) <= 2.0**300)
+    return np.where(in_range, c * (np.finfo(float).eps / 2) * scale, np.inf)
 
 
 def _varying_metrics(yb, hb, words, es, columns=None, column_index=None):

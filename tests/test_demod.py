@@ -21,6 +21,7 @@ from stclab.demod import (
     viterbi_decode,
 )
 from stclab.errors import InputError
+from stclab.harness import _es_for, build_setup, parse_config, simulate_frames
 from stclab.mathcore import CONSTELLATIONS, QAM16, QPSK, Constellation, patterns_to_bits
 from stclab.stcodes import (
     _block_codebook,
@@ -449,6 +450,160 @@ class TestVaryingKernel:
             tracemalloc.stop()
         assert peak <= 100 * 2**20
         np.testing.assert_array_equal(res.bits[0], patterns_to_bits(idx, 16))
+
+
+class TestScreen:
+    """The matrix-product screen of exhaustive ML: it settles only the
+    blocks whose direct-metric argmin it proves, and the direct scan
+    decides the rest, so every decision stays the direct metric's."""
+
+    CODEBOOKS = {**TestSlicedKernel.CODEBOOKS, **TestVaryingKernel.CODEBOOKS}
+
+    @pytest.mark.parametrize("es", [1e-3, 1.0, 1e3, 1e20], ids=["-30dB", "0dB", "30dB", "200dB"])
+    @pytest.mark.parametrize("fdt", [0.0, 0.02])
+    @pytest.mark.parametrize("lr", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_decisions_bitwise_equal_to_one_shot(self, name, lr, fdt, es):
+        cb = self.CODEBOOKS[name]()
+        for t in range(3):
+            idx = make_rng(9400 + t).integers(0, cb.size, size=9)
+            x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+            frame, h = transmit(x, lr, es, 1.0, make_rng(9500 + t), fdt=fdt)
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, es)
+            np.testing.assert_array_equal(res.bits[0], one_shot_ml_blocks(frame, h, cb, es))
+            assert res.visited == 9 * cb.size
+
+    @staticmethod
+    def blocks(cb, lr, es, seed, fdt=0.0, nb=9):
+        idx = make_rng(seed).integers(0, cb.size, size=nb)
+        x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+        frame, h = transmit(x, lr, es, 1.0, make_rng(seed + 1), fdt=fdt)
+        u = cb.n_uses
+        hb = h.reshape(nb, u, lr, -1)
+        return frame.reshape(nb, u, lr), hb[:1] if fdt == 0.0 else hb
+
+    @pytest.mark.parametrize("fdt", [0.0, 0.02])
+    # the block codebooks, whose words come in pairs x, -x
+    @pytest.mark.parametrize("name", sorted(set(CODEBOOKS) - {"trellis_paths_4"}))
+    def test_small_slices_keep_the_two_smallest(self, name, fdt, monkeypatch):
+        # one or a few words per slice: the running pair of smallest
+        # screened values must give what one slice of every word gives.  A
+        # block received as y = 0 screens each word x and -x alike, so the
+        # screen must leave it unsettled however the words are sliced.
+        cb = self.CODEBOOKS[name]()
+        for t, es in enumerate([1.0, 30.0, 1e4]):
+            yb, hb = self.blocks(cb, 2, es, 9600 + 2 * t, fdt)
+            yb[0] = 0.0
+            whole = demod._screen(yb, hb, cb, es)
+            k = demod._screen_coefficients(yb, hb, es).shape[1]
+            assert demod.ML_SLICE_ELEMENTS // 8 // k >= cb.size
+            assert whole[1].any() and not whole[1][0]
+            for elements in (40, 24 * k):
+                monkeypatch.setattr(demod, "ML_SLICE_ELEMENTS", elements)
+                sliced = demod._screen(yb, hb, cb, es)
+                np.testing.assert_array_equal(sliced[1], whole[1])
+                np.testing.assert_array_equal(sliced[0][whole[1]], whole[0][whole[1]])
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("h_kind", ["static", "per block", "per use"])
+    @pytest.mark.parametrize("name", sorted(CODEBOOKS))
+    def test_bound_covers_the_direct_metric(self, name, h_kind):
+        # |screened + ||y||^2 - M| <= eps / 8 for every word, with received
+        # values, channel gains and Es each spread over many decades
+        cb = self.CODEBOOKS[name]()
+        lt, u = cb.codewords.shape[1:]
+        nb = 6
+        rng = make_rng(9700)
+
+        def cn(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        feats, xi = demod._word_features(cb.codewords)
+        for lr in (1, 2, 4):
+            for _ in range(4):
+                es = 10 ** rng.uniform(-3, 20)
+                hb = cn(nb, u, lr, lt) * 10 ** rng.uniform(-4, 4, (nb, u, lr, lt))
+                if h_kind == "static":
+                    hb = np.broadcast_to(hb[:1, :1], (1, u, lr, lt))
+                elif h_kind == "per use":
+                    hb = hb[:1]
+                words = cb.codewords[rng.integers(0, cb.size, nb)]
+                pred = np.einsum("bkij,bjk->bki", np.broadcast_to(hb, (nb, u, lr, lt)), words)
+                yb = np.sqrt(es) * pred + cn(nb, u, lr) * 10 ** rng.uniform(-6, 6, (nb, 1, 1))
+                screened = demod._screen_coefficients(yb, hb, es) @ feats
+                metric = demod._varying_metrics(yb, hb, cb.codewords, es)
+                y_energy = [math.fsum(v) for v in np.abs(yb.reshape(nb, -1)) ** 2]
+                err = np.abs(screened + np.array(y_energy)[:, None] - metric).max(axis=1)
+                eps = demod._screen_eps(yb, hb, es, xi)
+                assert np.all(np.isfinite(eps))
+                assert np.all(8 * err <= eps)
+
+    @pytest.mark.parametrize("name", ["alamouti_qpsk", "golden_qpsk", "spatial_multiplex_16qam"])
+    def test_null_space_ties_keep_todays_decisions(self, name, monkeypatch):
+        # a rank-1 H, one row b^H per use orthogonal to the difference of
+        # two words, predicts them alike, and noise-free frames put y on
+        # that prediction: the screen cannot settle such a block
+        cb = self.CODEBOOKS[name]()
+        rng = make_rng(9800)
+        scanned = []
+        scan = demod._direct_scan
+        monkeypatch.setattr(
+            demod, "_direct_scan", lambda yb, *a: scanned.append(len(yb)) or scan(yb, *a)
+        )
+        for _ in range(5):
+            a, b = rng.choice(cb.size, size=2, replace=False)
+            diff = cb.codewords[a] - cb.codewords[b]
+            # h_k = c_k [d_1k, -d_0k] has H_k (x_a - x_b)_k = 0 at every use
+            h = rng.standard_normal((cb.n_uses, 1, 1)) * np.stack([diff[1], -diff[0]], 1)[:, None]
+            frame = 3.0 * np.einsum("kij,jk->ki", h, cb.codewords[max(a, b)])
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 9.0)
+            np.testing.assert_array_equal(res.bits[0], one_shot_ml_blocks(frame, h, cb, 9.0))
+        assert scanned and all(n == 1 for n in scanned)
+
+    @pytest.mark.parametrize("bad", ["y nan", "y inf", "h nan", "h inf"])
+    def test_non_finite_inputs_keep_todays_decisions(self, bad):
+        cb = golden_codebook(QPSK)
+        idx = make_rng(9900).integers(0, cb.size, size=6)
+        x = np.concatenate([cb.codewords[n] for n in idx], axis=1)
+        frame, h = transmit(x, 2, 10.0, 1.0, make_rng(9901), fdt=0.02)
+        # use 4, block 2 of 6
+        (h if bad.startswith("h") else frame)[4, 0] = np.nan if bad.endswith("nan") else np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = ml_exhaustive_blocks(frame[None], h[None], cb, 10.0)
+            want = one_shot_ml_blocks(frame, h, cb, 10.0)
+        np.testing.assert_array_equal(res.bits[0], want)
+
+
+class TestScreenKeepsDeciding:
+    """Benchmark-like frames: the screen settles nearly every block, so a
+    change that sends every block to the direct scan fails here."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # golden-decode's 16QAM frame: 30 blocks of 65,536 words
+            "code = golden\nconstellation = 16QAM\nlr = 2\nframe_uses = 60\n"
+            "tx_geometry = 0,0; 0.05,0\nrx_geometry = 0,0; 0.05,0\nebn0_db = 12\n",
+            # doppler-pilot's golden QPSK frame: Clarke fading, pilot CSI
+            "code = golden\nconstellation = QPSK\nlr = 2\nchannel = clarke_varying\n"
+            "fdt = 0.01\ntx_geometry = tx_linear_1.0\nrx_geometry = rx_square_0.5\n"
+            "csi = pilot\npilot.count = 72\npilot.taps = 20\npilot.design_fdt = 0.01\n"
+            "pilot.design_snr_db = 12\nebn0_db = 10\n",
+        ],
+        ids=["golden_16qam_quasi_static", "golden_qpsk_clarke_pilot"],
+    )
+    def test_few_blocks_reach_the_direct_scan(self, config, monkeypatch):
+        setup = build_setup(parse_config(config))
+        scanned = []
+        metrics = demod._varying_metrics
+        monkeypatch.setattr(
+            demod, "_varying_metrics",
+            lambda yb, *a: scanned.append(len(yb)) or metrics(yb, *a),
+        )
+        frames = [0, 1]
+        simulate_frames(setup, 0, frames, _es_for(setup, setup.cfg.ebn0_db[0]))
+        # a block scanned directly is one call of a single slice here
+        assert sum(scanned) <= 2 * len(frames)
 
 
 class TestViterbi:

@@ -6,6 +6,7 @@ einsum, a ZeroDivisionError, an OverflowError that would read as exit 3)
 fails its row.
 """
 
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -116,6 +117,11 @@ CASES = {
     ),
     "trellis bits not a batch": lambda: encode_trellis(
         np.zeros(4, dtype=int), load_packaged_trellis()
+    ),
+    # a hand-built code whose tails (input 1 from every state) end in state 1
+    "trellis tail not ending in state 0": lambda: encode_trellis(
+        np.zeros((1, 4), dtype=int),
+        replace(load_packaged_trellis(), term_inputs=np.ones((4, 1), dtype=int)),
     ),
     "bits not binary": lambda: bits_to_patterns([0, 2], 1),
     "bits not flat": lambda: bits_to_patterns([[0, 1]], 1),
