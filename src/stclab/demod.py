@@ -74,11 +74,11 @@ def ml_exhaustive_blocks(y, h, cb: BlockCodebook, es):
     at every block by one real matrix product per slice of words and
     settles each block whose least screened value it proves to be the
     direct metric's unique minimiser.  The blocks it cannot settle (near
-    ties, zero or rank-deficient channels, non-finite inputs) go to
-    :func:`_direct_scan`, which scores the whole codebook by the direct
-    ||Y - sqrt(Es) H X||^2, summed in numpy's order, with ties to the
-    lowest codeword index.  So every decision is the direct metric's
-    argmin, whichever stage makes it.
+    ties, zero or rank-deficient channels, non-finite inputs), and every
+    block of a frame whose H is all zero, go to :func:`_direct_scan`, which
+    scores the whole codebook by the direct ||Y - sqrt(Es) H X||^2, summed
+    in numpy's order, with ties to the lowest codeword index.  So every
+    decision is the direct metric's argmin, whichever stage makes it.
     """
     yv, h = _frames(y, h, cb.codewords.shape[1], es)
     if yv.shape[1] % cb.n_uses:
@@ -97,6 +97,8 @@ def _ml_frame(yv, h, cb, es):
     yb = yv.reshape(nb, u, lr)
     # a quasi-static frame's H is one row, shared by every block
     hb = h.reshape(nb, u, lr, h.shape[2])[: 1 if np.all(h == h[:1]) else nb]
+    if not hb.any():  # every screened value would be 0, settling no block
+        return _direct_scan(yb, hb, cb, es)
     idx, settled = _screen(yb, hb, cb, es)
     rest = np.flatnonzero(~settled)
     if rest.size:
@@ -416,35 +418,35 @@ def _axis_levels(c: Constellation):
     return levels, table
 
 
-def _dispersion_system(yv, h, code: LinearDispersionCode, es):
-    """Real-valued lattice systems (y_r, G_r), one per codeword block.
-
-    Returns y_r of shape (nb, n) and G_r of shape (nb, n, 2 n_syms) with
+def _dispersion_system(yv, h, code: LinearDispersionCode, es, lattices):
+    """Real-valued lattice systems: y_r (nb, n) of every codeword block and
+    G_r (len(lattices), n, 2 n_syms) of the blocks numbered ``lattices``,
     n = 2 lr n_uses, the real and imaginary parts of y_eff = G s stacked.
     """
     u = code.n_uses
     nb, lr = yv.shape[0] // u, yv.shape[1]
-    hb = h.reshape(nb, u, lr, h.shape[2])
+    hb = h.reshape(nb, u, lr, h.shape[2])[lattices]
     g = np.sqrt(es) * np.einsum("bkij,mjk->bkim", hb, code.basis)
-    g = g.reshape(nb, u * lr, code.n_syms)
+    g = g.reshape(len(hb), u * lr, code.n_syms)
     yc = yv.reshape(nb, u * lr)
     gr = np.block([[g.real, -g.imag], [g.imag, g.real]])
     yr = np.concatenate([yc.real, yc.imag], axis=1)
     return yr, gr
 
 
-def _lockstep_search(z, r, levels):
+def _lockstep_search(z, r, levels, of=slice(None)):
     """Depth-first closest-first search of many triangular systems at once.
 
-    ``z`` is (nb, d) and ``r`` the (nb, d, d) upper-triangular systems.
-    Each block searches from the last dimension down with the Babai point
-    as the first leaf.  Children are tried closest-first (a stable sort,
-    so equidistant levels keep ascending order) and a child whose cost is
-    not strictly below the best leaf ends its sibling loop.  Each pass of
-    the loop advances every unfinished block by one node: it visits a
-    child, which is pruned (the block returns a level up), descends or
-    records a leaf, or finds its children used up and returns a level up.
-    Returns the closest points (nb, d) and each block's visited nodes.
+    ``z`` is (nb, d) and block b searches it on the upper-triangular (d, d)
+    r[of[b]], r[b] by default.  Each block searches from the last dimension
+    down with the Babai point as the first leaf.  Children are tried
+    closest-first (a stable sort, so equidistant levels keep ascending
+    order) and a child whose cost is not strictly below the best leaf ends
+    its sibling loop.  Each pass of the loop advances every unfinished
+    block by one node, read from flat per-node tables: it visits a child,
+    which is pruned (the block returns a level up), descends or records a
+    leaf, or finds its children used up and returns a level up.  Returns
+    the closest points (nb, d) and each block's visited nodes.
 
     Each residual's partial dot accumulates in index order; numpy's dot
     may fuse each multiply-add (FMA hardware) and differ in the last bit.
@@ -454,25 +456,28 @@ def _lockstep_search(z, r, levels):
     """
     nb, d = z.shape
     n_lv = levels.size
-    rs = np.triu(r, 1).reshape(nb * d, d)
-    rd = np.diagonal(r, axis1=1, axis2=2).reshape(-1, 1)
+    rs = np.triu(r, 1)[of].reshape(nb * d, d)
+    rd = np.diagonal(r, axis1=1, axis2=2)[of].reshape(-1, 1)
     zf = z.reshape(-1, 1)
     v, best_v = np.zeros((nb, d)), np.zeros((nb, d))
     vf = v.reshape(-1)
     visited = np.zeros(nb, dtype=int)
-    # per node (block, level): its children closest-first, their costs and
-    # the next one to try; the extra last column costs inf, so a block
-    # whose children are used up returns a level up
+    # per node (block, level), n_lv + 1 slots read by flat index: its
+    # children closest-first, their costs and whether a slot holds a child;
+    # the extra last slot costs inf, so a block whose children are used up
+    # returns a level up; and the flat slot of each node's next child
     kids = np.zeros((nb * d, n_lv + 1))
     costs = np.full((nb * d, n_lv + 1), np.inf)
+    is_kid = np.tile(np.arange(n_lv + 1) < n_lv, nb * d).astype(int)
     pos = np.zeros(nb * d, dtype=int)
 
     def expand(b, k, above):
-        resid, rdk = zf[k] - (rs[k] * v[b]).cumsum(axis=1)[:, -1:], rd[k]
+        rdk, part = rd.take(k, axis=0), rs.take(k, axis=0) * v.take(b, axis=0)
+        resid = zf.take(k, axis=0) - part.cumsum(axis=1)[:, -1:]
         order = np.abs(levels - resid / rdk).argsort(axis=1, kind="stable")
-        kids[k, :n_lv] = s = levels[order]
+        kids[k, :n_lv] = s = levels.take(order)
         costs[k, :n_lv] = above + (resid - rdk * s) ** 2
-        pos[k] = 0
+        pos[k] = k * (n_lv + 1)
 
     # the unfinished blocks, their levels, nodes, visits and best leaf costs
     act = np.arange(nb)
@@ -481,25 +486,28 @@ def _lockstep_search(z, r, levels):
     vis, best = np.zeros(nb, dtype=int), np.full(nb, np.inf)
     expand(act, node, np.zeros((nb, 1)))
     while act.size:
-        p = pos[node]
-        cost = costs[node, p]
-        vis += p < n_lv
+        p = pos.take(node)
+        cost = costs.take(p)
+        vis += is_kid.take(p)
         pos[node] = p + 1
-        go = cost < best
-        leaf = go & (lev == 0)
-        down = go ^ leaf
-        g = node[go]
-        vf[g] = kids[g, p[go]]
-        if leaf.any():
-            best[leaf] = cost[leaf]
-            best_v[act[leaf]] = v[act[leaf]]
-        # a prune or a used-up node moves its block one level up, a descent down
-        step = 1 - go - down
+        ok, bottom = cost < best, lev == 0
+        go = ok.nonzero()[0]
+        vf[node.take(go)] = kids.take(p.take(go))
+        leaf = (ok & bottom).nonzero()[0]
+        if leaf.size:
+            best[leaf] = cost.take(leaf)
+            best_v[act.take(leaf)] = v.take(act.take(leaf), axis=0)
+        # a prune or a used-up node moves its block one level up, a descent
+        # down; the flags step as int8, which needs no cast
+        descend = ok > bottom
+        step = 1 - ok.view(np.int8) - descend.view(np.int8)
         lev += step
         node += step
-        expand(act[down], node[down], cost[down, None])
-        live = lev < d
-        if not live.all():
+        down = descend.nonzero()[0]
+        if down.size:
+            expand(act.take(down), node.take(down), cost.take(down)[:, None])
+        if lev.max() == d:
+            live = lev < d
             visited[act[~live]] = vis[~live]
             act, lev, node, vis, best = act[live], lev[live], node[live], vis[live], best[live]
     return best_v, visited
@@ -511,9 +519,10 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     Each frame must hold a whole number of codewords.  Each codeword is
     vectorized into y_eff = G s + n, expanded to a real lattice and
     searched depth-first in closest-first child order with the Babai point
-    as the initial radius.  The lattice algebra runs once for the whole
-    batch (one einsum, one stacked QR), and one lockstep search covers
-    every block whose lattice is not degenerate.
+    as the initial radius.  The lattice algebra (one einsum, one stacked
+    QR) runs once per distinct channel of the batch: once per frame whose
+    H is constant, once per block of a frame whose H varies.  One lockstep
+    search covers every block whose lattice is not degenerate.
     Requires lr >= lt so the lattice has full column rank.  A block with a
     degenerate channel is decided by exhaustive ML over ``code.codebook``,
     built by the first batch that has one and kept with the code: the
@@ -534,10 +543,14 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
         )
     c = code.constellation
     levels, table = _axis_levels(c)
-    # whole codewords never straddle two frames, so the blocks of all
-    # frames form one long frame
+    # whole codewords never straddle two frames, so the blocks of all frames
+    # form one long frame; a frame whose H is constant shares one lattice
+    blocks = np.arange(n_frames * (n // u)).reshape(n_frames, -1)
+    static = np.all(h == h[:, :1], axis=(1, 2, 3))
+    owner = np.where(static[:, None], blocks[:, :1], blocks).reshape(-1)
+    lattices, of = np.unique(owner, return_inverse=True)
     yr, gr = _dispersion_system(
-        yv.reshape(-1, lr), h.reshape(-1, lr, h.shape[3]), code, es
+        yv.reshape(-1, lr), h.reshape(-1, lr, h.shape[3]), code, es, lattices
     )
     m = code.n_syms
     d = 2 * m
@@ -550,12 +563,12 @@ def sphere_decode(y, h, code: LinearDispersionCode, es):
     signs = np.sign(np.diagonal(r, axis1=1, axis2=2))
     signs[signs == 0] = 1.0
     r = signs[:, :, None] * r
-    z = signs * (q.transpose(0, 2, 1) @ yr[:, :, None])[:, :, 0]
+    z = signs[of] * (q[of].transpose(0, 2, 1) @ yr[:, :, None])[:, :, 0]
     rdiag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    degenerate = rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0)
+    degenerate = (rdiag.min(axis=1) < 1e-12 * np.maximum(rdiag.max(axis=1), 1.0))[of]
     v, visited = np.zeros((yr.shape[0], d)), np.full(yr.shape[0], c.size**m)
     ok = ~degenerate
-    v[ok], visited[ok] = _lockstep_search(z[ok], r[ok], levels)
+    v[ok], visited[ok] = _lockstep_search(z[ok], r, levels, of[ok])
     idx = np.argmin(np.abs(v[:, :, None] - levels), axis=2)
     words = table[idx[:, :m], idx[:, m:]] @ c.size ** np.arange(m - 1, -1, -1)
     if degenerate.any():

@@ -85,11 +85,10 @@ def encode_golden(s):
 
     th, tb = GOLDEN_THETA, GOLDEN_THETA_BAR
     a, ab = GOLDEN_ALPHA, GOLDEN_ALPHA_BAR
-    parts = [
-        entry(a, 0, th), entry(a, 2, th), entry(1j * ab, 2, tb), entry(ab, 0, tb)
-    ]
     x = np.empty(s.shape[:-1] + (2, 2), dtype=complex)
-    for n, (re, im) in enumerate(parts):  # row-major entries
+    # row-major entries, each written before the next is computed
+    for n, args in enumerate([(a, 0, th), (a, 2, th), (1j * ab, 2, tb), (ab, 0, tb)]):
+        re, im = entry(*args)
         x.real[..., n // 2, n % 2] = GOLDEN_SCALE * re
         x.imag[..., n // 2, n % 2] = GOLDEN_SCALE * im
     return x
@@ -205,26 +204,27 @@ def _enumerate_symbol_tuples(c: Constellation, n_syms, start=0, stop=None):
     """
     n = _codebook_size(c, n_syms)
     index = np.arange(start, n if stop is None else min(stop, n))
-    return (index[:, None] // c.size ** np.arange(n_syms - 1, -1, -1)) % c.size
+    return (index[:, None] >> c.bits_per_symbol * np.arange(n_syms - 1, -1, -1)) & (c.size - 1)
 
 
 def _block_codebook(name, c: Constellation, n_syms, encode):
     """Codebook of ``encode`` over every tuple of n_syms points of c.
 
-    ``encode`` maps symbols (..., n_syms) to words (..., lt, n_uses).  A
-    codebook of more than DUPLICATE_SLICE_ELEMENTS symbols is encoded and
-    written slice by slice, so temporaries stay small next to it; a smaller
-    one is the encoder's own output, with no copy.
+    ``encode`` maps symbols (..., n_syms) to words (..., lt, n_uses), here
+    a symbol-major view, so that each symbol is contiguous.  A codebook of
+    more than DUPLICATE_SLICE_ELEMENTS symbols is encoded and written slice
+    by slice, so temporaries stay small next to it; a smaller one is the
+    encoder's own output, with no copy.
     """
     n = _codebook_size(c, n_syms)
     step = max(1, DUPLICATE_SLICE_ELEMENTS // n_syms)
     if n <= step:
-        words = encode(c.points[_enumerate_symbol_tuples(c, n_syms)])
+        words = encode(c.points[_enumerate_symbol_tuples(c, n_syms).T].T)
     else:
         words = np.empty((n,) + encode(np.zeros(n_syms)).shape, dtype=complex)
         for start in range(0, n, step):
             patterns = _enumerate_symbol_tuples(c, n_syms, start, start + step)
-            words[start : start + step] = encode(c.points[patterns])
+            words[start : start + step] = encode(c.points[patterns.T].T)
     return BlockCodebook(name, words, n_syms * c.bits_per_symbol)
 
 

@@ -297,6 +297,50 @@ def test_metrics_output_is_byte_identical(code, constellation, tmp_path, capsys)
     assert got == METRICS_OUTPUT_SHA256[code, constellation]
 
 
+_GOLDEN_SWEEP = {
+    "code": "golden", "lt": 2, "lr": 2, "min_frame_errors": 10**9, "seed": 5,
+}
+_COMPACT_PAIR = {"tx_geometry": "0,0; 0.05,0", "rx_geometry": "0,0; 0.05,0"}
+_PILOT_CSI = {
+    "channel": "clarke_varying", "fdt": 0.01, "csi": "pilot", "pilot.count": 72,
+    "pilot.taps": 20, "pilot.design_fdt": 0.01, "pilot.design_snr_db": 12,
+}
+
+# small sweeps whose CSV bytes, `mean_decoder_nodes` included, are pinned:
+# a faster decoder must keep every decision and every visit count
+SWEEP_CSV_SHA256 = {
+    "golden-qpsk-sphere-compact": (
+        dict(_GOLDEN_SWEEP, **_COMPACT_PAIR, constellation="QPSK", decoder="sphere",
+             ebn0_db="12, 200", max_frames=16),
+        "5360e8a970956bfa35e00e83e0cab3e204a2ef798e974165b838d73b1d514383",
+    ),
+    "golden-16qam-sphere-2x4": (
+        dict(_GOLDEN_SWEEP, lr=4, tx_geometry="0,0; 0.05,0", constellation="16QAM",
+             decoder="sphere", ebn0_db="6, 12, 200", max_frames=4),
+        "d8fbad50cc513adabe621067a013ef53bd92b4b65cad4449d18e29d9fca04ed7",
+    ),
+    "golden-qpsk-sphere-pilot": (
+        dict(_GOLDEN_SWEEP, **_PILOT_CSI, constellation="QPSK", decoder="sphere",
+             ebn0_db="4, 10, 200", max_frames=8),
+        "7d16e47cb32d7fe3691ed1baee7b0ae2b29fb0908c15d53d456e2e08e2d863f8",
+    ),
+    "golden-16qam-ml-60": (
+        dict(_GOLDEN_SWEEP, **_COMPACT_PAIR, constellation="16QAM", decoder="ml",
+             frame_uses=60, ebn0_db="12, 200", max_frames=2),
+        "2786ec9ef5a3a473ac663020947a29166d20bc3dcace7f87861db1cd2e0de6f4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_is_byte_identical(name, tmp_path, capsys):
+    keys, want = SWEEP_CSV_SHA256[name]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
 @pytest.mark.parametrize(
     "code, constellation",
     [key for key in sorted(METRICS_OUTPUT_SHA256) if key[0] in harness.FAMILIES],

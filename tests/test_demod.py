@@ -971,6 +971,51 @@ class TestSphere:
         want = patterns_to_bits(idx[7].reshape(-1), c.bits_per_symbol)
         np.testing.assert_array_equal(res.bits[7], want)  # the noise-free frame
 
+    @staticmethod
+    def mixed_channel_batch(ld, es):
+        """Five frames of six blocks over two receive antennas: frames 0 and
+        1 quasi-static, 2 Clarke fading, 3 quasi-static with an all-zero H,
+        4 quasi-static but for a zero first block."""
+        c = ld.constellation
+        idx = make_rng(45).integers(0, c.size, size=(5, 6, ld.n_syms))
+        x = np.einsum("fbm,mjk->fjbk", c.points[idx], ld.basis)
+        sent = [
+            transmit(xf.reshape(xf.shape[0], -1), 2, es, 1.0, make_rng(4600 + f),
+                     fdt=0.02 if f == 2 else 0.0, geometry="0,0; 0.05,0")
+            for f, xf in enumerate(x)
+        ]
+        y = np.array([frame for frame, _ in sent])
+        h = np.array([hf for _, hf in sent])
+        h[3] = 0.0
+        h[4, : ld.n_uses] = 0.0
+        return y, h
+
+    @pytest.mark.parametrize("name", ["golden_qpsk", "spatial_multiplex_16qam"])
+    def test_shared_lattices_match_per_block_decoder(self, name):
+        ld, _ = self.CODES[name]()
+        y, h = self.mixed_channel_batch(ld, 3.0)
+        res = sphere_decode(y, h, ld, 3.0)
+        visited = degenerate = 0
+        for f in range(5):
+            bits, want_visited, want_degenerate = per_block_sphere_decode(y[f], h[f], ld, 3.0)
+            one = sphere_decode(y[f : f + 1], h[f : f + 1], ld, 3.0)
+            np.testing.assert_array_equal(one.bits[0], bits)
+            np.testing.assert_array_equal(res.bits[f], bits)
+            assert (one.visited, one.degenerate) == (want_visited, want_degenerate)
+            assert want_degenerate == (f in (3, 4))
+            visited, degenerate = visited + want_visited, degenerate + want_degenerate
+        assert (res.visited, res.degenerate) == (visited, degenerate)
+
+    def test_one_lattice_per_distinct_channel(self, monkeypatch):
+        ld, _ = self.CODES["golden_qpsk"]()
+        y, h = self.mixed_channel_batch(ld, 3.0)
+        factored = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: factored.append(len(a)) or qr(a))
+        sphere_decode(y, h, ld, 3.0)
+        # frames 0, 1 and 3 have a constant H; frames 2 and 4 vary over six blocks
+        assert factored == [3 + 2 * 6]
+
     def test_frame_length_must_hold_whole_words(self):
         ld = dispersion_code(QPSK, 4, encode_golden)
         frame, h = transmit(np.ones((2, 3), dtype=complex), 2, 1.0, 1.0, make_rng(35))
